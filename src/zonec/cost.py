@@ -11,7 +11,9 @@ and (non-zoned policy) crosstalk factors per logical qubit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .arch import MachineConfig, Policy
 from .ir import Circuit, GateKind
@@ -52,11 +54,19 @@ class Breakdown:
         return self.categories[name] / self.makespan_us
 
 
-def _overlap(e: Event, others: list[Event]) -> float:
-    """Total time of e covered by the union of the other events' intervals."""
+def _overlap(e: Event, travel: list[Event], starts: list[float], reach: list[float]) -> float:
+    """Total time of e covered by the union of the travel events' intervals.
+
+    ``travel`` is sorted by start, ``starts`` holds those starts and
+    ``reach`` the running maximum of their ends, so only
+    ``travel[first:stop]`` can meet e: before ``first`` every event ends by
+    e's start, from ``stop`` on every event starts at or after e's end.
+    """
+    first = bisect_right(reach, e.start_us)
+    stop = bisect_left(starts, e.end_us, first)
     spans = sorted(
         (max(o.start_us, e.start_us), min(o.end_us, e.end_us))
-        for o in others
+        for o in travel[first:stop]
         if o.end_us > e.start_us and o.start_us < e.end_us
     )
     covered, cursor = 0.0, e.start_us
@@ -70,12 +80,17 @@ def _overlap(e: Event, others: list[Event]) -> float:
 
 def breakdown(timeline: Timeline) -> Breakdown:
     cat = {k: 0.0 for k in ("ls", "tt", "sh", "ro", "ec", "ge")}
-    travel = [e for e in timeline.events if e.kind in _TRAVEL_KINDS]
+    travel = sorted(
+        (e for e in timeline.events if e.kind in _TRAVEL_KINDS),
+        key=lambda e: e.start_us,
+    )
+    starts = [e.start_us for e in travel]
+    reach = list(accumulate((e.end_us for e in travel), max))
     for e in timeline.events:
         if e.kind in (EventKind.LOAD, EventKind.STORE, EventKind.READOUT_MOVE):
             cat["ls"] += e.duration_us
         elif e.kind is EventKind.TRAP_TRANSFER:
-            cat["tt"] += e.duration_us - _overlap(e, travel)
+            cat["tt"] += e.duration_us - _overlap(e, travel, starts, reach)
         elif e.kind is EventKind.SHUTTLE:
             cat["sh"] += e.duration_us
         elif e.kind is EventKind.READOUT_IMAGE:

@@ -4,7 +4,9 @@ scalable benchmark generators (GHZ chains, random UCC terms, QAOA, Steane prep).
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -38,19 +40,49 @@ _QASM_GATES = {
 
 _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
 _CREG_RE = re.compile(r"creg\s+(\w+)\s*\[\s*(\d+)\s*\]")
-_STMT_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$")
+_STMT_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s*(.*)$")  # angles may nest ()
 _OPERAND_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
 
 
+_ANGLE_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_ANGLE_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+
+
+def _angle_value(node: ast.expr):
+    """Value of an angle expression tree holding only numbers, ``pi``, unary
+    +/- and binary + - * /; anything else raises ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ANGLE_UNARY:
+        return _ANGLE_UNARY[type(node.op)](_angle_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_BINARY:
+        return _ANGLE_BINARY[type(node.op)](
+            _angle_value(node.left), _angle_value(node.right)
+        )
+    raise ValueError(f"unsupported {type(node).__name__}")
+
+
 def _eval_angle(expr: str, line: int) -> float:
-    """Evaluate a QASM angle expression (numbers, pi, + - * /)."""
+    """Evaluate a QASM angle expression (numbers, pi, unary +/-, + - * /,
+    parentheses) to a finite float."""
     expr = expr.strip()
     if not re.fullmatch(r"[0-9eE\.\+\-\*/\s\(\)pi]*", expr) or not expr:
         raise ParseError(f"unsupported angle expression {expr!r}", line)
     try:
-        return float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception:
+        value = float(_angle_value(ast.parse(expr, mode="eval").body))
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError):
+        # MemoryError and RecursionError: the parser's or walker's nesting limit
         raise ParseError(f"invalid angle expression {expr!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite angle {expr!r}", line)
+    return value
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -62,7 +94,7 @@ def parse_qasm(text: str) -> Circuit:
     qreg_name = None
     num_qubits = 0
     creg_names: set[str] = set()
-    circuit: Circuit | None = None
+    gates: list[Gate] = []
     saw_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -84,7 +116,8 @@ def parse_qasm(text: str) -> Circuit:
                 if qreg_name is not None:
                     raise ParseError("only one qreg is supported", lineno)
                 qreg_name, num_qubits = m.group(1), int(m.group(2))
-                circuit = Circuit(num_qubits)
+                if num_qubits < 1:
+                    raise ParseError("circuit needs at least one qubit", lineno)
                 continue
             if stmt.startswith("creg"):
                 m = _CREG_RE.match(stmt)
@@ -101,7 +134,7 @@ def parse_qasm(text: str) -> Circuit:
             name, arg_text, operand_text = m.group(1), m.group(2), m.group(3)
             if name not in _QASM_GATES:
                 raise ParseError(f"unsupported gate {name!r}", lineno)
-            if circuit is None:
+            if qreg_name is None:
                 raise ParseError("gate before qreg declaration", lineno)
             kind, arity, n_params = _QASM_GATES[name]
 
@@ -137,15 +170,15 @@ def parse_qasm(text: str) -> Circuit:
                     f"{name} takes {arity} operand(s), got {len(operands)}", lineno
                 )
             try:
-                circuit = circuit.append(kind, operands, params)
+                gates.append(Gate(kind, tuple(operands), params))
             except CircuitError as e:
                 raise ParseError(str(e), lineno) from None
 
     if not saw_header:
         raise ParseError("missing OPENQASM 2.0 header", 1)
-    if circuit is None:
+    if qreg_name is None:
         raise ParseError("no qreg declared", 1)
-    return circuit
+    return Circuit(num_qubits, tuple(gates))
 
 
 def dump_qasm(circuit: Circuit) -> str:
@@ -195,7 +228,12 @@ def parse_pauli_file(text: str) -> PauliTermFile:
         if toks[0] == "qubits":
             if num_qubits is not None:
                 raise ParseError("duplicate qubits header", lineno)
-            num_qubits = int(toks[1])
+            try:
+                num_qubits = int(toks[1])
+            except (IndexError, ValueError):
+                raise ParseError("expected `qubits <n>`", lineno) from None
+            if num_qubits < 1:
+                raise ParseError("need at least one qubit", lineno)
             continue
         if num_qubits is None:
             raise ParseError("missing `qubits <n>` header", lineno)
@@ -208,9 +246,12 @@ def parse_pauli_file(text: str) -> PauliTermFile:
                 lineno,
             )
         try:
-            terms.append(PauliTerm(label, float(theta)))
+            term = PauliTerm(label, float(theta))
         except (ValueError, CircuitError) as e:
             raise ParseError(str(e), lineno) from None
+        if not math.isfinite(term.theta):
+            raise ParseError(f"non-finite angle {theta!r}", lineno)
+        terms.append(term)
     if num_qubits is None:
         raise ParseError("missing `qubits <n>` header", 1)
     return PauliTermFile(num_qubits, tuple(terms))
@@ -240,13 +281,11 @@ def gen_ghz(n: int, chain: str = "fountain", measure: bool = True) -> Circuit:
         raise ValueError("GHZ needs at least 2 qubits")
     if chain not in CHAINS:
         raise ValueError(f"unknown chain {chain!r}, expected one of {CHAINS}")
-    c = Circuit(n).append(GateKind.H, [0])
+    gates = [Gate(GateKind.H, (0,))]
     if chain == "path":
-        for i in range(n - 1):
-            c = c.append(GateKind.CX, [i, i + 1])
+        gates += [Gate(GateKind.CX, (i, i + 1)) for i in range(n - 1)]
     elif chain == "fountain":
-        for i in range(1, n):
-            c = c.append(GateKind.CX, [0, i])
+        gates += [Gate(GateKind.CX, (0, i)) for i in range(1, n)]
     else:
         # Doubling tree, emitted in breadth-first layer order so the natural
         # dependency layering matches the logarithmic depth.
@@ -257,13 +296,12 @@ def gen_ghz(n: int, chain: str = "fountain", measure: bool = True) -> Circuit:
                 if hi - lo <= 1:
                     continue
                 mid = lo + (hi - lo + 1) // 2
-                c = c.append(GateKind.CX, [lo, mid])
+                gates.append(Gate(GateKind.CX, (lo, mid)))
                 nxt += [(lo, mid), (mid, hi)]
             segments = nxt
     if measure:
-        for q in range(n):
-            c = c.append(GateKind.MEASURE, [q])
-    return c
+        gates += [Gate(GateKind.MEASURE, (q,)) for q in range(n)]
+    return Circuit(n, tuple(gates))
 
 
 def gen_ucc_random(n: int, num_terms: int, seed: int) -> PauliTermFile:
@@ -333,19 +371,18 @@ def gen_qaoa(
     gammas, betas = list(gammas), list(betas)
     if len(gammas) != p or len(betas) != p:
         raise ValueError("need one gamma and one beta per layer")
-    c = Circuit(graph.num_nodes)
-    for q in range(graph.num_nodes):
-        c = c.append(GateKind.H, [q])
+    nodes = range(graph.num_nodes)
+    gates = [Gate(GateKind.H, (q,)) for q in nodes]
     weights = graph.weights or (1.0,) * len(graph.edges)
     for k in range(p):
-        for (a, b), w in zip(graph.edges, weights):
-            c = c.append(GateKind.RZZ, [a, b], [gammas[k] * w])
-        for q in range(graph.num_nodes):
-            c = c.append(GateKind.RX, [q], [2.0 * betas[k]])
+        gates += [
+            Gate(GateKind.RZZ, (a, b), (float(gammas[k] * w),))
+            for (a, b), w in zip(graph.edges, weights)
+        ]
+        gates += [Gate(GateKind.RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
     if measure:
-        for q in range(graph.num_nodes):
-            c = c.append(GateKind.MEASURE, [q])
-    return c
+        gates += [Gate(GateKind.MEASURE, (q,)) for q in nodes]
+    return Circuit(graph.num_nodes, tuple(gates))
 
 
 def qaoa_angles(p: int, seed: int) -> tuple[list[float], list[float]]:
@@ -370,13 +407,11 @@ STEANE_Z_STABILIZERS = ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
 
 def gen_steane_prep() -> Circuit:
     """7-qubit Steane-code |+>_L preparation circuit."""
-    c = Circuit(7)
-    for pivot, _ in _STEANE_PREP_ROWS:
-        c = c.append(GateKind.H, [pivot])
-    for pivot, rest in _STEANE_PREP_ROWS:
-        for t in rest:
-            c = c.append(GateKind.CX, [pivot, t])
-    return c
+    gates = [Gate(GateKind.H, (pivot,)) for pivot, _ in _STEANE_PREP_ROWS]
+    gates += [
+        Gate(GateKind.CX, (pivot, t)) for pivot, rest in _STEANE_PREP_ROWS for t in rest
+    ]
+    return Circuit(7, tuple(gates))
 
 
 # ---------------------------------------------------------------------------

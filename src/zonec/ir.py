@@ -119,6 +119,9 @@ class Circuit:
                     )
 
     def append(self, kind: GateKind, qubits, params=()) -> "Circuit":
+        """Return a copy with one gate added. Each call copies and re-checks
+        the whole gate tuple, so it costs O(len); bulk builders should
+        collect ``Gate``s in a list and construct the ``Circuit`` once."""
         gate = Gate(kind, tuple(qubits), tuple(float(p) for p in params))
         for q in gate.qubits:
             if not 0 <= q < self.num_qubits:
@@ -128,10 +131,7 @@ class Circuit:
         return Circuit(self.num_qubits, self.gates + (gate,))
 
     def extend(self, gates) -> "Circuit":
-        c = self
-        for g in gates:
-            c = Circuit(c.num_qubits, c.gates + (g,))
-        return c
+        return Circuit(self.num_qubits, self.gates + tuple(gates))
 
     def __len__(self) -> int:
         return len(self.gates)

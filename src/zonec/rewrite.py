@@ -8,6 +8,7 @@ Every pass preserves the circuit unitary up to global phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from . import protocols
 from .ir import (
@@ -327,19 +328,20 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[RemapDirective, ...]]:
     """Remove every SWAP, rewriting downstream operands through the logical
     permutation and emitting a remap directive at that program point. The
     scheduler realizes remaps as free relabelings or in-zone moves."""
-    perm = list(range(circuit.num_qubits))
+    pos = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
     gates: list[Gate] = []
     remaps: list[RemapDirective] = []
     for g in circuit.gates:
         if g.kind is GateKind.SWAP:
             a, b = g.qubits
-            ia, ib = perm.index(a), perm.index(b)
-            perm[ia], perm[ib] = perm[ib], perm[ia]
+            pos[a], pos[b] = pos[b], pos[a]
             remaps.append(RemapDirective(len(gates), (a, b)))
+        elif remaps:
+            gates.append(Gate(g.kind, tuple(pos[q] for q in g.qubits), g.params))
         else:
-            gates.append(Gate(g.kind, tuple(perm.index(q) for q in g.qubits), g.params))
+            gates.append(g)
     # Collapse remap pairs that cancelled back to identity.
-    if perm == list(range(circuit.num_qubits)):
+    if pos == list(range(circuit.num_qubits)):
         pair_count: dict[tuple[int, int], int] = {}
         for r in remaps:
             key = tuple(sorted(r.pair))
@@ -352,11 +354,8 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[RemapDirective, ...]]:
 def gate_based_swap_reference(num_qubits: int, a: int, b: int) -> Circuit:
     """Gate-based SWAP lowering (3 CX), kept only as the comparison path for
     the movement-based implementation."""
-    c = Circuit(num_qubits)
-    c = c.append(GateKind.CX, [a, b])
-    c = c.append(GateKind.CX, [b, a])
-    c = c.append(GateKind.CX, [a, b])
-    return c
+    ab, ba = Gate(GateKind.CX, (a, b)), Gate(GateKind.CX, (b, a))
+    return Circuit(num_qubits, (ab, ba, ab))
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +379,40 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     main = [(i, g) for i, g in enumerate(circuit.gates) if g.zone is not Zone.READOUT]
     measures = tuple(g for g in circuit.gates if g.zone is Zone.READOUT)
 
-    # preds[i] = indices of earlier main gates sharing an operand with gate i
+    # Kahn's algorithm over the operand-sharing DAG. A gate's predecessors
+    # all have lower indices, so popping the current zone's min-heap of ready
+    # gates, and pushing successors (higher indices) as they become ready,
+    # hoists a step's whole ready closure in ascending index order.
+    gate_at = dict(main)
     last_on: dict[int, int] = {}
-    preds: dict[int, set[int]] = {}
+    waiting: dict[int, int] = {}  # unfinished predecessors per gate
+    succs: dict[int, list[int]] = {i: [] for i, _ in main}
+    ready: dict[Zone, list[int]] = {Zone.STORAGE: [], Zone.ENTANGLING: []}
     for i, g in main:
-        preds[i] = {last_on[q] for q in g.qubits if q in last_on}
+        preds = {last_on[q] for q in g.qubits if q in last_on}
+        for p in preds:
+            succs[p].append(i)
+        waiting[i] = len(preds)
+        if not preds:
+            ready[g.zone].append(i)  # ascending, hence already a heap
         for q in g.qubits:
             last_on[q] = i
 
-    remaining = dict(main)
-    done: set[int] = set()
+    remaining = len(main)
     raw: list[tuple[Zone, list[Gate]]] = []
     current_zone = main[0][1].zone if main else Zone.STORAGE
 
     while remaining:
         step_gates: list[Gate] = []
-        progressed = True
-        while progressed:
-            progressed = False
-            for i in sorted(remaining):
-                g = remaining[i]
-                if g.zone is current_zone and preds[i] <= done:
-                    step_gates.append(g)
-                    done.add(i)
-                    del remaining[i]
-                    progressed = True
+        heap = ready[current_zone]
+        while heap:
+            i = heappop(heap)
+            step_gates.append(gate_at[i])
+            for s in succs[i]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    heappush(ready[gate_at[s].zone], s)
+        remaining -= len(step_gates)
         raw.append((current_zone, step_gates))
         current_zone = (
             Zone.ENTANGLING if current_zone is Zone.STORAGE else Zone.STORAGE

@@ -147,7 +147,7 @@ class _Sim:
             self.t_in.setdefault(q, 0.0)
             self.t_out.setdefault(q, 0.0)
 
-    def transfer_batch(self, qubits, hide_under_us=0.0):
+    def transfer_batch(self, qubits):
         """One batched trap-transfer event; returns its duration so the
         caller can fold it into the step's concurrency window."""
         qubits = sorted(qubits)
@@ -212,14 +212,13 @@ def schedule(
     for e in ec_prep_events(config, n):
         sim.events.append(e)
         sim.clock = max(sim.clock, e.end_us)
-    ec_window = sim.clock  # initial trap pickups hide under the EC prefix
 
     if config.policy is Policy.TYPE3:
         _schedule_type3(sim, program)
     elif config.policy is Policy.TYPE2:
         _schedule_type2(sim, program)
     else:
-        _schedule_type1(sim, program, ec_window)
+        _schedule_type1(sim, program)
 
     sim.finalize_zones(n)
     measured = tuple(
@@ -323,7 +322,7 @@ def _batch_crossing(sim: _Sim, qubits, direction: str):
     return worst
 
 
-def _schedule_type1(sim: _Sim, program: ZoneStepProgram, ec_window: float):
+def _schedule_type1(sim: _Sim, program: ZoneStepProgram):
     cfg = sim.config
     _preplace(sim, program)
 
@@ -357,8 +356,8 @@ def _schedule_type1(sim: _Sim, program: ZoneStepProgram, ec_window: float):
             ]
             window = sim.transfer_batch(pre)
             if incoming:
-                # Qubits in storage ride SLM; AOD pickup hides under the EC
-                # prefix on first load, under the batch itself afterwards.
+                # Qubits in storage ride SLM; the AOD pickup overlaps the
+                # load travel.
                 pickups = [q for q in incoming if sim.layout.site(q).trap is Trap.SLM]
                 window = max(window, sim.transfer_batch(pickups))
                 window = max(window, _batch_crossing(sim, incoming, "load"))

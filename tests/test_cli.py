@@ -95,6 +95,25 @@ class TestSimulate:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag,text", [
+        ("--pauli", "qubits\nXZ 0.5\n"),
+        ("--pauli", "qubits 0\n"),
+        ("--pauli", "qubits 2\nXZ nan\n"),
+        ("--qasm", "OPENQASM 2.0;\nqreg q[1];\nrz(1e999) q[0];\n"),
+        ("--qasm", "OPENQASM 2.0;\nqreg q[1];\nrz(9**9**9) q[0];\n"),
+    ])
+    def test_bad_input_exit_code(self, tmp_path, flag, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonec.cli", "simulate", flag, str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+
     def test_policy_flag(self, runner):
         r = runner.invoke(
             cli, ["simulate", "--bench", "ucc:5:5", "--mode", "standard",

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zonec.arch import MachineConfig, Policy, build_layout
 from zonec.cost import (
@@ -88,6 +89,63 @@ class TestBreakdown:
         events = [Event(EventKind.READOUT_MOVE, (0,), 0.0, 30.0)]
         bd = breakdown(make_timeline(events))
         assert bd.load_store_us == pytest.approx(30.0)
+
+
+# Travel kinds whose time hides a concurrent trap transfer, and one kind that
+# does not.
+_HIDING = (EventKind.LOAD, EventKind.STORE, EventKind.READOUT_MOVE, EventKind.EC_PREP)
+
+
+def _covered_brute_force(t: Event, events) -> float:
+    """Length of t's interval covered by the union of the travel intervals,
+    summed over the elementary segments between all interval endpoints."""
+    travel = [(e.start_us, e.end_us) for e in events if e.kind in _HIDING]
+    cuts = sorted({t.start_us, t.end_us} | {x for iv in travel for x in iv
+                                              if t.start_us < x < t.end_us})
+    return sum(
+        b - a
+        for a, b in zip(cuts, cuts[1:])
+        if any(lo <= a and b <= hi for lo, hi in travel)
+    )
+
+
+# Integer times on a small grid: nested, touching and zero-length intervals
+# come up often, and every sum is exact, so the results must match exactly.
+_events = st.lists(
+    st.builds(
+        lambda kind, start, dur: Event(kind, (0,), float(start), float(dur)),
+        st.sampled_from(_HIDING + (EventKind.SHUTTLE, EventKind.TRAP_TRANSFER)),
+        st.integers(0, 40),
+        st.integers(0, 15),
+    ),
+    max_size=30,
+)
+
+
+class TestTransferOverlap:
+    @given(_events)
+    @settings(max_examples=300, deadline=None)
+    @example([  # nested, touching and zero-length travel around one transfer
+        Event(EventKind.TRAP_TRANSFER, (0,), 5.0, 10.0),
+        Event(EventKind.LOAD, (0,), 0.0, 20.0),
+        Event(EventKind.STORE, (0,), 6.0, 2.0),
+        Event(EventKind.EC_PREP, (0,), 15.0, 3.0),
+        Event(EventKind.READOUT_MOVE, (0,), 8.0, 0.0),
+    ])
+    @example([
+        Event(EventKind.TRAP_TRANSFER, (0,), 10.0, 10.0),
+        Event(EventKind.LOAD, (0,), 0.0, 10.0),  # ends where the transfer starts
+        Event(EventKind.STORE, (0,), 20.0, 5.0),  # starts where it ends
+        Event(EventKind.LOAD, (0,), 12.0, 0.0),
+        Event(EventKind.SHUTTLE, (0,), 10.0, 10.0),
+    ])
+    def test_exposed_transfer_matches_union_of_intervals(self, events):
+        expected = sum(
+            e.duration_us - _covered_brute_force(e, events)
+            for e in events
+            if e.kind is EventKind.TRAP_TRANSFER
+        )
+        assert breakdown(make_timeline(events)).trap_transfer_us == expected
 
 
 class TestFidelity:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zonec.frontend import (
     BenchmarkSpec,
+    Graph,
     ParseError,
     PauliTermFile,
     complete_graph,
@@ -21,7 +22,7 @@ from zonec.frontend import (
     power_law_graph,
     qaoa_angles,
 )
-from zonec.ir import GateKind, PauliTerm
+from zonec.ir import Circuit, CircuitError, Gate, GateKind, PauliTerm
 
 
 class TestQasm:
@@ -56,6 +57,78 @@ class TestQasm:
         c = gen_ghz(5, chain="path")
         assert parse_qasm(dump_qasm(c)) == c
 
+    def test_empty_register_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_qasm("OPENQASM 2.0;\nqreg q[0];\n")
+        assert exc.value.line == 2
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_parse_equals_append_built(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        c = Circuit(n)
+        for _ in range(int(rng.integers(0, 30))):
+            name = str(rng.choice(["h", "x", "rx", "rz", "cx", "cz", "swap", "rzz"]))
+            kind = GateKind[name.upper()]
+            arity = 2 if name in ("cx", "cz", "swap", "rzz") else 1
+            params = [float(rng.uniform(-4, 4))] if name in ("rx", "rz", "rzz") else []
+            c = c.append(kind, rng.permutation(n)[:arity].tolist(), params)
+        for q in range(n):
+            c = c.append(GateKind.MEASURE, [q])
+        assert repr(parse_qasm(dump_qasm(c))) == repr(c)
+
+
+# Angle expressions as QASM text: numbers, pi, unary +/-, + - * /, brackets.
+_angle_exprs = st.recursive(
+    st.one_of(
+        st.just("pi"),
+        st.integers(0, 10**6).map(str),
+        st.floats(0, 1e6, allow_nan=False).map(repr),
+        st.floats(0, 1e-3, allow_nan=False).map(repr),
+    ),
+    lambda inner: st.one_of(
+        inner.map(lambda a: f"({a})"),
+        st.tuples(st.sampled_from("+-"), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " * ", " / "]), inner)
+        .map("".join),
+    ),
+    max_leaves=12,
+)
+
+
+class TestAngles:
+    @given(_angle_exprs)
+    @settings(max_examples=300, deadline=None)
+    def test_same_float_as_python_arithmetic(self, expr):
+        try:
+            expected = float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
+        except ArithmeticError:
+            expected = math.inf
+        text = f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n"
+        if math.isfinite(expected):
+            assert parse_qasm(text).gates[0].params == (expected,)
+        else:
+            with pytest.raises(ParseError):
+                parse_qasm(text)
+
+    def test_idiom_angles(self):
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz(0.3183*pi) q[0];\n"
+                       "rz(-1.5e-05*pi) q[0];\nrx(-(pi/2)) q[0];\n")
+        assert [g.params[0] for g in c.gates] == [
+            0.3183 * math.pi, -1.5e-05 * math.pi, -(math.pi / 2)]
+
+    @pytest.mark.parametrize("expr", [
+        "2**3", "2**2**2**2**2**2**2", "7//2", "pi()", "(1", "1 2", "p", "e",
+        "1e999", "1e308*10", "-1e999", "1/0", "1e400/1e400", "__import__", "",
+        "-" * 100000 + "1", "(" * 1000 + "1" + ")" * 1000, "+".join(["1"] * 50000),
+        "9" * 5000, "1" * 4000 + "*" + "7" * 4000,
+    ], ids=lambda e: e if len(e) < 30 else f"{e[:10]}...({len(e)})")
+    def test_rejected(self, expr):
+        with pytest.raises(ParseError) as exc:
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n")
+        assert exc.value.line == 3
+
 
 class TestPauliFile:
     def test_parse_and_dump(self):
@@ -72,6 +145,18 @@ class TestPauliFile:
     def test_label_length_mismatch(self):
         with pytest.raises(ParseError):
             parse_pauli_file("qubits 2\nXYZ 0.5\n")
+
+    @pytest.mark.parametrize("header", ["qubits", "qubits x", "qubits 0", "qubits -2"])
+    def test_bad_header(self, header):
+        with pytest.raises(ParseError) as exc:
+            parse_pauli_file(f"# terms\n{header}\nXZ 0.5\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_angle(self, theta):
+        with pytest.raises(ParseError) as exc:
+            parse_pauli_file(f"qubits 2\nXZ 0.5\nZZ {theta}\n")
+        assert exc.value.line == 3
 
 
 class TestGhz:
@@ -163,3 +248,92 @@ class TestBenchmarkSpec:
         a = parse_benchmark("qaoa-pl:10:2", seed=seed).materialize()
         b = parse_benchmark("qaoa-pl:10:2", seed=seed).materialize()
         assert a == b
+
+
+def _ghz_by_append(n, chain):
+    c = Circuit(n).append(GateKind.H, [0])
+    if chain == "path":
+        for i in range(n - 1):
+            c = c.append(GateKind.CX, [i, i + 1])
+    elif chain == "fountain":
+        for i in range(1, n):
+            c = c.append(GateKind.CX, [0, i])
+    else:
+        segments = [(0, n)]
+        while segments:
+            nxt = []
+            for lo, hi in segments:
+                if hi - lo > 1:
+                    mid = lo + (hi - lo + 1) // 2
+                    c = c.append(GateKind.CX, [lo, mid])
+                    nxt += [(lo, mid), (mid, hi)]
+            segments = nxt
+    for q in range(n):
+        c = c.append(GateKind.MEASURE, [q])
+    return c
+
+
+def _qaoa_by_append(graph, p, gammas, betas):
+    c = Circuit(graph.num_nodes)
+    for q in range(graph.num_nodes):
+        c = c.append(GateKind.H, [q])
+    weights = graph.weights or (1.0,) * len(graph.edges)
+    for k in range(p):
+        for (a, b), w in zip(graph.edges, weights):
+            c = c.append(GateKind.RZZ, [a, b], [gammas[k] * w])
+        for q in range(graph.num_nodes):
+            c = c.append(GateKind.RX, [q], [2.0 * betas[k]])
+    for q in range(graph.num_nodes):
+        c = c.append(GateKind.MEASURE, [q])
+    return c
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("chain", ["path", "fountain", "parallel"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_ghz_equals_append_built(self, n, chain):
+        assert repr(gen_ghz(n, chain)) == repr(_ghz_by_append(n, chain))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_qaoa_equals_append_built(self, seed):
+        gammas, betas = qaoa_angles(2, seed)  # numpy-drawn, stored as float
+        for graph in (complete_graph(5), power_law_graph(9, seed)):
+            expected = _qaoa_by_append(graph, 2, gammas, betas)
+            assert repr(gen_qaoa(graph, 2, gammas, betas)) == repr(expected)
+        weighted = Graph(3, ((0, 1), (1, 2)), (np.float64(0.5), 2.0))
+        expected = _qaoa_by_append(weighted, 2, gammas, betas)
+        assert repr(gen_qaoa(weighted, 2, gammas, betas)) == repr(expected)
+
+    def test_steane_equals_append_built(self):
+        c = Circuit(7)
+        for kind, qubits in [("H", [0]), ("H", [1]), ("H", [2]), ("H", [3]),
+                             ("CX", [0, 5]), ("CX", [0, 6]), ("CX", [1, 4]),
+                             ("CX", [1, 6]), ("CX", [2, 4]), ("CX", [2, 5]),
+                             ("CX", [3, 4]), ("CX", [3, 5]), ("CX", [3, 6])]:
+            c = c.append(GateKind[kind], qubits)
+        assert gen_steane_prep() == c
+
+    def test_extend_checks_range(self):
+        c = Circuit(2).extend([Gate(GateKind.H, (0,)), Gate(GateKind.CZ, (0, 1))])
+        assert c == Circuit(2).append(GateKind.H, [0]).append(GateKind.CZ, [0, 1])
+        with pytest.raises(CircuitError, match=r"q\[2\]"):
+            c.extend([Gate(GateKind.H, (1,)), Gate(GateKind.H, (2,))])
+
+    @pytest.mark.parametrize("build", [
+        lambda: parse_qasm("OPENQASM 2.0;\nqreg q[6];\n" + "".join(
+            f"cx q[{i}],q[{i + 1}];\nrz({i}*pi/7) q[{i + 1}];\n" for i in range(5))),
+        lambda: gen_qaoa(complete_graph(6), 2, [0.1, 0.2], [0.3, 0.4]),
+        lambda: gen_ghz(12, "parallel"),
+        gen_steane_prep,
+    ], ids=["parse_qasm", "gen_qaoa", "gen_ghz", "gen_steane_prep"])
+    def test_circuit_validated_once(self, build, monkeypatch):
+        sizes = []
+        validate = Circuit.__post_init__
+
+        def counting(self):
+            sizes.append(len(self.gates))
+            validate(self)
+
+        monkeypatch.setattr(Circuit, "__post_init__", counting)
+        c = build()
+        assert sizes == [len(c.gates)]

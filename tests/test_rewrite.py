@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonec.frontend import gen_ghz
-from zonec.ir import Circuit, Gate, GateKind, PauliTerm, Zone
+from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, PauliTerm, Zone
 from zonec.oracle import unitary_of
 from zonec.protocols import equiv_up_to_global_phase
 from zonec.rewrite import (
     PipelineOptions,
+    RemapDirective,
     ZoneStep,
     ZoneStepProgram,
     absorb_x_basis,
@@ -26,6 +27,7 @@ from zonec.rewrite import (
     synth_pauli_fountain,
     synth_pauli_path,
 )
+from zonec.rewrite import _merge_steps
 
 
 def random_term(rng, n):
@@ -146,6 +148,28 @@ class TestPauliSynthesis:
         ]
 
 
+def _lower_swap_reference(circuit):
+    """SWAP lowering with a linear perm.index lookup per operand."""
+    perm = list(range(circuit.num_qubits))
+    gates, remaps = [], []
+    for g in circuit.gates:
+        if g.kind is GateKind.SWAP:
+            a, b = g.qubits
+            ia, ib = perm.index(a), perm.index(b)
+            perm[ia], perm[ib] = perm[ib], perm[ia]
+            remaps.append(RemapDirective(len(gates), (a, b)))
+        else:
+            gates.append(Gate(g.kind, tuple(perm.index(q) for q in g.qubits), g.params))
+    if perm == list(range(circuit.num_qubits)):
+        pair_count = {}
+        for r in remaps:
+            key = tuple(sorted(r.pair))
+            pair_count[key] = pair_count.get(key, 0) + 1
+        if all(v % 2 == 0 for v in pair_count.values()):
+            remaps = []
+    return Circuit(circuit.num_qubits, tuple(gates)), tuple(remaps)
+
+
 class TestSwapLowering:
     def test_remap_collapse_round_trip(self):
         c = Circuit(
@@ -160,12 +184,69 @@ class TestSwapLowering:
         lowered, remaps = lower_swap(c)
         assert GateKind.SWAP not in {g.kind for g in lowered.gates}
 
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_permutation_index_reference(self, seed):
+        rng = random.Random(seed)
+        c = random_gate_circuit(rng, rng.randint(2, 6), rng.randint(0, 30))
+        assert lower_swap(c) == _lower_swap_reference(c)
+
     def test_gate_based_reference_is_three_cx(self):
         c = gate_based_swap_reference(4, 1, 2)
         assert [g.kind for g in c.gates] == [GateKind.CX] * 3
 
 
+def _align_reference(circuit):
+    """Alignment by repeated ascending scans to a fixed point per step."""
+    main = [(i, g) for i, g in enumerate(circuit.gates) if g.zone is not Zone.READOUT]
+    measures = [g for g in circuit.gates if g.zone is Zone.READOUT]
+    last_on, preds = {}, {}
+    for i, g in main:
+        preds[i] = {last_on[q] for q in g.qubits if q in last_on}
+        for q in g.qubits:
+            last_on[q] = i
+    remaining, done, raw = dict(main), set(), []
+    current_zone = main[0][1].zone if main else Zone.STORAGE
+    while remaining:
+        step_gates = []
+        progressed = True
+        while progressed:
+            progressed = False
+            for i in sorted(remaining):
+                g = remaining[i]
+                if g.zone is current_zone and preds[i] <= done:
+                    step_gates.append(g)
+                    done.add(i)
+                    del remaining[i]
+                    progressed = True
+        raw.append((current_zone, step_gates))
+        current_zone = Zone.ENTANGLING if current_zone is Zone.STORAGE else Zone.STORAGE
+    if measures:
+        raw.append((Zone.READOUT, measures))
+    return ZoneStepProgram(circuit.num_qubits, _merge_steps(raw))
+
+
+_ALIGNABLE = [k for k in GateKind if k not in (GateKind.CX, GateKind.SWAP)]
+
+
+@st.composite
+def alignable_circuits(draw):
+    """Random CX- and SWAP-free circuits, MEASUREs anywhere."""
+    n = draw(st.integers(1, 6))
+    kinds = [k for k in _ALIGNABLE if ARITY[k] <= n]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        qubits = tuple(draw(st.permutations(range(n)))[: ARITY[kind]])
+        gates.append(Gate(kind, qubits, (0.5,) * NUM_PARAMS[kind]))
+    return Circuit(n, tuple(gates))
+
+
 class TestZoneSteps:
+    @given(alignable_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_alignment_matches_fixed_point_scan(self, circuit):
+        assert align_zone_steps(circuit) == _align_reference(circuit)
+
     def test_adjacent_steps_differ(self):
         with pytest.raises(Exception):
             ZoneStepProgram(
