@@ -2,13 +2,14 @@
 """Compile the benchmark suite in both modes and print a comparison table:
 LD/ST counts, physical gate counts, makespan, and estimated fidelity."""
 
+from dataclasses import replace
+
 import click
 
-from zonec.arch import MachineConfig, Policy, build_layout
-from zonec.cost import breakdown, fidelity, physical_gate_count
+from zonec.arch import MachineConfig, Policy
+from zonec.cost import run
 from zonec.frontend import parse_benchmark
-from zonec.rewrite import PipelineOptions, mantra_pipeline
-from zonec.scheduler import count_ld_st, schedule
+from zonec.rewrite import PipelineOptions
 
 SUITE = (
     "ghz:40:path",
@@ -22,20 +23,13 @@ SUITE = (
 )
 
 
-def run(bench, mode, seed, policy):
-    from dataclasses import replace
-
-    cfg = replace(MachineConfig(), policy=policy)
-    src = parse_benchmark(bench, seed=seed).materialize()
+def compare(bench, mode, seed, cfg):
     # For GHZ the mantra pipeline prefers the fountain chain shape.
     if bench.startswith("ghz") and mode == "mantra":
-        src = parse_benchmark(bench.rsplit(":", 1)[0] + ":fountain",
-                              seed=seed).materialize()
-    prog = mantra_pipeline(src, PipelineOptions(mode=mode))
-    tl = schedule(prog, build_layout(cfg, prog.num_qubits), cfg)
-    bd = breakdown(tl)
-    fr = fidelity(tl, prog.flatten(), cfg)
-    return sum(count_ld_st(tl)), physical_gate_count(prog.flatten(), cfg), bd, fr
+        bench = bench.rsplit(":", 1)[0] + ":fountain"
+    source = parse_benchmark(bench, seed=seed).materialize()
+    r = run(source, PipelineOptions(mode=mode), cfg)
+    return r.loads + r.stores, r.phys_gates, r.breakdown, r.fidelity
 
 
 @click.command()
@@ -43,14 +37,14 @@ def run(bench, mode, seed, policy):
 @click.option("--policy", type=click.Choice(["type1", "type2", "type3"]),
               default="type1", show_default=True)
 def main(seed, policy):
-    pol = Policy(policy)
+    cfg = replace(MachineConfig(), policy=Policy(policy))
     hdr = (f"{'benchmark':14s} {'ld/st s->m':>12s} {'phys s->m':>12s} "
            f"{'makespan(ms) s->m':>20s} {'fidelity s->m':>16s}")
     click.echo(hdr)
     click.echo("-" * len(hdr))
     for bench in SUITE:
-        ls_s, ph_s, bd_s, fr_s = run(bench, "standard", seed, pol)
-        ls_m, ph_m, bd_m, fr_m = run(bench, "mantra", seed, pol)
+        ls_s, ph_s, bd_s, fr_s = compare(bench, "standard", seed, cfg)
+        ls_m, ph_m, bd_m, fr_m = compare(bench, "mantra", seed, cfg)
         click.echo(
             f"{bench:14s} {ls_s:5d}->{ls_m:<5d} {ph_s:5d}->{ph_m:<5d} "
             f"{bd_s.makespan_us / 1000:8.1f}->{bd_m.makespan_us / 1000:<8.1f} "

@@ -8,11 +8,10 @@ the movement-friendly fountain chain.
 
 import click
 
-from zonec.arch import MachineConfig, build_layout
-from zonec.cost import breakdown, fidelity
+from zonec.arch import MachineConfig
+from zonec.cost import run
 from zonec.frontend import gen_ghz
-from zonec.rewrite import PipelineOptions, mantra_pipeline
-from zonec.scheduler import count_ld_st, schedule
+from zonec.rewrite import PipelineOptions
 
 
 @click.command()
@@ -26,15 +25,11 @@ def main(sizes, chains, mode):
     click.echo("n,chain,loads,stores,makespan_us,load_store_us,shuttling_us,fidelity")
     for n in (int(s) for s in sizes.split(",")):
         for chain in chains.split(","):
-            prog = mantra_pipeline(gen_ghz(n, chain=chain),
-                                   PipelineOptions(mode=mode))
-            tl = schedule(prog, build_layout(cfg, n), cfg)
-            loads, stores = count_ld_st(tl)
-            bd = breakdown(tl)
-            fr = fidelity(tl, prog.flatten(), cfg)
+            r = run(gen_ghz(n, chain=chain), PipelineOptions(mode=mode), cfg)
+            bd = r.breakdown
             click.echo(
-                f"{n},{chain},{loads},{stores},{bd.makespan_us:.1f},"
-                f"{bd.load_store_us:.1f},{bd.shuttling_us:.1f},{fr.total:.6f}"
+                f"{n},{chain},{r.loads},{r.stores},{bd.makespan_us:.1f},"
+                f"{bd.load_store_us:.1f},{bd.shuttling_us:.1f},{r.fidelity.total:.6f}"
             )
 
 

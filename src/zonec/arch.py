@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
+from .ir import Zone
+
 
 class Policy(Enum):
     TYPE1 = "type1"  # fully zone-isolated execution (default)
@@ -49,9 +51,17 @@ class MachineConfig:
     xtalk_cz: float = 0.007
     physical_per_logical: int = 14
     policy: Policy = Policy.TYPE1
-    x_basis_allowed: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite")
+        for name in ("array_rows", "array_cols"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if self.physical_per_logical < 2:
+            raise ConfigError("physical_per_logical must be at least 2")
         for name in (
             "pulse_1q_us",
             "pulse_2q_us",
@@ -114,8 +124,6 @@ def load_config(path) -> MachineConfig:
             ftype = _CONFIG_FIELDS[key].type
             if key == "policy":
                 overrides[key] = Policy(val.lower())
-            elif ftype == "bool":
-                overrides[key] = val.lower() in ("1", "true", "yes", "on")
             elif ftype == "int":
                 overrides[key] = int(val)
             else:
@@ -142,7 +150,7 @@ class LogicalSite:
     """Mutable per-logical-qubit placement state owned by the scheduler."""
 
     index: int
-    zone: str  # "storage" | "entangling" | "readout"
+    zone: Zone
     row: int
     col: int
     trap: Trap = Trap.SLM
@@ -162,7 +170,7 @@ class AtomLayout:
         s = self.qubits[q]
         pitch = (
             self.config.pitch_storage_um
-            if s.zone == "storage"
+            if s.zone is Zone.STORAGE
             else self.config.pitch_entangling_um
         )
         return s.col * pitch, s.row * pitch
@@ -212,7 +220,7 @@ def build_layout(config: MachineConfig, n_logical: int) -> AtomLayout:
         qubits.append(
             LogicalSite(
                 index=q,
-                zone="storage",
+                zone=Zone.STORAGE,
                 row=site // config.array_cols,
                 col=site % config.array_cols,
             )
@@ -265,7 +273,7 @@ def move_duration_us(layout: AtomLayout, move: AodMove, config: MachineConfig) -
     for q, (dr, dc) in move.displacements.items():
         s = layout.site(q)
         pitch = (
-            config.pitch_storage_um if s.zone == "storage" else config.pitch_entangling_um
+            config.pitch_storage_um if s.zone is Zone.STORAGE else config.pitch_entangling_um
         )
         worst = max(worst, math.hypot(dr * pitch, dc * pitch))
     return worst / config.aod_speed_um_per_us
@@ -279,14 +287,14 @@ def apply_move(layout: AtomLayout, move: AodMove) -> None:
 
 
 def crossing_distance_um(
-    layout: AtomLayout, q: int, dest_row: int, dest_col: int, dest_zone: str
+    layout: AtomLayout, q: int, dest_row: int, dest_col: int, dest_zone: Zone
 ) -> float:
     """Euclidean distance for a zone-gap crossing from the current site to
     (dest_row, dest_col) in dest_zone. Row 0 of each zone faces the gap."""
     cfg = layout.config
     x0, y0 = layout.position_um(q)
     dest_pitch = (
-        cfg.pitch_storage_um if dest_zone == "storage" else cfg.pitch_entangling_um
+        cfg.pitch_storage_um if dest_zone is Zone.STORAGE else cfg.pitch_entangling_um
     )
     x1 = dest_col * dest_pitch
     y1 = dest_row * dest_pitch

@@ -10,20 +10,12 @@ import sys
 
 import click
 
-from .arch import ConfigError, LayoutError, MachineConfig, Policy, build_layout, load_config
-from .cost import (
-    breakdown,
-    csv_header,
-    csv_row,
-    fidelity,
-    format_record,
-    physical_gate_count,
-    report_record,
-)
+from .arch import ConfigError, LayoutError, MachineConfig, Policy, load_config
+from .cost import csv_header, csv_row, format_record, run
 from .frontend import ParseError, parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import CircuitError, count_gates
-from .rewrite import PipelineOptions, mantra_pipeline
-from .scheduler import ScheduleError, count_ld_st, schedule
+from .rewrite import PipelineOptions
+from .scheduler import ScheduleError
 
 EXIT_USAGE = 1
 EXIT_INPUT = 2
@@ -65,20 +57,13 @@ def _load_machine(config_path, policy):
         _fail(EXIT_INPUT, str(e))
 
 
-def _compile(source, mode, protocol, x_basis):
+def _run(source, cfg, mode, protocol, x_basis):
     try:
-        opts = PipelineOptions(mode=mode, protocol=protocol, x_basis=x_basis)
-        return mantra_pipeline(source, opts)
+        return run(source, PipelineOptions(mode=mode, protocol=protocol, x_basis=x_basis), cfg)
+    except (LayoutError, ScheduleError) as e:  # LayoutError is a ValueError
+        _fail(EXIT_CAPACITY, str(e))
     except (CircuitError, ValueError) as e:
         _fail(EXIT_INPUT, str(e))
-
-
-def _schedule(program, cfg):
-    try:
-        layout = build_layout(cfg, program.num_qubits)
-        return schedule(program, layout, cfg)
-    except (LayoutError, ScheduleError) as e:
-        _fail(EXIT_CAPACITY, str(e))
 
 
 _COMMON = [
@@ -120,16 +105,13 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
     """Compile to a zone-step program and report gate/movement counts."""
     source = _load_source(bench, qasm, pauli, seed)
     cfg = _load_machine(config_path, policy)
-    program = _compile(source, mode, protocol, x_basis)
-    timeline = _schedule(program, cfg)
-    loads, stores = count_ld_st(timeline)
-    flat = program.flatten()
-    counts = count_gates(flat)
+    result = _run(source, cfg, mode, protocol, x_basis)
+    counts = count_gates(result.flat)
     if fmt == "steps":
-        for i, step in enumerate(program.steps):
+        for i, step in enumerate(result.program.steps):
             click.echo(f"step {i} {step.zone.value} {len(step.gates)}")
     else:
-        for i, step in enumerate(program.steps):
+        for i, step in enumerate(result.program.steps):
             names = " ".join(
                 f"{g.kind.value}({','.join(map(str, g.qubits))})" for g in step.gates
             )
@@ -137,8 +119,8 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
     click.echo(f"n_1q = {counts.n_1q}")
     click.echo(f"n_rz = {counts.n_rz}")
     click.echo(f"n_2q = {counts.n_2q}")
-    click.echo(f"n_physical = {physical_gate_count(flat, cfg)}")
-    click.echo(f"ld_st = {loads + stores}")
+    click.echo(f"n_physical = {result.phys_gates}")
+    click.echo(f"ld_st = {result.loads + result.stores}")
 
 
 @cli.command("simulate")
@@ -151,14 +133,10 @@ def cmd_simulate(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
     """Schedule on the machine model and report time breakdown + fidelity."""
     source = _load_source(bench, qasm, pauli, seed)
     cfg = _load_machine(config_path, policy)
-    program = _compile(source, mode, protocol, x_basis)
-    timeline = _schedule(program, cfg)
-    loads, stores = count_ld_st(timeline)
-    bd = breakdown(timeline)
-    fr = fidelity(timeline, program.flatten(), cfg)
-    rec = report_record(bd, fr, loads, stores)
+    result = _run(source, cfg, mode, protocol, x_basis)
+    rec = result.record
     if events:
-        click.echo(timeline.to_lines(), nl=False)
+        click.echo(result.timeline.to_lines(), nl=False)
     if fmt == "csv":
         click.echo(csv_header())
         click.echo(csv_row(rec))
@@ -204,17 +182,8 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
             try:
                 source = parse_benchmark(spec, seed=seed).materialize()
                 opts = PipelineOptions(mode=m, protocol=protocol, x_basis=x_basis)
-                program = mantra_pipeline(source, opts)
-                layout = build_layout(cfg, program.num_qubits)
-                timeline = schedule(program, layout, cfg)
-                loads, stores = count_ld_st(timeline)
-                rec = report_record(
-                    breakdown(timeline),
-                    fidelity(timeline, program.flatten(), cfg),
-                    loads,
-                    stores,
-                )
-                click.echo(csv_row(rec, extra=(point, m)))
+                result = run(source, opts, cfg)
+                click.echo(csv_row(result.record, extra=(point, m)))
             except (ParseError, CircuitError, ConfigError, LayoutError,
                     ScheduleError, ValueError) as e:
                 click.echo(f"# point {name}={point} mode={m} failed: {e}", err=True)

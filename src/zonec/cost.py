@@ -1,5 +1,5 @@
 """Reduces a Timeline to an execution-time breakdown and a product-form
-fidelity estimate.
+fidelity estimate; ``run`` is the whole compile→schedule→cost path.
 
 Breakdown categories: load/store (zone-gap travel, incl. readout travel),
 trap transfer (exposed remainder only — time hidden under concurrent travel
@@ -15,9 +15,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .arch import MachineConfig, Policy
+from .arch import MachineConfig, Policy, build_layout
 from .ir import Circuit, GateKind
-from .scheduler import Event, EventKind, Timeline
+from .rewrite import PipelineOptions, ZoneStepProgram, mantra_pipeline
+from .scheduler import Event, EventKind, Timeline, count_ld_st, schedule
 
 _TRAVEL_KINDS = (
     EventKind.LOAD,
@@ -257,3 +258,48 @@ def csv_row(rec: dict, extra: tuple = ()) -> str:
         v = rec[k]
         vals.append(f"{v:.6f}" if isinstance(v, float) else str(v))
     return ",".join(vals)
+
+
+# ---------------------------------------------------------------------------
+# Pipeline entry point
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Result:
+    program: ZoneStepProgram
+    flat: Circuit  # program.flatten()
+    timeline: Timeline
+    loads: int
+    stores: int
+    breakdown: Breakdown
+    fidelity: FidelityReport
+    phys_gates: int
+
+    @property
+    def record(self) -> dict:
+        return report_record(self.breakdown, self.fidelity, self.loads, self.stores)
+
+
+def run(
+    source,
+    options: PipelineOptions = PipelineOptions(),
+    config: MachineConfig = MachineConfig(),
+) -> Result:
+    """Compile a circuit or Pauli-term file, lay it out, schedule it and cost
+    the schedule. Compile errors are ``CircuitError``/``ValueError``; a
+    program the machine cannot hold raises ``LayoutError``/``ScheduleError``."""
+    program = mantra_pipeline(source, options)
+    timeline = schedule(program, build_layout(config, program.num_qubits), config)
+    loads, stores = count_ld_st(timeline)
+    flat = program.flatten()
+    return Result(
+        program=program,
+        flat=flat,
+        timeline=timeline,
+        loads=loads,
+        stores=stores,
+        breakdown=breakdown(timeline),
+        fidelity=fidelity(timeline, flat, config),
+        phys_gates=physical_gate_count(flat, config),
+    )

@@ -6,8 +6,9 @@ program order; nothing reorders commuting gates implicitly.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -164,30 +165,22 @@ class PauliTerm:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class DependencyLayers:
-    layers: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
-
-    def flatten(self):
-        return [i for layer in self.layers for i in layer]
-
-
-def dependency_layers(circuit: Circuit) -> DependencyLayers:
+def dependency_layers(gates) -> list[list[Gate]]:
     """Greedy as-soon-as-possible layering of the gate dependency DAG.
 
     Each gate lands in the earliest layer after every earlier gate that shares
     an operand with it.
     """
     frontier: dict[int, int] = {}  # qubit -> earliest free layer
-    layers: list[list[int]] = []
-    for idx, gate in enumerate(circuit.gates):
-        layer = max((frontier.get(q, 0) for q in gate.qubits), default=0)
+    layers: list[list[Gate]] = []
+    for g in gates:
+        layer = max((frontier.get(q, 0) for q in g.qubits), default=0)
         while len(layers) <= layer:
             layers.append([])
-        layers[layer].append(idx)
-        for q in gate.qubits:
+        layers[layer].append(g)
+        for q in g.qubits:
             frontier[q] = layer + 1
-    return DependencyLayers(tuple(tuple(l) for l in layers))
+    return layers
 
 
 @dataclass(frozen=True)
@@ -237,7 +230,10 @@ def parse_dump(text: str) -> Circuit:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits "):
         raise CircuitError("dump must start with a `qubits <n>` line")
-    num_qubits = int(lines[0].split()[1])
+    try:
+        num_qubits = int(lines[0].split()[1])
+    except (ValueError, IndexError) as e:
+        raise CircuitError(f"malformed dump header {lines[0]!r}: {e}") from e
     gates = []
     for ln in lines[1:]:
         head, _, tail = ln.partition(" ")
@@ -252,5 +248,7 @@ def parse_dump(text: str) -> Circuit:
                 params = tuple(float(tok) for tok in param_text.rstrip(")").split(","))
         except (ValueError, IndexError) as e:
             raise CircuitError(f"malformed dump line {ln!r}: {e}") from e
+        if not all(map(math.isfinite, params)):
+            raise CircuitError(f"non-finite parameter in dump line {ln!r}")
         gates.append(Gate(kind, qubits, params))
     return Circuit(num_qubits, tuple(gates))

@@ -7,7 +7,7 @@ Every pass preserves the circuit unitary up to global phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
 from . import protocols
@@ -427,15 +427,13 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     """Unaligned (standard-execution) zone stepping: one zone segment per
     dependency layer of the input circuit, CX gates expanded in place, and
     only adjacent same-zone segments merged. No cross-layer hoisting."""
-    layers = dependency_layers(circuit)
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
-    for layer in layers.layers:
+    for layer in dependency_layers(circuit.gates):
         pre: list[Gate] = []
         two: list[Gate] = []
         post: list[Gate] = []
-        for idx in layer:
-            g = circuit.gates[idx]
+        for g in layer:
             if g.kind is GateKind.MEASURE:
                 measures.append(g)
             elif g.kind is GateKind.CX:
@@ -523,7 +521,6 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         # Basis absorption is only sound at program start; never per term.
         term_options = PipelineOptions(options.mode, options.protocol, x_basis=False)
         raw: list[tuple[Zone, list[Gate]]] = []
-        remaps: tuple[RemapDirective, ...] = ()
         for term in source.terms:
             if term.weight == 0:
                 continue
@@ -534,7 +531,7 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
             Gate(GateKind.MEASURE, (q,)) for q in range(num_qubits)
         ]
         raw.append((Zone.READOUT, measures))
-        return ZoneStepProgram(num_qubits, _merge_steps(raw), remaps, x_basis=False)
+        return ZoneStepProgram(num_qubits, _merge_steps(raw))
     return _compile_circuit(source, options)
 
 
@@ -546,21 +543,14 @@ def _synth(term: PauliTerm, options: PipelineOptions) -> Circuit:
 
 def _compile_circuit(circuit: Circuit, options: PipelineOptions) -> ZoneStepProgram:
     if options.mode == "standard":
-        lowered = lower_rzz_to_cx(circuit)
-        lowered, remaps = lower_swap(lowered)
-        if options.x_basis:
-            lowered = absorb_x_basis(lowered)
-        program = layer_zone_steps(lowered)
-        return ZoneStepProgram(
-            program.num_qubits, program.steps, remaps, x_basis=options.x_basis
-        )
-    c = lower_cx_to_cz(circuit)
-    c = cancel_hadamard_pairs(c)
-    c = substitute_rzz(c, options.protocol)
+        c = lower_rzz_to_cx(circuit)
+        zone_steps = layer_zone_steps
+    else:
+        c = lower_cx_to_cz(circuit)
+        c = cancel_hadamard_pairs(c)
+        c = substitute_rzz(c, options.protocol)
+        zone_steps = align_zone_steps
     c, remaps = lower_swap(c)
     if options.x_basis:
         c = absorb_x_basis(c)
-    program = align_zone_steps(c)
-    return ZoneStepProgram(
-        program.num_qubits, program.steps, remaps, x_basis=options.x_basis
-    )
+    return replace(zone_steps(c), remaps=remaps, x_basis=options.x_basis)

@@ -95,8 +95,8 @@ def steane_prep_duration_us(config: MachineConfig) -> float:
 
     prep = cancel_hadamard_pairs(lower_cx_to_cz(gen_steane_prep()))
     total = 0.0
-    for layer in dependency_layers(prep).layers:
-        kinds = {prep.gates[i].kind for i in layer}
+    for layer in dependency_layers(prep.gates):
+        kinds = {g.kind for g in layer}
         if any(k in (GateKind.CZ,) for k in kinds):
             total += config.pulse_2q_us
         if any(k in (GateKind.H, GateKind.X, GateKind.RX) for k in kinds):
@@ -133,7 +133,7 @@ class _Sim:
     def settle_zone(self, q, new_zone, at):
         since = self.zone_since.get(q, 0.0)
         old = self.layout.site(q).zone
-        bucket = self.t_in if old == "storage" else self.t_out
+        bucket = self.t_in if old is Zone.STORAGE else self.t_out
         bucket[q] = bucket.get(q, 0.0) + (at - since)
         self.layout.site(q).zone = new_zone
         self.zone_since[q] = at
@@ -142,7 +142,7 @@ class _Sim:
         for q in range(n):
             since = self.zone_since.get(q, 0.0)
             zone = self.layout.site(q).zone
-            bucket = self.t_in if zone == "storage" else self.t_out
+            bucket = self.t_in if zone is Zone.STORAGE else self.t_out
             bucket[q] = bucket.get(q, 0.0) + (self.clock - since)
             self.t_in.setdefault(q, 0.0)
             self.t_out.setdefault(q, 0.0)
@@ -163,20 +163,6 @@ class _Sim:
         return self.config.trap_transfer_time_us
 
 
-def _step_layers(gates: tuple[Gate, ...]):
-    c_gates = list(gates)
-    frontier: dict[int, int] = {}
-    layers: list[list[Gate]] = []
-    for g in c_gates:
-        lvl = max((frontier.get(q, 0) for q in g.qubits), default=0)
-        while len(layers) <= lvl:
-            layers.append([])
-        layers[lvl].append(g)
-        for q in g.qubits:
-            frontier[q] = lvl + 1
-    return layers
-
-
 def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout):
     """Choose the moving operand per 2Q gate: the one with more gates in the
     step (the fountain's shared qubit rides the AOD); ties prefer the qubit
@@ -194,6 +180,24 @@ def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout):
         a, b = g.qubits
         movers[g] = min((a, b), key=key)
     return movers
+
+
+def _handover(sim: _Sim, movers, candidates):
+    """The candidates whose trap is wrong for their role: movers ride the
+    AOD, every other qubit sits in an SLM trap."""
+    return [
+        q for q in candidates
+        if (sim.layout.site(q).trap is Trap.AOD) is (q not in movers)
+    ]
+
+
+def _pulsed_layers(gates):
+    """Sorted qubits of each dependency layer's pulsed gates; layers holding
+    only RZ are skipped (RZ is virtual: zero duration)."""
+    for layer in dependency_layers(gates):
+        qubits = sorted({q for g in layer if g.kind is not GateKind.RZ for q in g.qubits})
+        if qubits:
+            yield qubits
 
 
 def schedule(
@@ -244,11 +248,6 @@ def schedule(
     )
 
 
-def _entangling_slot(site):
-    # Entangling-zone slots mirror the storage block grid one-to-one.
-    return site.row, site.col
-
-
 def _preplace(sim: _Sim, program: ZoneStepProgram):
     """X-basis programs start with every initial-layer entangling qubit
     already in the entangling zone: with the leading basis change absorbed
@@ -263,15 +262,11 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
                 first_zone.setdefault(q, step.zone)
     for q, zone in first_zone.items():
         if zone is Zone.ENTANGLING:
-            sim.layout.site(q).zone = "entangling"
+            sim.layout.site(q).zone = Zone.ENTANGLING
 
 
 def _pulse_storage_layers(sim: _Sim, gates):
-    for layer in _step_layers(gates):
-        pulsed = [g for g in layer if g.kind is not GateKind.RZ]
-        if not pulsed:
-            continue  # RZ is virtual: zero duration
-        qubits = sorted({q for g in pulsed for q in g.qubits})
+    for qubits in _pulsed_layers(gates):
         sim.emit(EventKind.PULSE_1Q, qubits, sim.clock, sim.config.pulse_1q_us)
         sim.clock += sim.config.pulse_1q_us
 
@@ -280,7 +275,7 @@ def _entangling_gates(sim: _Sim, gates):
     """Shuttle the movers and fire one 2Q pulse per parallel layer."""
     cfg = sim.config
     movers = _pick_movers(gates, sim.layout)
-    for layer in _step_layers(gates):
+    for layer in dependency_layers(gates):
         worst = 0.0
         layer_movers = []
         for g in layer:
@@ -303,21 +298,18 @@ def _entangling_gates(sim: _Sim, gates):
     return movers
 
 
-def _batch_crossing(sim: _Sim, qubits, direction: str):
-    """One LOAD or STORE batch; duration is the slowest member's travel."""
+def _batch_crossing(sim: _Sim, qubits, dest: Zone):
+    """One LOAD (dest entangling) or STORE (dest storage) batch; duration is
+    the slowest member's travel. Entangling-zone slots mirror the storage
+    block grid one-to-one, so every qubit keeps its (row, col)."""
     cfg = sim.config
     qubits = sorted(qubits)
     worst = cfg.min_ld_st_us
     for q in qubits:
         site = sim.layout.site(q)
-        if direction == "load":
-            r, c = _entangling_slot(site)
-            worst = max(worst, crossing_distance_um(sim.layout, q, r, c, "entangling")
-                        / cfg.aod_speed_um_per_us)
-        else:
-            worst = max(worst, crossing_distance_um(sim.layout, q, site.row, site.col,
-                        "storage") / cfg.aod_speed_um_per_us)
-    kind = EventKind.LOAD if direction == "load" else EventKind.STORE
+        worst = max(worst, crossing_distance_um(sim.layout, q, site.row, site.col, dest)
+                    / cfg.aod_speed_um_per_us)
+    kind = EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE
     sim.emit(kind, qubits, sim.clock, worst)
     return worst
 
@@ -329,48 +321,32 @@ def _schedule_type1(sim: _Sim, program: ZoneStepProgram):
     for step in program.steps:
         used = sorted({q for g in step.gates for q in g.qubits})
         if step.zone is Zone.STORAGE:
-            incoming = [q for q in used if sim.layout.site(q).zone == "entangling"]
+            incoming = [q for q in used if sim.layout.site(q).zone is Zone.ENTANGLING]
             window = 0.0
             if incoming:
                 pickups = [q for q in incoming if sim.layout.site(q).trap is Trap.SLM]
                 tdur = sim.transfer_batch(pickups)
-                window = _batch_crossing(sim, incoming, "store")
+                window = _batch_crossing(sim, incoming, Zone.STORAGE)
                 window = max(window, tdur)
                 sim.clock += window
                 for q in incoming:
-                    sim.settle_zone(q, "storage", sim.clock)
+                    sim.settle_zone(q, Zone.STORAGE, sim.clock)
             _pulse_storage_layers(sim, step.gates)
         elif step.zone is Zone.ENTANGLING:
-            movers_by_gate = _pick_movers(step.gates, sim.layout)
-            mover_set = set(movers_by_gate.values())
-            stationary = set(used) - mover_set
-            incoming = [q for q in used if sim.layout.site(q).zone == "storage"]
+            movers = set(_pick_movers(step.gates, sim.layout).values())
+            incoming = [q for q in used if sim.layout.site(q).zone is Zone.STORAGE]
             resident = [q for q in used if q not in incoming]
-
-            # Advance transfers for residents hide under the load travel.
-            pre = [
-                q
-                for q in resident
-                if (q in stationary and sim.layout.site(q).trap is Trap.AOD)
-                or (q in mover_set and sim.layout.site(q).trap is Trap.SLM)
-            ]
-            window = sim.transfer_batch(pre)
+            # Residents hand over and incoming qubits are picked up by the
+            # AOD in one transfer batch, which overlaps the load travel.
+            pickups = [q for q in incoming if sim.layout.site(q).trap is Trap.SLM]
+            window = sim.transfer_batch(_handover(sim, movers, resident) + pickups)
             if incoming:
-                # Qubits in storage ride SLM; the AOD pickup overlaps the
-                # load travel.
-                pickups = [q for q in incoming if sim.layout.site(q).trap is Trap.SLM]
-                window = max(window, sim.transfer_batch(pickups))
-                window = max(window, _batch_crossing(sim, incoming, "load"))
+                window = max(window, _batch_crossing(sim, incoming, Zone.ENTANGLING))
             sim.clock += window
             for q in incoming:
-                sim.settle_zone(q, "entangling", sim.clock)
+                sim.settle_zone(q, Zone.ENTANGLING, sim.clock)
             # Freshly arrived stationary partners still hand over to SLM.
-            post = [
-                q
-                for q in incoming
-                if q in stationary and sim.layout.site(q).trap is Trap.AOD
-            ]
-            sim.clock += sim.transfer_batch(post)
+            sim.clock += sim.transfer_batch(_handover(sim, movers, incoming))
             _entangling_gates(sim, step.gates)
         else:  # readout
             _schedule_readout(sim, used)
@@ -388,14 +364,14 @@ def _schedule_readout(sim: _Sim, qubits):
         for q in qubits:
             x, y = sim.layout.position_um(q)
             dist = y + cfg.zone_gap_um
-            if sim.layout.site(q).zone == "storage":
+            if sim.layout.site(q).zone is Zone.STORAGE:
                 dist += entangling_span + cfg.zone_gap_um
             worst = max(worst, dist / cfg.aod_speed_um_per_us)
         worst = max(worst, tdur)
         sim.emit(EventKind.READOUT_MOVE, qubits, sim.clock, worst)
         sim.clock += worst
         for q in qubits:
-            sim.settle_zone(q, "readout", sim.clock)
+            sim.settle_zone(q, Zone.READOUT, sim.clock)
     sim.emit(EventKind.READOUT_IMAGE, qubits, sim.clock, cfg.readout_time_us)
     sim.clock += cfg.readout_time_us
 
@@ -413,21 +389,17 @@ def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
         if step.zone is Zone.ENTANGLING and not loaded:
             sim.transfer_batch([q for q in used_all
                                 if sim.layout.site(q).trap is Trap.SLM])
-            window = _batch_crossing(sim, used_all, "load")
+            window = _batch_crossing(sim, used_all, Zone.ENTANGLING)
             sim.clock += window
             for q in used_all:
-                sim.settle_zone(q, "entangling", sim.clock)
+                sim.settle_zone(q, Zone.ENTANGLING, sim.clock)
             loaded = True
         if step.zone is Zone.STORAGE and not loaded:
             _pulse_storage_layers(sim, step.gates)
         elif step.zone is Zone.STORAGE:
             # 1Q gates in the entangling zone: targets shuttle >12 um clear
             # of every other atom, pulse, and shuttle back.
-            for layer in _step_layers(step.gates):
-                pulsed = [g for g in layer if g.kind is not GateKind.RZ]
-                if not pulsed:
-                    continue
-                qubits = sorted({q for g in pulsed for q in g.qubits})
+            for qubits in _pulsed_layers(step.gates):
                 pickups = [q for q in qubits if sim.layout.site(q).trap is Trap.SLM]
                 sim.clock += sim.transfer_batch(pickups)
                 hop = 2.0 * cfg.pitch_entangling_um / cfg.aod_speed_um_per_us
@@ -438,17 +410,9 @@ def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
                 sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
                 sim.clock += hop
         else:
-            movers_by_gate = _pick_movers(step.gates, sim.layout)
-            mover_set = set(movers_by_gate.values())
+            movers = set(_pick_movers(step.gates, sim.layout).values())
             used = sorted({q for g in step.gates for q in g.qubits})
-            stationary = set(used) - mover_set
-            need = [
-                q
-                for q in used
-                if (q in stationary and sim.layout.site(q).trap is Trap.AOD)
-                or (q in mover_set and sim.layout.site(q).trap is Trap.SLM)
-            ]
-            sim.clock += sim.transfer_batch(need)
+            sim.clock += sim.transfer_batch(_handover(sim, movers, used))
             _entangling_gates(sim, step.gates)
 
 
@@ -458,21 +422,17 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
     cfg = sim.config
     all_qubits = set(range(program.num_qubits))
     for q in all_qubits:  # single zone; all time decoheres at the fast rate
-        sim.layout.site(q).zone = "entangling"
+        sim.layout.site(q).zone = Zone.ENTANGLING
     for step in program.steps:
         if step.zone is Zone.READOUT:
             qs = sorted({q for g in step.gates for q in g.qubits})
             sim.emit(EventKind.READOUT_IMAGE, qs, sim.clock, cfg.readout_time_us)
             sim.clock += cfg.readout_time_us
             continue
-        for layer in _step_layers(step.gates):
-            pulsed = [g for g in layer if g.kind is not GateKind.RZ]
-            if not pulsed:
-                continue
-            qubits = sorted({q for g in pulsed for q in g.qubits})
-            two_q = step.zone is Zone.ENTANGLING
-            kind = EventKind.PULSE_2Q if two_q else EventKind.PULSE_1Q
-            dur = cfg.pulse_2q_us if two_q else cfg.pulse_1q_us
+        two_q = step.zone is Zone.ENTANGLING
+        kind = EventKind.PULSE_2Q if two_q else EventKind.PULSE_1Q
+        dur = cfg.pulse_2q_us if two_q else cfg.pulse_1q_us
+        for qubits in _pulsed_layers(step.gates):
             sim.emit(kind, qubits, sim.clock, dur)
             sim.clock += dur
             bucket = sim.xcz if two_q else sim.x1q
@@ -493,10 +453,10 @@ def plan_swap_in_entangling(
     if a == b:
         return []
     for q in (a, b):
-        if layout.site(q).zone != "entangling":
+        if layout.site(q).zone is not Zone.ENTANGLING:
             raise LayoutError(f"qubit {q} is not in the entangling zone")
         layout.site(q).trap = Trap.AOD
-    occupied_rows = {s.row for s in layout.qubits if s.zone == "entangling"}
+    occupied_rows = {s.row for s in layout.qubits if s.zone is Zone.ENTANGLING}
     waypoint_row = max(occupied_rows) + 1
     if waypoint_row >= layout.config.array_rows:
         raise LayoutError("no vacant waypoint row; SLM handoff required")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from zonec.arch import MachineConfig, Policy, build_layout
-from zonec.cost import breakdown, fidelity, physical_gate_count
+from zonec.cost import breakdown, fidelity, physical_gate_count, run
 from zonec.frontend import (
     STEANE_X_STABILIZERS,
     STEANE_Z_STABILIZERS,
@@ -22,7 +22,7 @@ from zonec.frontend import (
     gen_ucc_random,
     parse_benchmark,
 )
-from zonec.ir import Circuit, Gate, GateKind, PauliTerm
+from zonec.ir import Circuit, Gate, GateKind, PauliTerm, Zone
 from zonec.oracle import pauli_expectation, statevector_of, unitary_of
 from zonec.protocols import (
     cphase_matrix,
@@ -44,7 +44,7 @@ from zonec.rewrite import (
     synth_pauli_fountain,
     synth_pauli_path,
 )
-from zonec.scheduler import count_ld_st, plan_swap_in_entangling, schedule
+from zonec.scheduler import count_ld_st, plan_swap_in_entangling
 
 DATA = pathlib.Path(__file__).parent / "data"
 UCC_SEED = 10  # fixed suite seed: every generated term is entangling-grade
@@ -64,9 +64,8 @@ def simulate(source, mode, policy=Policy.TYPE1, x_basis=False, seed=0):
     cfg = replace(MachineConfig(), policy=policy)
     if isinstance(source, str):
         source = parse_benchmark(source, seed=seed).materialize()
-    prog = mantra_pipeline(source, PipelineOptions(mode=mode, x_basis=x_basis))
-    tl = schedule(prog, build_layout(cfg, prog.num_qubits), cfg)
-    return tl, prog, cfg
+    result = run(source, PipelineOptions(mode=mode, x_basis=x_basis), cfg)
+    return result.timeline, result.program, cfg
 
 
 def test_criterion_01_protocol_algebra():
@@ -218,7 +217,7 @@ def test_criterion_08_swap_dominance():
         gate_ld_st = sum(count_ld_st(tl))
         lay = build_layout(MachineConfig(), n)
         for q in range(n):
-            lay.site(q).zone = "entangling"
+            lay.site(q).zone = Zone.ENTANGLING
         plan = plan_swap_in_entangling(lay, a, b)
         move_time = sum(d for _, d in plan)
         ok &= gate_ld_st == 6 and move_time < tl.makespan_us

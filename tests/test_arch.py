@@ -19,6 +19,7 @@ from zonec.arch import (
     move_duration_us,
     validate_move,
 )
+from zonec.ir import Zone
 
 
 class TestConfig:
@@ -40,6 +41,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MachineConfig(f_2q=1.5)
 
+    @pytest.mark.parametrize("name", [
+        "pulse_1q_us", "pulse_2q_us", "trap_transfer_time_us", "zone_gap_um",
+        "coherence_out_s", "f_1q", "xtalk_1q", "xtalk_cz",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            MachineConfig(**{name: value})
+
+    @pytest.mark.parametrize("kw", [
+        {"array_rows": 0}, {"array_cols": 0}, {"array_cols": -3},
+        {"physical_per_logical": 1}, {"physical_per_logical": 0},
+    ])
+    def test_bad_grid_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            MachineConfig(**kw)
+
+    def test_smallest_valid_grid(self):
+        cfg = MachineConfig(array_rows=1, array_cols=2, physical_per_logical=2)
+        assert cfg.max_logical == 1
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = MachineConfig(pulse_2q_us=0.5, policy=Policy.TYPE2, array_rows=21)
         path = tmp_path / "machine.cfg"
@@ -53,6 +75,12 @@ class TestConfig:
         assert cfg.aod_speed_um_per_us == 1.1
         assert cfg.policy is Policy.TYPE3
         assert cfg.pulse_1q_us == 0.625
+
+    def test_removed_x_basis_allowed_rejected(self, tmp_path):
+        path = tmp_path / "machine.cfg"
+        path.write_text("x_basis_allowed = true\n")
+        with pytest.raises(ConfigError, match="x_basis_allowed"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "machine.cfg"
@@ -77,7 +105,7 @@ class TestLayout:
 
     def test_all_start_in_storage_slm(self):
         lay = build_layout(MachineConfig(), 10)
-        assert all(s.zone == "storage" and s.trap is Trap.SLM for s in lay.qubits)
+        assert all(s.zone is Zone.STORAGE and s.trap is Trap.SLM for s in lay.qubits)
 
 
 class TestMoves:
@@ -131,5 +159,5 @@ class TestMoves:
     @settings(max_examples=30, deadline=None)
     def test_crossing_distance_at_least_gap(self, r, c):
         lay = build_layout(MachineConfig(), 4)
-        d = crossing_distance_um(lay, 0, r, c, "entangling")
+        d = crossing_distance_um(lay, 0, r, c, Zone.ENTANGLING)
         assert d >= lay.config.zone_gap_um

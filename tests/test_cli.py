@@ -78,6 +78,19 @@ class TestSimulate:
         )
         assert "readout_us = 900.000000" in r.stdout
 
+    @pytest.mark.parametrize("line", [
+        "pulse_2q_us = nan", "readout_time_us = inf", "xtalk_cz = nan",
+        "array_rows = 0", "physical_per_logical = 1", "x_basis_allowed = true",
+    ])
+    def test_bad_config_exit_code(self, runner, tmp_path, line):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(line + "\n")
+        r = runner.invoke(
+            cli, ["simulate", "--bench", "ghz:4:fountain", "--config", str(cfg)]
+        )
+        assert r.exit_code == 2
+        assert r.stdout == ""
+
     def test_capacity_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zonec.cli", "simulate", "--bench",

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zonec.arch import MachineConfig, Policy, build_layout
+from dataclasses import replace
+
+from zonec.arch import MachineConfig, Policy
 from zonec.cost import (
     Breakdown,
     breakdown,
@@ -13,20 +15,18 @@ from zonec.cost import (
     format_record,
     physical_gate_count,
     report_record,
+    run,
 )
-from zonec.frontend import gen_ghz, parse_benchmark
-from zonec.ir import Circuit, Gate, GateKind
+from zonec.frontend import gen_ghz, gen_ucc_random, parse_benchmark
+from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind
 from zonec.rewrite import PipelineOptions, mantra_pipeline
-from zonec.scheduler import Event, EventKind, Timeline, count_ld_st, schedule
+from zonec.scheduler import Event, EventKind, Timeline, count_ld_st
 
 
 def simulate(source, mode="mantra", policy=Policy.TYPE1):
-    from dataclasses import replace
-
     cfg = replace(MachineConfig(), policy=policy)
-    prog = mantra_pipeline(source, PipelineOptions(mode=mode))
-    tl = schedule(prog, build_layout(cfg, prog.num_qubits), cfg)
-    return tl, prog, cfg
+    result = run(source, PipelineOptions(mode=mode), cfg)
+    return result.timeline, result.program, cfg
 
 
 def make_timeline(events, n=2, makespan=None, **kw):
@@ -233,3 +233,86 @@ class TestSerialization:
         header = csv_header(extra=("n",))
         row = csv_row(rec, extra=(4,))
         assert len(header.split(",")) == len(row.split(","))
+
+
+class TestRun:
+    def test_result_matches_layer_calls(self):
+        cfg = replace(MachineConfig(), policy=Policy.TYPE2)
+        r = run(parse_benchmark("ucc:6:5", seed=3).materialize(),
+                PipelineOptions(mode="standard"), cfg)
+        assert (r.loads, r.stores) == count_ld_st(r.timeline)
+        assert r.flat == r.program.flatten()
+        assert r.breakdown == breakdown(r.timeline)
+        assert r.phys_gates == physical_gate_count(r.flat, cfg)
+        assert r.record == report_record(
+            r.breakdown, fidelity(r.timeline, r.flat, cfg), r.loads, r.stores
+        )
+
+    def test_type1_transfers_charged_once(self):
+        # The residents' hand-over and the AOD pickup of the incoming qubit
+        # start together; as two events each was charged its own exposed
+        # remainder and the categories summed to 1372.529 us.
+        h = Gate(GateKind.H, (0,))
+        c = Circuit(3, (h, h, Gate(GateKind.CZ, (0, 1)), Gate(GateKind.CZ, (1, 2))))
+        r = run(c, PipelineOptions(mode="standard", x_basis=True))
+        transfers = [e for e in r.timeline.events if e.kind is EventKind.TRAP_TRANSFER]
+        assert len({e.start_us for e in transfers}) == len(transfers)
+        assert r.breakdown.makespan_us == pytest.approx(1258.892, abs=1e-3)
+        assert sum(r.breakdown.categories.values()) == pytest.approx(
+            r.breakdown.makespan_us, rel=1e-12
+        )
+
+
+_RANDOM_KINDS = (GateKind.H, GateKind.X, GateKind.RX, GateKind.RZ, GateKind.CX,
+                 GateKind.CZ, GateKind.SWAP, GateKind.RZZ)
+
+
+@st.composite
+def _gates(draw, n):
+    kind = draw(st.sampled_from(_RANDOM_KINDS))
+    qubits = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))[: ARITY[kind]])
+    params = tuple(draw(st.floats(-math.pi, math.pi))
+                   for _ in range(NUM_PARAMS[kind]))
+    return Gate(kind, qubits, params)
+
+
+@st.composite
+def _sources(draw):
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        return gen_ucc_random(n, draw(st.integers(1, 4)), draw(st.integers(0, 999)))
+    gates = draw(st.lists(_gates(n), min_size=1, max_size=14))
+    if draw(st.booleans()):
+        gates += [Gate(GateKind.MEASURE, (q,)) for q in range(n)]
+    return Circuit(n, tuple(gates))
+
+
+_COMBOS = [
+    (replace(MachineConfig(), policy=p), PipelineOptions(mode=m, x_basis=x))
+    for p in Policy
+    for m in ("mantra", "standard")
+    for x in (False, True)
+]
+
+
+class TestRunInvariants:
+    @given(_sources())
+    @settings(max_examples=60, deadline=None)
+    def test_schedule_and_cost_invariants(self, source):
+        for cfg, options in _COMBOS:
+            r = run(source, options, cfg)
+            tl, makespan = r.timeline, r.timeline.makespan_us
+            for q in range(tl.num_qubits):
+                assert tl.t_in_us[q] + tl.t_out_us[q] == pytest.approx(makespan, rel=1e-9)
+            assert all(e.end_us <= makespan * (1 + 1e-12) for e in tl.events)
+            fr = r.fidelity
+            assert fr.total == pytest.approx(math.prod(fr.factors.values()), rel=1e-9)
+            assert fr.total == pytest.approx(math.prod(fr.per_qubit.values()), rel=1e-9)
+            # Type 2 is left out: its one initial load never waits for its
+            # own trap transfer, so that transfer's exposed remainder is
+            # charged on top of the makespan (an open scheduler defect).
+            if cfg.policy is not Policy.TYPE2:
+                assert sum(r.breakdown.categories.values()) == pytest.approx(
+                    makespan, rel=1e-9
+                )

@@ -170,7 +170,7 @@ class TestGhz:
         from zonec.ir import dependency_layers
 
         c = gen_ghz(16, chain="parallel", measure=False)
-        cx_layers = dependency_layers(c).layers
+        cx_layers = dependency_layers(c.gates)
         assert len(cx_layers) == 1 + 4  # H layer + log2(16) doubling layers
 
     def test_measure_flag(self):

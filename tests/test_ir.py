@@ -59,14 +59,12 @@ class TestCircuit:
         assert len(c.gates) == 0 and len(c2.gates) == 1
 
     def test_dependency_layers_chain(self):
-        c = Circuit(3, (h(0), cx(0, 1), cx(1, 2), h(2)))
-        layers = dependency_layers(c).layers
-        assert layers == ((0,), (1,), (2,), (3,))
+        g = (h(0), cx(0, 1), cx(1, 2), h(2))
+        assert dependency_layers(g) == [[g[0]], [g[1]], [g[2]], [g[3]]]
 
     def test_dependency_layers_parallel(self):
-        c = Circuit(4, (cx(0, 1), cx(2, 3), h(0), h(2)))
-        layers = dependency_layers(c).layers
-        assert layers == ((0, 1), (2, 3))
+        g = (cx(0, 1), cx(2, 3), h(0), h(2))
+        assert dependency_layers(g) == [[g[0], g[1]], [g[2], g[3]]]
 
     def test_counts_exclude_rz_and_measure(self):
         c = Circuit(
@@ -121,19 +119,32 @@ class TestDump:
         with pytest.raises(CircuitError):
             parse_dump("qubits 2\nBOGUS 0\n")
 
+    @pytest.mark.parametrize("header", ["qubits x", "qubits ", "qubits 2.5"])
+    def test_parse_rejects_bad_qubit_count(self, header):
+        with pytest.raises(CircuitError):
+            parse_dump(header + "\nH q[0]\n")
+
+    @pytest.mark.parametrize("param", ["nan", "inf", "-inf"])
+    def test_parse_rejects_non_finite_parameter(self, param):
+        with pytest.raises(CircuitError):
+            parse_dump(f"qubits 1\nRZ q[0] ({param})\n")
+        with pytest.raises(CircuitError):
+            parse_dump(f"qubits 2\nAD q[0],q[1] (0.5,{param})\n")
+
+    # circuits() builds a new Gate object per draw, so identity names a gate.
     @given(circuits())
     def test_layers_partition_gates(self, c):
-        layers = dependency_layers(c).layers
-        seen = [i for layer in layers for i in layer]
-        assert sorted(seen) == list(range(len(c.gates)))
+        seen = [id(g) for layer in dependency_layers(c.gates) for g in layer]
+        assert sorted(seen) == sorted(map(id, c.gates))
+        assert len(set(seen)) == len(c.gates)
 
     @given(circuits())
     def test_layers_respect_dependencies(self, c):
         pos = {}
-        for li, layer in enumerate(dependency_layers(c).layers):
-            for i in layer:
-                pos[i] = li
+        for li, layer in enumerate(dependency_layers(c.gates)):
+            for g in layer:
+                pos[id(g)] = li
         for i, gi in enumerate(c.gates):
-            for j in range(i + 1, len(c.gates)):
-                if set(gi.qubits) & set(c.gates[j].qubits):
-                    assert pos[i] < pos[j]
+            for gj in c.gates[i + 1 :]:
+                if set(gi.qubits) & set(gj.qubits):
+                    assert pos[id(gi)] < pos[id(gj)]

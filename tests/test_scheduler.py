@@ -167,7 +167,7 @@ class TestMovementSwap:
     def _entangled_layout(self, n=4):
         lay = build_layout(MachineConfig(), n)
         for q in range(n):
-            lay.site(q).zone = "entangling"
+            lay.site(q).zone = Zone.ENTANGLING
         return lay
 
     def test_three_validated_legs(self):
