@@ -165,22 +165,43 @@ class PauliTerm:
         return len(self.support)
 
 
-def dependency_layers(gates) -> list[list[Gate]]:
-    """Greedy as-soon-as-possible layering of the gate dependency DAG.
+def layer_indices(gates) -> list[list[int]]:
+    """Greedy as-soon-as-possible layering of the gate dependency DAG, as
+    positions into ``gates``.
 
     Each gate lands in the earliest layer after every earlier gate that shares
-    an operand with it.
+    an operand with it; within a layer positions ascend. zonec layers gates
+    only through this function.
     """
     frontier: dict[int, int] = {}  # qubit -> earliest free layer
-    layers: list[list[Gate]] = []
-    for g in gates:
-        layer = max((frontier.get(q, 0) for q in g.qubits), default=0)
-        while len(layers) <= layer:
-            layers.append([])
-        layers[layer].append(g)
-        for q in g.qubits:
-            frontier[q] = layer + 1
+    free = frontier.get
+    layers: list[list[int]] = []
+    for i, g in enumerate(gates):
+        qubits = g.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            layer = free(a, 0)
+            lb = free(b, 0)
+            if lb > layer:
+                layer = lb
+            frontier[a] = frontier[b] = layer + 1
+        else:  # every gate kind has one or two operands
+            (a,) = qubits
+            layer = free(a, 0)
+            frontier[a] = layer + 1
+        # A frontier never exceeds the layer count, so a gate opens at most
+        # one new layer.
+        if layer == len(layers):
+            layers.append([i])
+        else:
+            layers[layer].append(i)
     return layers
+
+
+def dependency_layers(gates) -> list[list[Gate]]:
+    """``layer_indices`` as lists of the gates themselves."""
+    gates = tuple(gates)
+    return [[gates[i] for i in layer] for layer in layer_indices(gates)]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Every pass preserves the circuit unitary up to global phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import protocols
@@ -17,7 +17,7 @@ from .ir import (
     GateKind,
     PauliTerm,
     Zone,
-    dependency_layers,
+    layer_indices,
 )
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,11 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     gate qualifies, a step opens in the other zone. Terminal MEASUREs form a
     final readout step.
     """
+    return ZoneStepProgram(circuit.num_qubits, _merge_steps(_aligned_raw(circuit)))
+
+
+def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
+    """``align_zone_steps``'s steps before seams are merged."""
     for g in circuit.gates:
         if g.kind in (GateKind.CX, GateKind.SWAP):
             raise ValueError(f"align_zone_steps requires a {g.kind.value}-free circuit")
@@ -420,20 +425,27 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
 
     if measures:
         raw.append((Zone.READOUT, list(measures)))
-    return ZoneStepProgram(circuit.num_qubits, _merge_steps(raw))
+    return raw
 
 
 def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     """Unaligned (standard-execution) zone stepping: one zone segment per
     dependency layer of the input circuit, CX gates expanded in place, and
     only adjacent same-zone segments merged. No cross-layer hoisting."""
+    return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit)))
+
+
+def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
+    """``layer_zone_steps``'s segments before seams are merged."""
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
-    for layer in dependency_layers(circuit.gates):
+    gates = circuit.gates
+    for layer in layer_indices(gates):
         pre: list[Gate] = []
         two: list[Gate] = []
         post: list[Gate] = []
-        for g in layer:
+        for i in layer:
+            g = gates[i]
             if g.kind is GateKind.MEASURE:
                 measures.append(g)
             elif g.kind is GateKind.CX:
@@ -450,7 +462,7 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
         raw.append((Zone.STORAGE, post))
     if measures:
         raw.append((Zone.READOUT, measures))
-    return ZoneStepProgram(circuit.num_qubits, _merge_steps(raw))
+    return raw
 
 
 def absorb_x_basis(circuit: Circuit) -> Circuit:
@@ -496,13 +508,6 @@ class PipelineOptions:
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
-def _append_program(
-    raw: list[tuple[Zone, list[Gate]]], program: ZoneStepProgram
-) -> None:
-    for step in program.steps:
-        raw.append((step.zone, list(step.gates)))
-
-
 def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> ZoneStepProgram:
     """Full rewriting pipeline to a zone-step program.
 
@@ -520,19 +525,22 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     if isinstance(source, PauliTermFile):
         # Basis absorption is only sound at program start; never per term.
         term_options = PipelineOptions(options.mode, options.protocol, x_basis=False)
+        # Each term's raw steps are concatenated and merged once, so every
+        # ZoneStep is built and checked once.
         raw: list[tuple[Zone, list[Gate]]] = []
         for term in source.terms:
             if term.weight == 0:
                 continue
-            sub = _compile_circuit(_synth(term, term_options), term_options)
-            _append_program(raw, sub)
+            c, _, raw_steps = _lower(_synth(term, term_options), term_options)
+            raw += raw_steps(c)
         num_qubits = source.num_qubits
         measures = [
             Gate(GateKind.MEASURE, (q,)) for q in range(num_qubits)
         ]
         raw.append((Zone.READOUT, measures))
         return ZoneStepProgram(num_qubits, _merge_steps(raw))
-    return _compile_circuit(source, options)
+    c, remaps, raw_steps = _lower(source, options)
+    return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), remaps, options.x_basis)
 
 
 def _synth(term: PauliTerm, options: PipelineOptions) -> Circuit:
@@ -541,16 +549,18 @@ def _synth(term: PauliTerm, options: PipelineOptions) -> Circuit:
     return synth_pauli_path(term)
 
 
-def _compile_circuit(circuit: Circuit, options: PipelineOptions) -> ZoneStepProgram:
+def _lower(circuit: Circuit, options: PipelineOptions):
+    """The passes before zone stepping: the lowered circuit, its SWAP
+    remaps, and the raw zone stepper that the mode applies to it."""
     if options.mode == "standard":
         c = lower_rzz_to_cx(circuit)
-        zone_steps = layer_zone_steps
+        raw_steps = _layered_raw
     else:
         c = lower_cx_to_cz(circuit)
         c = cancel_hadamard_pairs(c)
         c = substitute_rzz(c, options.protocol)
-        zone_steps = align_zone_steps
+        raw_steps = _aligned_raw
     c, remaps = lower_swap(c)
     if options.x_basis:
         c = absorb_x_basis(c)
-    return replace(zone_steps(c), remaps=remaps, x_basis=options.x_basis)
+    return c, remaps, raw_steps

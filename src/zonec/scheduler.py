@@ -6,6 +6,10 @@ Movement accounting follows batch semantics: each storage<->entangling
 boundary realizes one LOAD or STORE batch event whose duration is the longest
 member travel time. Trap transfers overlap adjacent load/store travel where a
 waiting qubit exists; only the exposed remainder shows up in the breakdown.
+
+In an entangling step the moving operand of each 2Q gate is picked twice:
+once to decide the trap hand-over, and again per gate position after the
+hand-over, when the shuttles are laid out layer by layer.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from .arch import (
     Policy,
     Trap,
     apply_move,
-    build_layout,
     crossing_distance_um,
     move_duration_us,
     validate_move,
 )
-from .ir import Circuit, Gate, GateKind, Zone, dependency_layers
+from .ir import Gate, GateKind, Zone, dependency_layers, layer_indices
 from .rewrite import ZoneStepProgram
 
 
@@ -128,33 +131,35 @@ class _Sim:
     xcz: dict = field(default_factory=dict)
 
     def emit(self, kind, qubits, start, dur):
-        self.events.append(Event(kind, tuple(sorted(qubits)), start, dur))
+        """``qubits`` must be sorted."""
+        self.events.append(Event(kind, tuple(qubits), start, dur))
 
     def settle_zone(self, q, new_zone, at):
+        site = self.layout.qubits[q]
         since = self.zone_since.get(q, 0.0)
-        old = self.layout.site(q).zone
-        bucket = self.t_in if old is Zone.STORAGE else self.t_out
+        bucket = self.t_in if site.zone is Zone.STORAGE else self.t_out
         bucket[q] = bucket.get(q, 0.0) + (at - since)
-        self.layout.site(q).zone = new_zone
+        site.zone = new_zone
         self.zone_since[q] = at
 
     def finalize_zones(self, n):
         for q in range(n):
             since = self.zone_since.get(q, 0.0)
-            zone = self.layout.site(q).zone
+            zone = self.layout.qubits[q].zone
             bucket = self.t_in if zone is Zone.STORAGE else self.t_out
             bucket[q] = bucket.get(q, 0.0) + (self.clock - since)
             self.t_in.setdefault(q, 0.0)
             self.t_out.setdefault(q, 0.0)
 
     def transfer_batch(self, qubits):
-        """One batched trap-transfer event; returns its duration so the
-        caller can fold it into the step's concurrency window."""
-        qubits = sorted(qubits)
+        """One batched trap-transfer event over the sorted ``qubits``;
+        returns its duration so the caller can fold it into the step's
+        concurrency window."""
         if not qubits:
             return 0.0
+        sites = self.layout.qubits
         for q in qubits:
-            s = self.layout.site(q)
+            s = sites[q]
             s.trap = Trap.AOD if s.trap is Trap.SLM else Trap.SLM
             self.transfers[q] = self.transfers.get(q, 0) + 1
         self.emit(
@@ -163,40 +168,50 @@ class _Sim:
         return self.config.trap_transfer_time_us
 
 
-def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout):
-    """Choose the moving operand per 2Q gate: the one with more gates in the
-    step (the fountain's shared qubit rides the AOD); ties prefer the qubit
-    already in an AOD trap, then the lower index."""
+def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout) -> list[int]:
+    """The moving operand of each 2Q gate, by position in ``gates``: the one
+    with more gates in the step (the fountain's shared qubit rides the AOD);
+    ties prefer the qubit already in an AOD trap, then the lower index."""
     count: dict[int, int] = {}
     for g in gates:
-        for q in g.qubits:
-            count[q] = count.get(q, 0) + 1
-
-    def key(q):
-        return (-count[q], 0 if layout.site(q).trap is Trap.AOD else 1, q)
-
-    movers = {}
+        a, b = g.qubits
+        count[a] = count.get(a, 0) + 1
+        count[b] = count.get(b, 0) + 1
+    sites = layout.qubits
+    movers = []
     for g in gates:
         a, b = g.qubits
-        movers[g] = min((a, b), key=key)
+        ca, cb = count[a], count[b]
+        if ca != cb:
+            movers.append(a if ca > cb else b)
+            continue
+        aod_a = sites[a].trap is Trap.AOD
+        if aod_a == (sites[b].trap is Trap.AOD):
+            movers.append(a if a < b else b)
+        else:
+            movers.append(a if aod_a else b)
     return movers
 
 
 def _handover(sim: _Sim, movers, candidates):
     """The candidates whose trap is wrong for their role: movers ride the
     AOD, every other qubit sits in an SLM trap."""
+    sites = sim.layout.qubits
     return [
         q for q in candidates
-        if (sim.layout.site(q).trap is Trap.AOD) is (q not in movers)
+        if (sites[q].trap is Trap.AOD) is (q not in movers)
     ]
 
 
 def _pulsed_layers(gates):
     """Sorted qubits of each dependency layer's pulsed gates; layers holding
     only RZ are skipped (RZ is virtual: zero duration)."""
-    for layer in dependency_layers(gates):
-        qubits = sorted({q for g in layer if g.kind is not GateKind.RZ for q in g.qubits})
+    for layer in layer_indices(gates):
+        # The gates of one layer share no qubit.
+        qubits = [q for i in layer if gates[i].kind is not GateKind.RZ
+                  for q in gates[i].qubits]
         if qubits:
+            qubits.sort()
             yield qubits
 
 
@@ -230,8 +245,8 @@ def schedule(
             {
                 g.qubits[0]
                 for step in program.steps
+                if step.zone is Zone.READOUT
                 for g in step.gates
-                if g.kind is GateKind.MEASURE
             }
         )
     )
@@ -274,40 +289,48 @@ def _pulse_storage_layers(sim: _Sim, gates):
 def _entangling_gates(sim: _Sim, gates):
     """Shuttle the movers and fire one 2Q pulse per parallel layer."""
     cfg = sim.config
+    pitch, speed = cfg.pitch_entangling_um, cfg.aod_speed_um_per_us
+    sites = sim.layout.qubits
+    # Movers are picked again after the step's hand-over. The hand-over put
+    # every first-pick mover in an AOD trap, so a gate whose operands tie on
+    # the gate count now falls to the lower index, and a qubit handed to the
+    # AOD may not move. Picking once would change makespans and fidelities,
+    # so the re-pick stays until a change that means to move them.
     movers = _pick_movers(gates, sim.layout)
-    for layer in dependency_layers(gates):
+    for layer in layer_indices(gates):
         worst = 0.0
         layer_movers = []
-        for g in layer:
-            m = movers[g]
-            other = g.qubits[0] if g.qubits[1] == m else g.qubits[1]
-            ms, os_ = sim.layout.site(m), sim.layout.site(other)
-            dist = math.hypot(
-                (ms.row - os_.row) * cfg.pitch_entangling_um,
-                (ms.col - os_.col) * cfg.pitch_entangling_um,
-            )
-            worst = max(worst, dist / cfg.aod_speed_um_per_us)
+        qubits = []  # the gates of one layer share no qubit
+        for i in layer:
+            a, b = gates[i].qubits
+            m = movers[i]
+            ms, os_ = sites[m], sites[b if m == a else a]
+            dist = math.hypot((ms.row - os_.row) * pitch, (ms.col - os_.col) * pitch)
+            worst = max(worst, dist / speed)
             ms.row, ms.col = os_.row, os_.col
             layer_movers.append(m)
+            qubits += (a, b)
         if worst > 0.0:
+            layer_movers.sort()
             sim.emit(EventKind.SHUTTLE, layer_movers, sim.clock, worst)
             sim.clock += worst
-        qubits = sorted({q for g in layer for q in g.qubits})
+        qubits.sort()
         sim.emit(EventKind.PULSE_2Q, qubits, sim.clock, cfg.pulse_2q_us)
         sim.clock += cfg.pulse_2q_us
-    return movers
 
 
 def _batch_crossing(sim: _Sim, qubits, dest: Zone):
-    """One LOAD (dest entangling) or STORE (dest storage) batch; duration is
-    the slowest member's travel. Entangling-zone slots mirror the storage
-    block grid one-to-one, so every qubit keeps its (row, col)."""
+    """One LOAD (dest entangling) or STORE (dest storage) batch over the
+    sorted ``qubits``; duration is the slowest member's travel.
+    Entangling-zone slots mirror the storage block grid one-to-one, so every
+    qubit keeps its (row, col)."""
     cfg = sim.config
-    qubits = sorted(qubits)
+    layout = sim.layout
+    sites = layout.qubits
     worst = cfg.min_ld_st_us
     for q in qubits:
-        site = sim.layout.site(q)
-        worst = max(worst, crossing_distance_um(sim.layout, q, site.row, site.col, dest)
+        site = sites[q]
+        worst = max(worst, crossing_distance_um(layout, q, site.row, site.col, dest)
                     / cfg.aod_speed_um_per_us)
     kind = EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE
     sim.emit(kind, qubits, sim.clock, worst)
@@ -315,16 +338,16 @@ def _batch_crossing(sim: _Sim, qubits, dest: Zone):
 
 
 def _schedule_type1(sim: _Sim, program: ZoneStepProgram):
-    cfg = sim.config
     _preplace(sim, program)
+    sites = sim.layout.qubits
 
     for step in program.steps:
         used = sorted({q for g in step.gates for q in g.qubits})
         if step.zone is Zone.STORAGE:
-            incoming = [q for q in used if sim.layout.site(q).zone is Zone.ENTANGLING]
+            incoming = [q for q in used if sites[q].zone is Zone.ENTANGLING]
             window = 0.0
             if incoming:
-                pickups = [q for q in incoming if sim.layout.site(q).trap is Trap.SLM]
+                pickups = [q for q in incoming if sites[q].trap is Trap.SLM]
                 tdur = sim.transfer_batch(pickups)
                 window = _batch_crossing(sim, incoming, Zone.STORAGE)
                 window = max(window, tdur)
@@ -333,13 +356,13 @@ def _schedule_type1(sim: _Sim, program: ZoneStepProgram):
                     sim.settle_zone(q, Zone.STORAGE, sim.clock)
             _pulse_storage_layers(sim, step.gates)
         elif step.zone is Zone.ENTANGLING:
-            movers = set(_pick_movers(step.gates, sim.layout).values())
-            incoming = [q for q in used if sim.layout.site(q).zone is Zone.STORAGE]
-            resident = [q for q in used if q not in incoming]
+            movers = set(_pick_movers(step.gates, sim.layout))
+            incoming = [q for q in used if sites[q].zone is Zone.STORAGE]
+            resident = [q for q in used if sites[q].zone is not Zone.STORAGE]
             # Residents hand over and incoming qubits are picked up by the
             # AOD in one transfer batch, which overlaps the load travel.
-            pickups = [q for q in incoming if sim.layout.site(q).trap is Trap.SLM]
-            window = sim.transfer_batch(_handover(sim, movers, resident) + pickups)
+            pickups = [q for q in incoming if sites[q].trap is Trap.SLM]
+            window = sim.transfer_batch(sorted(_handover(sim, movers, resident) + pickups))
             if incoming:
                 window = max(window, _batch_crossing(sim, incoming, Zone.ENTANGLING))
             sim.clock += window
@@ -354,8 +377,9 @@ def _schedule_type1(sim: _Sim, program: ZoneStepProgram):
 
 def _schedule_readout(sim: _Sim, qubits):
     cfg = sim.config
+    sites = sim.layout.qubits
     if qubits:
-        pickups = [q for q in qubits if sim.layout.site(q).trap is Trap.SLM]
+        pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
         tdur = sim.transfer_batch(pickups)
         # Zone order is storage | entangling | readout: readout travel from
         # the entangling zone crosses one gap, from storage two plus the span.
@@ -364,7 +388,7 @@ def _schedule_readout(sim: _Sim, qubits):
         for q in qubits:
             x, y = sim.layout.position_um(q)
             dist = y + cfg.zone_gap_um
-            if sim.layout.site(q).zone is Zone.STORAGE:
+            if sites[q].zone is Zone.STORAGE:
                 dist += entangling_span + cfg.zone_gap_um
             worst = max(worst, dist / cfg.aod_speed_um_per_us)
         worst = max(worst, tdur)
@@ -380,6 +404,7 @@ def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
     """Local Raman permitted in the entangling zone: one initial load, then
     all gate execution stays there with isolation repositioning."""
     cfg = sim.config
+    sites = sim.layout.qubits
     used_all = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
     loaded = False
     for step in program.steps:
@@ -387,8 +412,7 @@ def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
             _schedule_readout(sim, sorted({q for g in step.gates for q in g.qubits}))
             continue
         if step.zone is Zone.ENTANGLING and not loaded:
-            sim.transfer_batch([q for q in used_all
-                                if sim.layout.site(q).trap is Trap.SLM])
+            sim.transfer_batch([q for q in used_all if sites[q].trap is Trap.SLM])
             window = _batch_crossing(sim, used_all, Zone.ENTANGLING)
             sim.clock += window
             for q in used_all:
@@ -400,7 +424,7 @@ def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
             # 1Q gates in the entangling zone: targets shuttle >12 um clear
             # of every other atom, pulse, and shuttle back.
             for qubits in _pulsed_layers(step.gates):
-                pickups = [q for q in qubits if sim.layout.site(q).trap is Trap.SLM]
+                pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
                 sim.clock += sim.transfer_batch(pickups)
                 hop = 2.0 * cfg.pitch_entangling_um / cfg.aod_speed_um_per_us
                 sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
@@ -410,7 +434,7 @@ def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
                 sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
                 sim.clock += hop
         else:
-            movers = set(_pick_movers(step.gates, sim.layout).values())
+            movers = set(_pick_movers(step.gates, sim.layout))
             used = sorted({q for g in step.gates for q in g.qubits})
             sim.clock += sim.transfer_batch(_handover(sim, movers, used))
             _entangling_gates(sim, step.gates)

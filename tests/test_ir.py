@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from zonec.ir import (
     Circuit,
@@ -12,6 +12,7 @@ from zonec.ir import (
     count_gates,
     dependency_layers,
     dump,
+    layer_indices,
     parse_dump,
 )
 
@@ -148,3 +149,54 @@ class TestDump:
             for gj in c.gates[i + 1 :]:
                 if set(gi.qubits) & set(gj.qubits):
                     assert pos[id(gi)] < pos[id(gj)]
+
+
+def _reference_layers(gates):
+    """The layering rule as first written, a ``max`` over every gate's
+    operands; the reference for ``layer_indices``."""
+    frontier: dict[int, int] = {}  # qubit -> earliest free layer
+    layers: list[list[Gate]] = []
+    for g in gates:
+        layer = max((frontier.get(q, 0) for q in g.qubits), default=0)
+        while len(layers) <= layer:
+            layers.append([])
+        layers[layer].append(g)
+        for q in g.qubits:
+            frontier[q] = layer + 1
+    return layers
+
+
+@st.composite
+def gate_lists(draw, max_qubits=8, max_gates=30):
+    """A fresh ``Gate`` per draw, so identity names a gate."""
+    from zonec.ir import ARITY, NUM_PARAMS
+
+    n = draw(st.integers(1, max_qubits))
+    kinds = [GateKind.H, GateKind.X, GateKind.RX, GateKind.RZ, GateKind.MEASURE]
+    if n >= 2:
+        kinds += [GateKind.CZ, GateKind.CX, GateKind.RZZ]
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        qs = draw(st.lists(st.integers(0, n - 1), min_size=ARITY[kind],
+                           max_size=ARITY[kind], unique=True))
+        gates.append(Gate(kind, tuple(qs), (0.5,) * NUM_PARAMS[kind]))
+    return gates
+
+
+class TestLayerIndices:
+    @given(gate_lists())
+    @example([])
+    def test_matches_reference(self, gates):
+        by_position = [[gates[i] for i in layer] for layer in layer_indices(gates)]
+        assert [list(map(id, layer)) for layer in by_position] == [
+            list(map(id, layer)) for layer in _reference_layers(gates)
+        ]
+
+    @given(gate_lists())
+    @example([])
+    def test_dependency_layers_is_the_gate_view(self, gates):
+        view = [[gates[i] for i in layer] for layer in layer_indices(gates)]
+        assert [list(map(id, layer)) for layer in dependency_layers(gates)] == [
+            list(map(id, layer)) for layer in view
+        ]

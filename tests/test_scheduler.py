@@ -191,3 +191,28 @@ class TestMovementSwap:
         tl, _ = compile_and_schedule(ref, mode="standard")
         assert sum(count_ld_st(tl)) == 6
         assert move_time < tl.makespan_us
+
+
+class TestMoverRepick:
+    def test_second_pick_shuttles_fewer_than_handed_over(self):
+        # Type1 picks the movers for the trap hand-over, then picks again
+        # after it. In the last entangling step every operand ties on the
+        # gate count; the first pick hands {0, 1, 2} to the AOD, the second
+        # then breaks CZ(2, 1)'s tie to the lower index, so qubit 2 stays put.
+        cz = lambda a, b: Gate(GateKind.CZ, (a, b))
+        h = lambda q: Gate(GateKind.H, (q,))
+        c = Circuit(4, (cz(2, 3), h(1), cz(1, 3), cz(2, 0), cz(0, 3), h(3),
+                        cz(2, 1), cz(2, 0), h(3)))
+        tl, _ = compile_and_schedule(c)
+        moves = [(e.kind, e.qubits) for e in tl.events
+                 if e.kind in (EventKind.TRAP_TRANSFER, EventKind.SHUTTLE)]
+        assert moves == [
+            (EventKind.TRAP_TRANSFER, (0, 2, 3)),
+            (EventKind.TRAP_TRANSFER, (0, 3)),
+            (EventKind.SHUTTLE, (2,)),
+            (EventKind.SHUTTLE, (2,)),
+            (EventKind.TRAP_TRANSFER, (0, 1)),
+            (EventKind.SHUTTLE, (1,)),
+            (EventKind.SHUTTLE, (0, 1)),
+            (EventKind.SHUTTLE, (0,)),
+        ]
