@@ -17,6 +17,10 @@ class Zone(Enum):
     ENTANGLING = "entangling"
     READOUT = "readout"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==; Enum's own hash runs Python code on every dict lookup.
+    __hash__ = object.__hash__
+
 
 class GateKind(Enum):
     H = "H"
@@ -31,6 +35,8 @@ class GateKind(Enum):
     LP = "LP"
     AD = "AD"
     MEASURE = "MEASURE"
+
+    __hash__ = object.__hash__  # as for Zone
 
 
 ARITY = {

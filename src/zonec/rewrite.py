@@ -217,93 +217,120 @@ def synth_pauli_path(term: PauliTerm) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _touches(gate: Gate, qubits: set[int]) -> bool:
-    return any(q in qubits for q in gate.qubits)
+# After an idiom's opening gate, the gates it must meet next on its two
+# qubits: CX(a,b) RZ(t,b) CX(a,b), and, once H(b) has met its CZ(a,b), the
+# rest of H(b) CZ(a,b) H(b) RZ(t,b) H(b) CZ(a,b) H(b).
+_CX_TAIL = (GateKind.RZ, GateKind.CX)
+_H_TAIL = (GateKind.H, GateKind.RZ, GateKind.H, GateKind.CZ, GateKind.H)
 
 
-def _match_zz_idiom(gates: list[Gate], i: int):
-    """Match a ZZ idiom starting at index i, skipping gates on other qubits.
+def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
+    """The circuit's gates with every ZZ idiom folded into an RZZ gate, in
+    one left-to-right pass.
 
-    Recognizes CX(a,b) RZ(t,b) CX(a,b) and its lowered form
-    H(b) CZ(a,b) H(b) RZ(t,b) H(b) CZ(a,b) H(b). Returns (indices, a, b,
-    theta) or None. Equivalence to RZZ(theta) holds up to a global phase
-    exp(-i*theta/2).
+    Each CX or H gate opens a candidate idiom on qubits (a, b). Its next
+    gates on a or b, in program order, must follow the pattern; gates on
+    other qubits may interleave. In the H form, a is known only at the first
+    CZ(a,b), and a gate on a between the opening H(b) and that CZ rejects
+    the match: the RZZ lands at the H(b), ahead of such a gate. A match
+    replaces its opening gate with RZZ(theta) on (a, b), equal to the idiom
+    up to a global phase exp(-i*theta/2), and drops its other gates.
+
+    One pass finds what restarting from the first gate after each fold
+    would: every other gate inside a matched idiom avoids a and b, so a fold
+    changes what another candidate meets only by turning a gate on (a, b)
+    into an RZZ, which no pattern accepts.
     """
-    first = gates[i]
-    if first.kind is GateKind.CX:
-        pattern = ["RZ", "CX"]
-        a, b = first.qubits
-    elif first.kind is GateKind.H:
-        b = first.qubits[0]
-        pattern = ["CZ", "H", "RZ", "H", "CZ", "H"]
-        a = None
-    else:
-        return None
+    gates = list(circuit.gates)
+    num_qubits = circuit.num_qubits
+    on: list[list[int]] = [[] for _ in range(num_qubits)]  # positions per qubit
+    for i, g in enumerate(gates):
+        for q in g.qubits:
+            on[q].append(i)
+    seen = [0] * num_qubits  # gates on q at positions up to the current one
+    end = len(gates)
+    dead = [False] * end
 
-    involved = set(first.qubits)
-    indices = [i]
-    theta = None
-    j = i + 1
-    for want in pattern:
-        while j < len(gates) and not _touches(gates[j], involved):
-            j += 1
-        if j >= len(gates):
-            return None
-        g = gates[j]
-        if g.kind.value != want:
-            return None
-        if want in ("RZ", "H") and g.qubits[0] != b:
-            return None
-        if want == "CX":
-            # CX is not symmetric: the closing CX must repeat the orientation.
-            if g.qubits != first.qubits:
-                return None
-        elif want == "CZ":
-            if a is None:
-                if b not in g.qubits:
-                    return None
-                a = g.qubits[0] if g.qubits[1] == b else g.qubits[1]
-                involved.add(a)
-            elif set(g.qubits) != {a, b}:
-                return None
-        if want == "RZ":
-            theta = g.params[0]
-        indices.append(j)
-        j += 1
-    return indices, a, b, theta
+    def next_live(q: int, r: int) -> int:
+        """The first rank at or after r in q's list that holds a live gate."""
+        positions = on[q]
+        while r < len(positions) and dead[positions[r]]:
+            r += 1
+        return r
+
+    for i, first in enumerate(gates):
+        for q in first.qubits:
+            seen[q] += 1
+        kind = first.kind
+        if dead[i] or (kind is not GateKind.CX and kind is not GateKind.H):
+            continue
+        if kind is GateKind.CX:
+            a, b = first.qubits
+            ra, rb = seen[a], seen[b]
+            tail = _CX_TAIL
+            matched = [i]
+        else:
+            (b,) = first.qubits
+            rb = next_live(b, seen[b])
+            if rb == len(on[b]):
+                continue
+            j = on[b][rb]
+            g = gates[j]
+            if g.kind is not GateKind.CZ:
+                continue
+            a = g.qubits[0] if g.qubits[1] == b else g.qubits[1]
+            ra = next_live(a, seen[a])
+            if on[a][ra] != j:  # a gate on a comes before the CZ
+                continue
+            ra, rb = ra + 1, rb + 1
+            tail = _H_TAIL
+            matched = [i, j]
+        for want in tail:
+            ra, rb = next_live(a, ra), next_live(b, rb)
+            ja = on[a][ra] if ra < len(on[a]) else end
+            jb = on[b][rb] if rb < len(on[b]) else end
+            j = min(ja, jb)
+            if j == end:
+                break
+            g = gates[j]
+            if g.kind is not want:
+                break
+            if want is GateKind.CX:
+                if g.qubits != (a, b):  # CX is not symmetric
+                    break
+            elif want is GateKind.CZ:
+                if g.qubits != (a, b) and g.qubits != (b, a):
+                    break
+            elif g.qubits[0] != b:
+                break
+            if want is GateKind.RZ:
+                theta = g.params[0]
+            matched.append(j)
+            if j == ja:
+                ra += 1
+            if j == jb:
+                rb += 1
+        else:
+            gates[i] = Gate(GateKind.RZZ, (a, b), (theta,))
+            for j in matched[1:]:
+                dead[j] = True
+    return [g for g, d in zip(gates, dead) if not d]
 
 
 def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
-    """Replace RZZ gates (and recognized ZZ idioms) with the two-pulse native
-    protocol: Ad+LP or LP+CPHASE. No storage-zone gate is introduced."""
+    """Replace RZZ gates and ZZ idioms with the two-pulse native protocol:
+    Ad+LP or LP+CPHASE. No storage-zone gate is introduced.
+
+    Two idiom forms fold: CX(a,b) RZ(t,b) CX(a,b), and its lowered form
+    H(b) CZ(a,b) H(b) RZ(t,b) H(b) CZ(a,b) H(b). Gates on other qubits may
+    interleave with an idiom; in the lowered form, no gate on the control a
+    may lie between the opening H(b) and the first CZ. The fold is one
+    linear left-to-right pass (see ``_fold_zz_idioms``).
+    """
     if protocol not in ("adiabatic", "cphase"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    gates = list(circuit.gates)
-
-    # First fold ZZ idioms into RZZ gates.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gates)):
-            if gates[i].kind not in (GateKind.CX, GateKind.H):
-                continue
-            m = _match_zz_idiom(gates, i)
-            if m is None:
-                continue
-            indices, a, b, theta = m
-            keep = set(indices)
-            rebuilt = []
-            for j, g in enumerate(gates):
-                if j == indices[0]:
-                    rebuilt.append(Gate(GateKind.RZZ, (a, b), (theta,)))
-                elif j not in keep:
-                    rebuilt.append(g)
-            gates = rebuilt
-            changed = True
-            break
-
     out: list[Gate] = []
-    for g in gates:
+    for g in _fold_zz_idioms(circuit):
         if g.kind is not GateKind.RZZ:
             out.append(g)
             continue

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 from .arch import (
     AodMove,
@@ -44,6 +45,8 @@ class EventKind(Enum):
     READOUT_MOVE = "READOUT_MOVE"
     READOUT_IMAGE = "READOUT_IMAGE"
     EC_PREP = "EC_PREP"
+
+    __hash__ = object.__hash__  # as for ir.Zone
 
 
 @dataclass(frozen=True)
@@ -90,19 +93,32 @@ class ScheduleError(RuntimeError):
     pass
 
 
-def steane_prep_duration_us(config: MachineConfig) -> float:
-    """Pulse time of the Steane |+>_L preparation circuit (lowered to the
-    native gate set), layer by layer."""
+@cache
+def _steane_prep_layers() -> tuple[tuple[bool, bool], ...]:
+    """Per dependency layer of the Steane |+>_L preparation circuit (lowered
+    to the native gate set): whether it holds a CZ and a pulsed 1Q gate.
+    Built on first use, not at import."""
     from .frontend import gen_steane_prep
     from .rewrite import cancel_hadamard_pairs, lower_cx_to_cz
 
     prep = cancel_hadamard_pairs(lower_cx_to_cz(gen_steane_prep()))
+    pulsed_1q = (GateKind.H, GateKind.X, GateKind.RX)
+    return tuple(
+        (
+            any(g.kind is GateKind.CZ for g in layer),
+            any(g.kind in pulsed_1q for g in layer),
+        )
+        for layer in dependency_layers(prep.gates)
+    )
+
+
+def steane_prep_duration_us(config: MachineConfig) -> float:
+    """Pulse time of the Steane |+>_L preparation circuit, layer by layer."""
     total = 0.0
-    for layer in dependency_layers(prep.gates):
-        kinds = {g.kind for g in layer}
-        if any(k in (GateKind.CZ,) for k in kinds):
+    for has_cz, has_1q in _steane_prep_layers():
+        if has_cz:
             total += config.pulse_2q_us
-        if any(k in (GateKind.H, GateKind.X, GateKind.RX) for k in kinds):
+        if has_1q:
             total += config.pulse_1q_us
     return total
 

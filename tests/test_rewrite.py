@@ -27,7 +27,7 @@ from zonec.rewrite import (
     synth_pauli_fountain,
     synth_pauli_path,
 )
-from zonec.rewrite import _merge_steps
+from zonec.rewrite import _fold_zz_idioms, _merge_steps
 
 
 def random_term(rng, n):
@@ -115,6 +115,194 @@ class TestLoweringPasses:
         c = Circuit(3, (Gate(GateKind.RZZ, (0, 2), (1.1,)),))
         out = substitute_rzz(c)
         assert all(g.zone is Zone.ENTANGLING for g in out.gates)
+
+
+def _fold_restart_reference(gates):
+    """The ZZ-idiom fold as it was first written: match from each index,
+    fold the first match, rebuild the list and restart from index 0. The
+    matcher carries the control-qubit rule (a gate on a between the opening
+    H(b) and the first CZ blocks the fold)."""
+
+    def match(gates, i):
+        first = gates[i]
+        if first.kind is GateKind.CX:
+            pattern = ["RZ", "CX"]
+            a, b = first.qubits
+        elif first.kind is GateKind.H:
+            b = first.qubits[0]
+            pattern = ["CZ", "H", "RZ", "H", "CZ", "H"]
+            a = None
+        else:
+            return None
+        involved = set(first.qubits)
+        indices = [i]
+        theta = None
+        j = i + 1
+        for want in pattern:
+            while j < len(gates) and not involved & set(gates[j].qubits):
+                j += 1
+            if j >= len(gates):
+                return None
+            g = gates[j]
+            if g.kind.value != want:
+                return None
+            if want in ("RZ", "H") and g.qubits[0] != b:
+                return None
+            if want == "CX":
+                if g.qubits != first.qubits:
+                    return None
+            elif want == "CZ":
+                if a is None:
+                    if b not in g.qubits:
+                        return None
+                    a = g.qubits[0] if g.qubits[1] == b else g.qubits[1]
+                    if any(a in gates[k].qubits for k in range(i + 1, j)):
+                        return None
+                    involved.add(a)
+                elif set(g.qubits) != {a, b}:
+                    return None
+            if want == "RZ":
+                theta = g.params[0]
+            indices.append(j)
+            j += 1
+        return indices, a, b, theta
+
+    gates = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(gates)):
+            if gates[i].kind not in (GateKind.CX, GateKind.H):
+                continue
+            m = match(gates, i)
+            if m is None:
+                continue
+            indices, a, b, theta = m
+            keep = set(indices)
+            rebuilt = []
+            for j, g in enumerate(gates):
+                if j == indices[0]:
+                    rebuilt.append(Gate(GateKind.RZZ, (a, b), (theta,)))
+                elif j not in keep:
+                    rebuilt.append(g)
+            gates = rebuilt
+            changed = True
+            break
+    return gates
+
+
+_FILLER_KINDS = (GateKind.H, GateKind.RZ, GateKind.RX, GateKind.X, GateKind.CZ,
+                 GateKind.CX, GateKind.RZZ)
+_angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def idiom_circuits(draw):
+    """Up to ~40 gates on 2..8 qubits: planted CX-form and H-form ZZ idioms
+    among single gates, then a few adjacent swaps so idioms interleave."""
+    n = draw(st.integers(2, 8))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    gates: list[Gate] = []
+    while len(gates) < 40:
+        shape = draw(st.sampled_from(("cx", "h", "gate", "gate", "gate", "stop")))
+        if shape == "stop":
+            break
+        if shape == "gate":
+            kind = draw(st.sampled_from(_FILLER_KINDS))
+            qubits = tuple(draw(pair)) if ARITY[kind] == 2 else (draw(st.integers(0, n - 1)),)
+            params = tuple(draw(_angles) for _ in range(NUM_PARAMS[kind]))
+            gates.append(Gate(kind, qubits, params))
+            continue
+        a, b = draw(pair)
+        rz = Gate(GateKind.RZ, (b,), (draw(_angles),))
+        if shape == "cx":
+            cx = Gate(GateKind.CX, (a, b))
+            gates += [cx, rz, cx]
+        else:
+            h = Gate(GateKind.H, (b,))
+            cz1, cz2 = (
+                Gate(GateKind.CZ, (a, b) if draw(st.booleans()) else (b, a))
+                for _ in range(2)
+            )
+            gates += [h, cz1, h, rz, h, cz2, h]
+    for k in draw(st.lists(st.integers(0, max(0, len(gates) - 2)), max_size=6)):
+        if k + 1 < len(gates):
+            gates[k], gates[k + 1] = gates[k + 1], gates[k]
+    return Circuit(n, tuple(gates))
+
+
+def _h(q):
+    return Gate(GateKind.H, (q,))
+
+
+def _cz(a, b):
+    return Gate(GateKind.CZ, (a, b))
+
+
+def _rz(q, theta):
+    return Gate(GateKind.RZ, (q,), (theta,))
+
+
+class TestZZIdiomFold:
+    # H(1) opens an idiom on target 1, but H(0) acts on the control before
+    # the first CZ: the RZZ would land ahead of that H.
+    CONTROL_HIT = Circuit(
+        2, (_h(1), _h(0), _cz(0, 1), _h(1), _rz(1, 0.7), _h(1), _cz(0, 1), _h(1))
+    )
+    CONTROL_HIT_QASM = (
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+        "h q[1]; h q[0]; cz q[0],q[1]; h q[1]; rz(0.7) q[1]; h q[1]; "
+        "cz q[0],q[1]; h q[1];\n"
+    )
+
+    def test_gate_on_control_blocks_fold(self):
+        out = substitute_rzz(self.CONTROL_HIT)
+        assert out.gates == self.CONTROL_HIT.gates
+        assert_equiv(self.CONTROL_HIT, out)
+
+    def test_gate_on_control_blocks_fold_through_pipeline(self):
+        from zonec.frontend import parse_qasm
+
+        circuit = parse_qasm(self.CONTROL_HIT_QASM)
+        assert circuit.gates == self.CONTROL_HIT.gates
+        prog = mantra_pipeline(circuit, PipelineOptions(mode="mantra"))
+        assert_equiv(circuit, prog.flatten())
+
+    def test_lowered_form_folds_around_other_qubits(self):
+        # A gate on the control before the opening H(b), and gates on a
+        # third qubit inside the idiom, leave the fold in place.
+        c = Circuit(
+            3,
+            (_h(0), _h(1), _h(2), _cz(1, 0), _h(2), _h(1), _rz(1, 0.4), _h(1),
+             _cz(0, 1), _h(1)),
+        )
+        out = _fold_zz_idioms(c)
+        assert out == [_h(0), Gate(GateKind.RZZ, (0, 1), (0.4,)), _h(2), _h(2)]
+        assert_equiv(c, substitute_rzz(c))
+
+    def test_idiom_opened_inside_an_earlier_fold(self):
+        # H(2) sits inside the CX-form idiom on (0, 1); its own idiom on
+        # (0, 2) starts after that fold dropped CX(0,1), which it must skip.
+        cx = Gate(GateKind.CX, (0, 1))
+        c = Circuit(
+            3,
+            (cx, _h(2), _rz(1, 0.3), cx, _cz(0, 2), _h(2), _rz(2, 0.5), _h(2),
+             _cz(0, 2), _h(2)),
+        )
+        out = _fold_zz_idioms(c)
+        assert out == [
+            Gate(GateKind.RZZ, (0, 1), (0.3,)),
+            Gate(GateKind.RZZ, (0, 2), (0.5,)),
+        ]
+        assert out == _fold_restart_reference(c.gates)
+
+    @given(idiom_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_restart_loop(self, c):
+        folded = _fold_zz_idioms(c)
+        assert folded == _fold_restart_reference(c.gates)
+        if c.num_qubits <= 6:
+            assert_equiv(c, substitute_rzz(c))
 
 
 class TestPauliSynthesis:

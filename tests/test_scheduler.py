@@ -162,6 +162,27 @@ class TestEcPrep:
     def test_prep_duration_positive(self):
         assert steane_prep_duration_us(MachineConfig()) > 0.0
 
+    @pytest.mark.parametrize("pulse_1q, pulse_2q", [(0.625, 0.380), (0.37, 0.113)])
+    def test_prep_duration_matches_layered_circuit(self, pulse_1q, pulse_2q):
+        # The cached per-layer pattern sums, bit for bit and in layer order,
+        # to what layering the lowered prep circuit afresh gives.
+        from dataclasses import replace
+
+        from zonec.frontend import gen_steane_prep
+        from zonec.ir import dependency_layers
+        from zonec.rewrite import cancel_hadamard_pairs, lower_cx_to_cz
+
+        cfg = replace(MachineConfig(), pulse_1q_us=pulse_1q, pulse_2q_us=pulse_2q)
+        prep = cancel_hadamard_pairs(lower_cx_to_cz(gen_steane_prep()))
+        total = 0.0
+        for layer in dependency_layers(prep.gates):
+            kinds = {g.kind for g in layer}
+            if GateKind.CZ in kinds:
+                total += pulse_2q
+            if kinds & {GateKind.H, GateKind.X, GateKind.RX}:
+                total += pulse_1q
+        assert steane_prep_duration_us(cfg) == total
+
 
 class TestMovementSwap:
     def _entangled_layout(self, n=4):
