@@ -11,7 +11,7 @@ import sys
 import click
 
 from .arch import ConfigError, LayoutError, MachineConfig, Policy, load_config
-from .cost import csv_header, csv_row, format_record, run
+from .cost import REPORT_KEYS, csv_header, csv_row, format_record, run
 from .frontend import ParseError, parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import CircuitError, count_gates
 from .rewrite import PipelineOptions
@@ -66,13 +66,15 @@ def _run(source, cfg, mode, protocol, x_basis):
         _fail(EXIT_INPUT, str(e))
 
 
-_COMMON = [
+_INPUT = [
     click.option("--bench", help="benchmark spec, e.g. ghz:80:fountain, "
                  "ucc:15:10, qaoa-sk:8:2, qaoa-pl:12:2, po:10:1"),
     click.option("--qasm", type=click.Path(), help="OpenQASM 2.0 input file"),
     click.option("--pauli", type=click.Path(), help="Pauli term input file"),
     click.option("--mode", type=click.Choice(["mantra", "standard"]),
                  default="mantra", show_default=True),
+]
+_MACHINE = [
     click.option("--policy", type=click.Choice(["type1", "type2", "type3"]),
                  default=None, help="operation policy (default: config file or type1)"),
     click.option("--config", "config_path", type=click.Path(),
@@ -85,10 +87,16 @@ _COMMON = [
 ]
 
 
-def _common(f):
-    for opt in reversed(_COMMON):
-        f = opt(f)
-    return f
+def _options(opts):
+    def decorate(f):
+        for opt in reversed(opts):
+            f = opt(f)
+        return f
+
+    return decorate
+
+
+_common = _options(_INPUT + _MACHINE)
 
 
 @click.group()
@@ -155,13 +163,7 @@ def cmd_simulate(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
 @click.option("--axis", required=True, help="axis spec name=v1,v2,...")
 @click.option("--modes", default="mantra", show_default=True,
               help="comma-separated compile modes, one row per mode per point")
-@click.option("--policy", type=click.Choice(["type1", "type2", "type3"]),
-              default=None)
-@click.option("--config", "config_path", type=click.Path(), envvar="ZONEC_CONFIG")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--x-basis", is_flag=True)
-@click.option("--protocol", type=click.Choice(["adiabatic", "cphase"]),
-              default="adiabatic", show_default=True)
+@_options(_MACHINE)
 def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
               protocol):
     """Run a benchmark template across one axis; emit one CSV row per point."""
@@ -187,7 +189,7 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
             except (ParseError, CircuitError, ConfigError, LayoutError,
                     ScheduleError, ValueError) as e:
                 click.echo(f"# point {name}={point} mode={m} failed: {e}", err=True)
-                click.echo(",".join([point, m] + ["failed"] * 13))
+                click.echo(",".join([point, m] + ["failed"] * len(REPORT_KEYS)))
 
 
 def main():

@@ -120,9 +120,6 @@ class FidelityReport:
     n_transfer: int
     factors: dict  # named component factors, product == total
 
-    def factor(self, name: str) -> float:
-        return self.factors[name]
-
 
 def physical_gate_count(circuit: Circuit, config: MachineConfig) -> int:
     """Transversal physical pulses: each logical 1Q/2Q gate is applied to all

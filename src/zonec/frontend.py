@@ -457,7 +457,6 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
     if len(parts) < 2:
         raise ValueError(f"benchmark {text!r} needs a qubit count")
     n = int(parts[1])
-    spec = BenchmarkSpec(family=family, num_qubits=n, seed=seed)
     if family == "ghz":
         chain = parts[2] if len(parts) > 2 else "fountain"
         if chain not in CHAINS:

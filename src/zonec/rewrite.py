@@ -1,6 +1,6 @@
 """Rewriting passes: CX lowering, Hadamard-pair cancellation, fountain/path
-Pauli-exponential synthesis, native ZZ-protocol substitution, movement-based
-SWAP elimination, and zone-step alignment.
+Pauli-exponential synthesis, native ZZ-protocol substitution, SWAP
+elimination by relabelling, and zone-step alignment.
 
 Every pass preserves the circuit unitary up to global phase.
 """
@@ -40,19 +40,9 @@ class ZoneStep:
 
 
 @dataclass(frozen=True)
-class RemapDirective:
-    """Logical relabeling emitted by SWAP elimination, anchored before the
-    gate at `position` in the rewritten circuit."""
-
-    position: int
-    pair: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class ZoneStepProgram:
     num_qubits: int
     steps: tuple[ZoneStep, ...]
-    remaps: tuple[RemapDirective, ...] = ()
     x_basis: bool = False
 
     def __post_init__(self):
@@ -125,28 +115,27 @@ def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
 
 def cancel_hadamard_pairs(circuit: Circuit) -> Circuit:
     """Remove adjacent H;H pairs on the same qubit (no intervening gate on
-    that qubit) until a fixed point is reached."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        # last pending H index per qubit, invalidated by any touching gate
-        pending: dict[int, int] = {}
-        kill: set[int] = set()
-        for i, g in enumerate(gates):
-            if g.kind is GateKind.H:
-                q = g.qubits[0]
-                if q in pending:
-                    kill.update((pending.pop(q), i))
-                    changed = True
-                else:
-                    pending[q] = i
+    that qubit).
+
+    One pass reaches the fixed point: it pairs off each run of H gates on a
+    qubit, leaving at most one, and keeps every gate that ends a run, so no
+    new adjacent pair forms.
+    """
+    # last pending H index per qubit, invalidated by any touching gate
+    pending: dict[int, int] = {}
+    kill: set[int] = set()
+    for i, g in enumerate(circuit.gates):
+        if g.kind is GateKind.H:
+            q = g.qubits[0]
+            if q in pending:
+                kill.update((pending.pop(q), i))
             else:
-                for q in g.qubits:
-                    pending.pop(q, None)
-        if kill:
-            gates = [g for i, g in enumerate(gates) if i not in kill]
-    return Circuit(circuit.num_qubits, tuple(gates))
+                pending[q] = i
+        else:
+            for q in g.qubits:
+                pending.pop(q, None)
+    gates = tuple(g for i, g in enumerate(circuit.gates) if i not in kill)
+    return Circuit(circuit.num_qubits, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -347,35 +336,32 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
 
 
 # ---------------------------------------------------------------------------
-# SWAP elimination (movement-based)
+# SWAP elimination by relabelling
 # ---------------------------------------------------------------------------
 
 
-def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[RemapDirective, ...]]:
-    """Remove every SWAP, rewriting downstream operands through the logical
-    permutation and emitting a remap directive at that program point. The
-    scheduler realizes remaps as free relabelings or in-zone moves."""
-    pos = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
+def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
+    """Remove every SWAP by relabelling the operands of the gates after it.
+
+    Returns the SWAP-free circuit and each qubit's final slot: the input
+    leaves on qubit q the state the result leaves on qubit slots[q]. The
+    slots are the identity when there is no SWAP or the SWAPs cancel. The
+    input equals the result followed by the input's SWAPs in program order,
+    so a SWAP costs no gate and no time.
+    """
+    slots = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
     gates: list[Gate] = []
-    remaps: list[RemapDirective] = []
+    swapped = False
     for g in circuit.gates:
         if g.kind is GateKind.SWAP:
             a, b = g.qubits
-            pos[a], pos[b] = pos[b], pos[a]
-            remaps.append(RemapDirective(len(gates), (a, b)))
-        elif remaps:
-            gates.append(Gate(g.kind, tuple(pos[q] for q in g.qubits), g.params))
+            slots[a], slots[b] = slots[b], slots[a]
+            swapped = True
+        elif swapped:
+            gates.append(Gate(g.kind, tuple(slots[q] for q in g.qubits), g.params))
         else:
             gates.append(g)
-    # Collapse remap pairs that cancelled back to identity.
-    if pos == list(range(circuit.num_qubits)):
-        pair_count: dict[tuple[int, int], int] = {}
-        for r in remaps:
-            key = tuple(sorted(r.pair))
-            pair_count[key] = pair_count.get(key, 0) + 1
-        if all(v % 2 == 0 for v in pair_count.values()):
-            remaps = []
-    return Circuit(circuit.num_qubits, tuple(gates)), tuple(remaps)
+    return Circuit(circuit.num_qubits, tuple(gates)), tuple(slots)
 
 
 def gate_based_swap_reference(num_qubits: int, a: int, b: int) -> Circuit:
@@ -495,11 +481,9 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
 def absorb_x_basis(circuit: Circuit) -> Circuit:
     """Absorb a leading H on each qubit into X-basis initialization and a
     trailing H-immediately-before-MEASURE into X-basis readout."""
-    first_on: dict[int, int] = {}
     ops_on: dict[int, list[int]] = {}
     for i, g in enumerate(circuit.gates):
         for q in g.qubits:
-            first_on.setdefault(q, i)
             ops_on.setdefault(q, []).append(i)
     drop: set[int] = set()
     for q, indices in ops_on.items():
@@ -539,10 +523,10 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     """Full rewriting pipeline to a zone-step program.
 
     mantra:   fountain synthesis (Pauli inputs), CX lowering, H-pair
-              cancellation, native ZZ substitution, movement-based SWAP
-              elimination, preemptive alignment.
-    standard: path synthesis, RZZ->CX RZ CX, CX lowering, per-dependency-layer
-              zone stepping with no hoisting.
+              cancellation, native ZZ substitution, SWAP relabelling,
+              preemptive alignment.
+    standard: path synthesis, RZZ->CX RZ CX, SWAP relabelling, CX lowering,
+              per-dependency-layer zone stepping with no hoisting.
 
     Pauli-term files are compiled term by term (per-string execution); the
     per-term step sequences are concatenated with same-zone seams merged.
@@ -558,7 +542,7 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         for term in source.terms:
             if term.weight == 0:
                 continue
-            c, _, raw_steps = _lower(_synth(term, term_options), term_options)
+            c, raw_steps = _lower(_synth(term, term_options), term_options)
             raw += raw_steps(c)
         num_qubits = source.num_qubits
         measures = [
@@ -566,8 +550,8 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         ]
         raw.append((Zone.READOUT, measures))
         return ZoneStepProgram(num_qubits, _merge_steps(raw))
-    c, remaps, raw_steps = _lower(source, options)
-    return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), remaps, options.x_basis)
+    c, raw_steps = _lower(source, options)
+    return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis)
 
 
 def _synth(term: PauliTerm, options: PipelineOptions) -> Circuit:
@@ -577,8 +561,8 @@ def _synth(term: PauliTerm, options: PipelineOptions) -> Circuit:
 
 
 def _lower(circuit: Circuit, options: PipelineOptions):
-    """The passes before zone stepping: the lowered circuit, its SWAP
-    remaps, and the raw zone stepper that the mode applies to it."""
+    """The passes before zone stepping: the lowered circuit and the raw
+    zone stepper that the mode applies to it."""
     if options.mode == "standard":
         c = lower_rzz_to_cx(circuit)
         raw_steps = _layered_raw
@@ -587,7 +571,7 @@ def _lower(circuit: Circuit, options: PipelineOptions):
         c = cancel_hadamard_pairs(c)
         c = substitute_rzz(c, options.protocol)
         raw_steps = _aligned_raw
-    c, remaps = lower_swap(c)
+    c, _ = lower_swap(c)
     if options.x_basis:
         c = absorb_x_basis(c)
-    return c, remaps, raw_steps
+    return c, raw_steps

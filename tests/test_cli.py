@@ -160,6 +160,22 @@ class TestSweep:
         for n in ("5", "10"):
             assert int(mantra[n].split(",")[li]) + int(mantra[n].split(",")[si]) == 40
 
+    def test_failed_point_row_is_header_wide(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonec.cli", "sweep", "--bench", "ghz:{n}:path",
+             "--axis", "n=1,4", "--modes", "standard"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        rows = [ln.split(",") for ln in proc.stdout.strip().splitlines()]
+        assert len(rows) == 3
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert rows[1][:3] == ["1", "standard", "failed"]
+        failed = [ln for ln in proc.stderr.splitlines() if ln.startswith("# point")]
+        assert len(failed) == 1 and failed[0].startswith("# point n=1 ")
+        assert failed[0].endswith("failed: GHZ needs at least 2 qubits")
+
     def test_bad_axis_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zonec.cli", "sweep", "--bench", "ghz:{n}:path",
