@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from .arch import ConfigError, LayoutError, MachineConfig, Policy, load_config
+from .arch import ConfigError, LayoutError, MachineConfig, Policy, build_layout, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, run
 from .frontend import ParseError, parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import CircuitError, count_gates
@@ -27,21 +27,29 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_source(bench, qasm, pauli, seed):
+def _bench_source(text, seed, cfg):
+    """The benchmark's circuit, built only once its qubit count has passed
+    the layout's capacity rule: an oversized generator can run for minutes."""
+    spec = parse_benchmark(text, seed=seed)
+    build_layout(cfg, spec.num_qubits)
+    return spec.materialize()
+
+
+def _load_source(bench, qasm, pauli, seed, cfg):
     given = [x for x in (bench, qasm, pauli) if x]
     if len(given) != 1:
         _fail(EXIT_USAGE, "exactly one of --bench, --qasm, --pauli is required")
     try:
         if bench:
-            return parse_benchmark(bench, seed=seed).materialize()
+            return _bench_source(bench, seed, cfg)
         if qasm:
             with open(qasm) as fh:
                 return parse_qasm(fh.read())
         with open(pauli) as fh:
             return parse_pauli_file(fh.read())
-    except FileNotFoundError as e:
-        _fail(EXIT_INPUT, str(e))
-    except (ParseError, CircuitError, ValueError) as e:
+    except LayoutError as e:  # a ValueError
+        _fail(EXIT_CAPACITY, str(e))
+    except (FileNotFoundError, ParseError, CircuitError, ValueError) as e:
         _fail(EXIT_INPUT, str(e))
 
 
@@ -111,8 +119,8 @@ def cli():
 def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                 protocol, fmt):
     """Compile to a zone-step program and report gate/movement counts."""
-    source = _load_source(bench, qasm, pauli, seed)
     cfg = _load_machine(config_path, policy)
+    source = _load_source(bench, qasm, pauli, seed, cfg)
     result = _run(source, cfg, mode, protocol, x_basis)
     counts = count_gates(result.flat)
     if fmt == "steps":
@@ -139,8 +147,8 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
 def cmd_simulate(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                  protocol, fmt, events):
     """Schedule on the machine model and report time breakdown + fidelity."""
-    source = _load_source(bench, qasm, pauli, seed)
     cfg = _load_machine(config_path, policy)
+    source = _load_source(bench, qasm, pauli, seed, cfg)
     result = _run(source, cfg, mode, protocol, x_basis)
     rec = result.record
     if events:
@@ -182,7 +190,7 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
         spec = bench_template.replace("{" + name + "}", point)
         for m in mode_list:
             try:
-                source = parse_benchmark(spec, seed=seed).materialize()
+                source = _bench_source(spec, seed, cfg)
                 opts = PipelineOptions(mode=m, protocol=protocol, x_basis=x_basis)
                 result = run(source, opts, cfg)
                 click.echo(csv_row(result.record, extra=(point, m)))

@@ -457,6 +457,8 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
     if len(parts) < 2:
         raise ValueError(f"benchmark {text!r} needs a qubit count")
     n = int(parts[1])
+    if n < 1:
+        raise ValueError(f"benchmark {text!r} needs at least one qubit")
     if family == "ghz":
         chain = parts[2] if len(parts) > 2 else "fountain"
         if chain not in CHAINS:

@@ -2,14 +2,13 @@
 transfers, in-zone shuttling, readout travel, and error-correction prep,
 producing a deterministic event timeline.
 
-Movement accounting follows batch semantics: each storage<->entangling
-boundary realizes one LOAD or STORE batch event whose duration is the longest
-member travel time. Trap transfers overlap adjacent load/store travel where a
-waiting qubit exists; only the exposed remainder shows up in the breakdown.
-
-In an entangling step the moving operand of each 2Q gate is picked twice:
-once to decide the trap hand-over, and again per gate position after the
-hand-over, when the shuttles are laid out layer by layer.
+Type 1 and type 2 share one zoned step loop; type 3 runs unzoned in place.
+Every storage<->entangling crossing follows one rule (``_cross``): one
+trap-transfer batch overlaps one LOAD or STORE batch event whose duration is
+the longest member travel time, and the clock waits for the longer of the
+two, so only a transfer's exposed remainder shows up in the breakdown. The
+moving operand of each 2Q gate is picked once per entangling step; the trap
+hand-over and the shuttles both follow that pick.
 """
 
 from __future__ import annotations
@@ -250,10 +249,8 @@ def schedule(
 
     if config.policy is Policy.TYPE3:
         _schedule_type3(sim, program)
-    elif config.policy is Policy.TYPE2:
-        _schedule_type2(sim, program)
     else:
-        _schedule_type1(sim, program)
+        _schedule_zoned(sim, program)
 
     sim.finalize_zones(n)
     measured = tuple(
@@ -302,17 +299,28 @@ def _pulse_storage_layers(sim: _Sim, gates):
         sim.clock += sim.config.pulse_1q_us
 
 
-def _entangling_gates(sim: _Sim, gates):
-    """Shuttle the movers and fire one 2Q pulse per parallel layer."""
+def _pulse_in_place_layers(sim: _Sim, gates):
+    """Type 2's 1Q layers in the entangling zone: targets shuttle >12 um
+    clear of every other atom, pulse, and shuttle back."""
+    cfg = sim.config
+    sites = sim.layout.qubits
+    hop = 2.0 * cfg.pitch_entangling_um / cfg.aod_speed_um_per_us
+    for qubits in _pulsed_layers(gates):
+        sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is Trap.SLM])
+        sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
+        sim.clock += hop
+        sim.emit(EventKind.PULSE_1Q, qubits, sim.clock, cfg.pulse_1q_us)
+        sim.clock += cfg.pulse_1q_us
+        sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
+        sim.clock += hop
+
+
+def _entangling_gates(sim: _Sim, gates, movers):
+    """Shuttle the ``movers`` (one per gate, by position) and fire one 2Q
+    pulse per parallel layer."""
     cfg = sim.config
     pitch, speed = cfg.pitch_entangling_um, cfg.aod_speed_um_per_us
     sites = sim.layout.qubits
-    # Movers are picked again after the step's hand-over. The hand-over put
-    # every first-pick mover in an AOD trap, so a gate whose operands tie on
-    # the gate count now falls to the lower index, and a qubit handed to the
-    # AOD may not move. Picking once would change makespans and fidelities,
-    # so the re-pick stays until a change that means to move them.
-    movers = _pick_movers(gates, sim.layout)
     for layer in layer_indices(gates):
         worst = 0.0
         layer_movers = []
@@ -335,60 +343,66 @@ def _entangling_gates(sim: _Sim, gates):
         sim.clock += cfg.pulse_2q_us
 
 
-def _batch_crossing(sim: _Sim, qubits, dest: Zone):
-    """One LOAD (dest entangling) or STORE (dest storage) batch over the
-    sorted ``qubits``; duration is the slowest member's travel.
-    Entangling-zone slots mirror the storage block grid one-to-one, so every
-    qubit keeps its (row, col)."""
+def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
+    """Carry the sorted ``qubits`` across the storage/entangling boundary to
+    ``dest``. One trap-transfer batch over ``handover`` and the qubits the
+    AOD picks up from SLM traps overlaps one LOAD (dest entangling) or STORE
+    (dest storage) batch lasting the slowest member's travel; the clock
+    advances by the longer of the two. Entangling-zone slots mirror the
+    storage block grid one-to-one, so every qubit keeps its (row, col)."""
     cfg = sim.config
     layout = sim.layout
     sites = layout.qubits
-    worst = cfg.min_ld_st_us
+    window = sim.transfer_batch(
+        sorted([*handover, *(q for q in qubits if sites[q].trap is Trap.SLM)])
+    )
+    if qubits:
+        travel = cfg.min_ld_st_us
+        for q in qubits:
+            site = sites[q]
+            travel = max(travel, crossing_distance_um(layout, q, site.row, site.col, dest)
+                         / cfg.aod_speed_um_per_us)
+        kind = EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE
+        sim.emit(kind, qubits, sim.clock, travel)
+        window = max(window, travel)
+    sim.clock += window
     for q in qubits:
-        site = sites[q]
-        worst = max(worst, crossing_distance_um(layout, q, site.row, site.col, dest)
-                    / cfg.aod_speed_um_per_us)
-    kind = EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE
-    sim.emit(kind, qubits, sim.clock, worst)
-    return worst
+        sim.settle_zone(q, dest, sim.clock)
 
 
-def _schedule_type1(sim: _Sim, program: ZoneStepProgram):
-    _preplace(sim, program)
+def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
+    """Type 1 and type 2. Type 2 permits local Raman in the entangling zone:
+    it skips the x-basis preplacement, its first entangling step loads every
+    qubit the program uses, and from then on its 1Q layers run in place."""
+    type2 = sim.config.policy is Policy.TYPE2
+    if not type2:
+        _preplace(sim, program)
     sites = sim.layout.qubits
-
+    program_qubits = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
+    loaded = False  # type 2's one load has happened
     for step in program.steps:
         used = sorted({q for g in step.gates for q in g.qubits})
-        if step.zone is Zone.STORAGE:
-            incoming = [q for q in used if sites[q].zone is Zone.ENTANGLING]
-            window = 0.0
-            if incoming:
-                pickups = [q for q in incoming if sites[q].trap is Trap.SLM]
-                tdur = sim.transfer_batch(pickups)
-                window = _batch_crossing(sim, incoming, Zone.STORAGE)
-                window = max(window, tdur)
-                sim.clock += window
-                for q in incoming:
-                    sim.settle_zone(q, Zone.STORAGE, sim.clock)
+        if step.zone is Zone.READOUT:
+            _schedule_readout(sim, used)
+        elif step.zone is Zone.STORAGE and loaded:
+            _pulse_in_place_layers(sim, step.gates)
+        elif step.zone is Zone.STORAGE:
+            _cross(sim, [q for q in used if sites[q].zone is Zone.ENTANGLING], Zone.STORAGE)
             _pulse_storage_layers(sim, step.gates)
-        elif step.zone is Zone.ENTANGLING:
-            movers = set(_pick_movers(step.gates, sim.layout))
-            incoming = [q for q in used if sites[q].zone is Zone.STORAGE]
+        else:
+            movers = _pick_movers(step.gates, sim.layout)
+            mover_set = set(movers)
+            arriving = [q for q in used if sites[q].zone is Zone.STORAGE]
             resident = [q for q in used if sites[q].zone is not Zone.STORAGE]
+            incoming = ([q for q in program_qubits if sites[q].zone is Zone.STORAGE]
+                        if type2 else arriving)
             # Residents hand over and incoming qubits are picked up by the
             # AOD in one transfer batch, which overlaps the load travel.
-            pickups = [q for q in incoming if sites[q].trap is Trap.SLM]
-            window = sim.transfer_batch(sorted(_handover(sim, movers, resident) + pickups))
-            if incoming:
-                window = max(window, _batch_crossing(sim, incoming, Zone.ENTANGLING))
-            sim.clock += window
-            for q in incoming:
-                sim.settle_zone(q, Zone.ENTANGLING, sim.clock)
+            _cross(sim, incoming, Zone.ENTANGLING, _handover(sim, mover_set, resident))
             # Freshly arrived stationary partners still hand over to SLM.
-            sim.clock += sim.transfer_batch(_handover(sim, movers, incoming))
-            _entangling_gates(sim, step.gates)
-        else:  # readout
-            _schedule_readout(sim, used)
+            sim.clock += sim.transfer_batch(_handover(sim, mover_set, arriving))
+            _entangling_gates(sim, step.gates, movers)
+            loaded = type2
 
 
 def _schedule_readout(sim: _Sim, qubits):
@@ -414,46 +428,6 @@ def _schedule_readout(sim: _Sim, qubits):
             sim.settle_zone(q, Zone.READOUT, sim.clock)
     sim.emit(EventKind.READOUT_IMAGE, qubits, sim.clock, cfg.readout_time_us)
     sim.clock += cfg.readout_time_us
-
-
-def _schedule_type2(sim: _Sim, program: ZoneStepProgram):
-    """Local Raman permitted in the entangling zone: one initial load, then
-    all gate execution stays there with isolation repositioning."""
-    cfg = sim.config
-    sites = sim.layout.qubits
-    used_all = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
-    loaded = False
-    for step in program.steps:
-        if step.zone is Zone.READOUT:
-            _schedule_readout(sim, sorted({q for g in step.gates for q in g.qubits}))
-            continue
-        if step.zone is Zone.ENTANGLING and not loaded:
-            sim.transfer_batch([q for q in used_all if sites[q].trap is Trap.SLM])
-            window = _batch_crossing(sim, used_all, Zone.ENTANGLING)
-            sim.clock += window
-            for q in used_all:
-                sim.settle_zone(q, Zone.ENTANGLING, sim.clock)
-            loaded = True
-        if step.zone is Zone.STORAGE and not loaded:
-            _pulse_storage_layers(sim, step.gates)
-        elif step.zone is Zone.STORAGE:
-            # 1Q gates in the entangling zone: targets shuttle >12 um clear
-            # of every other atom, pulse, and shuttle back.
-            for qubits in _pulsed_layers(step.gates):
-                pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
-                sim.clock += sim.transfer_batch(pickups)
-                hop = 2.0 * cfg.pitch_entangling_um / cfg.aod_speed_um_per_us
-                sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
-                sim.clock += hop
-                sim.emit(EventKind.PULSE_1Q, qubits, sim.clock, cfg.pulse_1q_us)
-                sim.clock += cfg.pulse_1q_us
-                sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
-                sim.clock += hop
-        else:
-            movers = set(_pick_movers(step.gates, sim.layout))
-            used = sorted({q for g in step.gates for q in g.qubits})
-            sim.clock += sim.transfer_batch(_handover(sim, movers, used))
-            _entangling_gates(sim, step.gates)
 
 
 def _schedule_type3(sim: _Sim, program: ZoneStepProgram):

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from zonec.cli import cli
+from zonec.frontend import BenchmarkSpec
 
 
 @pytest.fixture
@@ -108,6 +109,12 @@ class TestSimulate:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("bench", ["ghz:0", "ghz:-3"])
+    def test_nonpositive_qubit_count_is_input_error(self, runner, bench):
+        r = runner.invoke(cli, ["simulate", "--bench", bench])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+
     @pytest.mark.parametrize("flag,text", [
         ("--pauli", "qubits\nXZ 0.5\n"),
         ("--pauli", "qubits 0\n"),
@@ -184,3 +191,29 @@ class TestSweep:
             text=True,
         )
         assert proc.returncode == 1
+
+
+class TestCapacityBeforeBuild:
+    """An oversized benchmark fails the layout's capacity rule before its
+    circuit is built; building ``qaoa-sk:3000`` alone takes minutes."""
+
+    @pytest.fixture(autouse=True)
+    def no_materialize(self, monkeypatch):
+        def fail(spec):
+            raise AssertionError(f"{spec} was built before the capacity check")
+
+        monkeypatch.setattr(BenchmarkSpec, "materialize", fail)
+
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
+    def test_oversized_bench_is_capacity_error(self, runner, command):
+        r = runner.invoke(cli, [command, "--bench", "qaoa-sk:3000"])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+
+    def test_sweep_fails_the_oversized_point(self, runner):
+        r = runner.invoke(cli, ["sweep", "--bench", "qaoa-sk:{n}", "--axis", "n=3000",
+                                "--modes", "standard"])
+        assert r.exit_code == 0
+        rows = [ln.split(",") for ln in r.stdout.strip().splitlines()]
+        assert len(rows) == 2
+        assert rows[1][:3] == ["3000", "standard", "failed"]

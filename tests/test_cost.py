@@ -298,6 +298,7 @@ _COMBOS = [
 
 class TestRunInvariants:
     @given(_sources())
+    @example(Circuit(4, (Gate(GateKind.CX, (0, 3)),)))
     @settings(max_examples=60, deadline=None)
     def test_schedule_and_cost_invariants(self, source):
         for cfg, options in _COMBOS:
@@ -309,10 +310,31 @@ class TestRunInvariants:
             fr = r.fidelity
             assert fr.total == pytest.approx(math.prod(fr.factors.values()), rel=1e-9)
             assert fr.total == pytest.approx(math.prod(fr.per_qubit.values()), rel=1e-9)
-            # Type 2 is left out: its one initial load never waits for its
-            # own trap transfer, so that transfer's exposed remainder is
-            # charged on top of the makespan (an open scheduler defect).
-            if cfg.policy is not Policy.TYPE2:
-                assert sum(r.breakdown.categories.values()) == pytest.approx(
-                    makespan, rel=1e-9
-                )
+            assert sum(r.breakdown.categories.values()) == pytest.approx(
+                makespan, rel=1e-9
+            )
+
+    @pytest.mark.parametrize("mode", ["mantra", "standard"])
+    def test_type2_load_waits_for_its_trap_transfer(self, mode):
+        # The transfer that picks up type 2's one load outlasts the load's
+        # travel here, so the clock must wait for it.
+        c = Circuit(4, (Gate(GateKind.CX, (0, 3)),))
+        r = run(c, PipelineOptions(mode=mode), replace(MachineConfig(), policy=Policy.TYPE2))
+        assert r.timeline.makespan_us == pytest.approx(610.902, abs=1e-3)
+        assert sum(r.breakdown.categories.values()) == pytest.approx(
+            r.timeline.makespan_us, rel=1e-12
+        )
+
+    @given(_sources())
+    @settings(max_examples=60, deadline=None)
+    def test_shuttles_move_only_aod_held_qubits(self, source):
+        # Every qubit starts in an SLM trap and each trap transfer flips it.
+        for cfg, options in _COMBOS:
+            if cfg.policy is Policy.TYPE3:
+                continue
+            in_aod = set()
+            for e in run(source, options, cfg).timeline.events:
+                if e.kind is EventKind.TRAP_TRANSFER:
+                    in_aod.symmetric_difference_update(e.qubits)
+                elif e.kind is EventKind.SHUTTLE:
+                    assert in_aod.issuperset(e.qubits), e

@@ -214,12 +214,13 @@ class TestMovementSwap:
         assert move_time < tl.makespan_us
 
 
-class TestMoverRepick:
-    def test_second_pick_shuttles_fewer_than_handed_over(self):
-        # Type1 picks the movers for the trap hand-over, then picks again
-        # after it. In the last entangling step every operand ties on the
-        # gate count; the first pick hands {0, 1, 2} to the AOD, the second
-        # then breaks CZ(2, 1)'s tie to the lower index, so qubit 2 stays put.
+class TestStepShuttlesWhatItHandedOver:
+    def test_step_shuttles_only_its_handed_over_movers(self):
+        # In the last entangling step every operand ties on the gate count.
+        # The movers are picked once: the step hands {0, 1, 2} to the AOD and
+        # then shuttles 1 and, together, 0 and 2. Picking again after the
+        # hand-over would break CZ(2, 1)'s tie to the lower index and leave
+        # the handed-over qubit 2 in place.
         cz = lambda a, b: Gate(GateKind.CZ, (a, b))
         h = lambda q: Gate(GateKind.H, (q,))
         c = Circuit(4, (cz(2, 3), h(1), cz(1, 3), cz(2, 0), cz(0, 3), h(3),
@@ -234,6 +235,6 @@ class TestMoverRepick:
             (EventKind.SHUTTLE, (2,)),
             (EventKind.TRAP_TRANSFER, (0, 1)),
             (EventKind.SHUTTLE, (1,)),
-            (EventKind.SHUTTLE, (0, 1)),
-            (EventKind.SHUTTLE, (0,)),
+            (EventKind.SHUTTLE, (0, 2)),
         ]
+        assert tl.makespan_us == pytest.approx(1593.957, abs=1e-3)
