@@ -49,7 +49,7 @@ def _load_source(bench, qasm, pauli, seed, cfg):
             return parse_pauli_file(fh.read())
     except LayoutError as e:  # a ValueError
         _fail(EXIT_CAPACITY, str(e))
-    except (FileNotFoundError, ParseError, CircuitError, ValueError) as e:
+    except (OSError, ParseError, CircuitError, ValueError) as e:
         _fail(EXIT_INPUT, str(e))
 
 

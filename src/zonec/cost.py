@@ -4,21 +4,22 @@ fidelity estimate; ``run`` is the whole compile→schedule→cost path.
 Breakdown categories: load/store (zone-gap travel, incl. readout travel),
 trap transfer (exposed remainder only — time hidden under concurrent travel
 is not charged), shuttling, readout imaging, error-correction prep, and gate
-execution. Fidelity multiplies per-gate, per-transfer, readout, decoherence
-and (non-zoned policy) crosstalk factors per logical qubit.
+execution. Transfer exposure is measured against the merged union of the
+travel intervals (load, store, readout travel, error-correction prep), built
+once per timeline. Fidelity multiplies per-gate, per-transfer, readout,
+decoherence and (non-zoned policy) crosstalk factors per logical qubit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .arch import MachineConfig, Policy, build_layout
 from .ir import Circuit, GateKind
 from .rewrite import PipelineOptions, ZoneStepProgram, mantra_pipeline
-from .scheduler import Event, EventKind, Timeline, count_ld_st, schedule
+from .scheduler import EventKind, Timeline, count_ld_st, schedule
 
 _TRAVEL_KINDS = (
     EventKind.LOAD,
@@ -55,60 +56,64 @@ class Breakdown:
         return self.categories[name] / self.makespan_us
 
 
-def _overlap(e: Event, travel: list[Event], starts: list[float], reach: list[float]) -> float:
-    """Total time of e covered by the union of the travel events' intervals.
+def _travel_union(events) -> tuple[list[float], list[float]]:
+    """Starts and ends of the union of the travel events' intervals, as
+    sorted disjoint pieces. Only overlapping intervals merge; touching ones
+    stay apart, so on travel that never overlaps (the scheduler's) every
+    piece is one event's interval, and the ends ascend."""
+    starts: list[float] = []
+    ends: list[float] = []
+    for lo, hi in sorted((e.start_us, e.end_us) for e in events if e.kind in _TRAVEL_KINDS):
+        if ends and lo < ends[-1]:
+            if hi > ends[-1]:
+                ends[-1] = hi
+        else:
+            starts.append(lo)
+            ends.append(hi)
+    return starts, ends
 
-    ``travel`` is sorted by start, ``starts`` holds those starts and
-    ``reach`` the running maximum of their ends, so only
-    ``travel[first:stop]`` can meet e: before ``first`` every event ends by
-    e's start, from ``stop`` on every event starts at or after e's end.
-    """
-    first = bisect_right(reach, e.start_us)
-    stop = bisect_left(starts, e.end_us, first)
-    spans = sorted(
-        (max(o.start_us, e.start_us), min(o.end_us, e.end_us))
-        for o in travel[first:stop]
-        if o.end_us > e.start_us and o.start_us < e.end_us
-    )
-    covered, cursor = 0.0, e.start_us
-    for lo, hi in spans:
-        lo = max(lo, cursor)
+
+def _covered(start: float, end: float, starts: list[float], ends: list[float]) -> float:
+    """Time of [start, end] covered by the union pieces: before the first
+    piece ending after ``start`` none can meet it, and the walk stops at
+    the first piece starting at or after ``end``."""
+    covered = 0.0
+    for i in range(bisect_right(ends, start), len(starts)):
+        if starts[i] >= end:
+            break
+        lo, hi = max(starts[i], start), min(ends[i], end)
         if hi > lo:
             covered += hi - lo
-            cursor = hi
     return covered
 
 
+# Breakdown field each event kind is charged to; any other kind counts as
+# gate execution. A TRAP_TRANSFER is charged only its uncovered time.
+_CATEGORY = {
+    EventKind.LOAD: "load_store_us",
+    EventKind.STORE: "load_store_us",
+    EventKind.READOUT_MOVE: "load_store_us",
+    EventKind.TRAP_TRANSFER: "trap_transfer_us",
+    EventKind.SHUTTLE: "shuttling_us",
+    EventKind.READOUT_IMAGE: "readout_us",
+    EventKind.EC_PREP: "error_correction_us",
+}
+
+
 def breakdown(timeline: Timeline) -> Breakdown:
-    cat = {k: 0.0 for k in ("ls", "tt", "sh", "ro", "ec", "ge")}
-    travel = sorted(
-        (e for e in timeline.events if e.kind in _TRAVEL_KINDS),
-        key=lambda e: e.start_us,
+    cat = dict.fromkeys(
+        ("load_store_us", "trap_transfer_us", "shuttling_us", "readout_us",
+         "error_correction_us", "gate_execution_us"),
+        0.0,
     )
-    starts = [e.start_us for e in travel]
-    reach = list(accumulate((e.end_us for e in travel), max))
+    starts, ends = _travel_union(timeline.events)
     for e in timeline.events:
-        if e.kind in (EventKind.LOAD, EventKind.STORE, EventKind.READOUT_MOVE):
-            cat["ls"] += e.duration_us
-        elif e.kind is EventKind.TRAP_TRANSFER:
-            cat["tt"] += e.duration_us - _overlap(e, travel, starts, reach)
-        elif e.kind is EventKind.SHUTTLE:
-            cat["sh"] += e.duration_us
-        elif e.kind is EventKind.READOUT_IMAGE:
-            cat["ro"] += e.duration_us
-        elif e.kind is EventKind.EC_PREP:
-            cat["ec"] += e.duration_us
+        name = _CATEGORY.get(e.kind, "gate_execution_us")
+        if e.kind is EventKind.TRAP_TRANSFER:
+            cat[name] += e.duration_us - _covered(e.start_us, e.end_us, starts, ends)
         else:
-            cat["ge"] += e.duration_us
-    return Breakdown(
-        load_store_us=cat["ls"],
-        trap_transfer_us=cat["tt"],
-        shuttling_us=cat["sh"],
-        readout_us=cat["ro"],
-        error_correction_us=cat["ec"],
-        gate_execution_us=cat["ge"],
-        makespan_us=timeline.makespan_us,
-    )
+            cat[name] += e.duration_us
+    return Breakdown(**cat, makespan_us=timeline.makespan_us)
 
 
 @dataclass(frozen=True)

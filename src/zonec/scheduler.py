@@ -8,7 +8,9 @@ trap-transfer batch overlaps one LOAD or STORE batch event whose duration is
 the longest member travel time, and the clock waits for the longer of the
 two, so only a transfer's exposed remainder shows up in the breakdown. The
 moving operand of each 2Q gate is picked once per entangling step; the trap
-hand-over and the shuttles both follow that pick.
+hand-over and the shuttles both follow that pick. Every travel event
+advances the clock past its own end before the next one starts, so travel
+events never overlap.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .arch import (
     AodMove,
@@ -48,8 +51,7 @@ class EventKind(Enum):
     __hash__ = object.__hash__  # as for ir.Zone
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: EventKind
     qubits: tuple[int, ...]
     start_us: float
@@ -83,8 +85,14 @@ class Timeline:
 
 def count_ld_st(timeline: Timeline) -> tuple[int, int]:
     """(loads, stores) counted per batch event (readout travel excluded)."""
-    loads = sum(1 for e in timeline.events if e.kind is EventKind.LOAD)
-    stores = sum(1 for e in timeline.events if e.kind is EventKind.STORE)
+    load, store = EventKind.LOAD, EventKind.STORE
+    loads = stores = 0
+    for e in timeline.events:
+        kind = e.kind
+        if kind is load:
+            loads += 1
+        elif kind is store:
+            stores += 1
     return loads, stores
 
 
@@ -149,13 +157,17 @@ class _Sim:
         """``qubits`` must be sorted."""
         self.events.append(Event(kind, tuple(qubits), start, dur))
 
-    def settle_zone(self, q, new_zone, at):
-        site = self.layout.qubits[q]
-        since = self.zone_since.get(q, 0.0)
-        bucket = self.t_in if site.zone is Zone.STORAGE else self.t_out
-        bucket[q] = bucket.get(q, 0.0) + (at - since)
-        site.zone = new_zone
-        self.zone_since[q] = at
+    def settle_zones(self, qubits, new_zone, at):
+        """Charge each qubit's time since its last move to its old zone's
+        bucket, then place it in ``new_zone`` as of ``at``."""
+        sites, since = self.layout.qubits, self.zone_since
+        t_in, t_out, storage = self.t_in, self.t_out, Zone.STORAGE
+        for q in qubits:
+            site = sites[q]
+            bucket = t_in if site.zone is storage else t_out
+            bucket[q] = bucket.get(q, 0.0) + (at - since.get(q, 0.0))
+            site.zone = new_zone
+            since[q] = at
 
     def finalize_zones(self, n):
         for q in range(n):
@@ -353,21 +365,20 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     cfg = sim.config
     layout = sim.layout
     sites = layout.qubits
-    window = sim.transfer_batch(
-        sorted([*handover, *(q for q in qubits if sites[q].trap is Trap.SLM)])
-    )
-    if qubits:
-        travel = cfg.min_ld_st_us
-        for q in qubits:
-            site = sites[q]
-            travel = max(travel, crossing_distance_um(layout, q, site.row, site.col, dest)
-                         / cfg.aod_speed_um_per_us)
-        kind = EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE
-        sim.emit(kind, qubits, sim.clock, travel)
-        window = max(window, travel)
-    sim.clock += window
+    pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
+    window = sim.transfer_batch(sorted([*handover, *pickups]) if handover else pickups)
+    if not qubits:
+        sim.clock += window
+        return
+    travel = cfg.min_ld_st_us
     for q in qubits:
-        sim.settle_zone(q, dest, sim.clock)
+        site = sites[q]
+        travel = max(travel, crossing_distance_um(layout, q, site.row, site.col, dest)
+                     / cfg.aod_speed_um_per_us)
+    sim.emit(EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE,
+             qubits, sim.clock, travel)
+    sim.clock += max(window, travel)
+    sim.settle_zones(qubits, dest, sim.clock)
 
 
 def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
@@ -424,8 +435,7 @@ def _schedule_readout(sim: _Sim, qubits):
         worst = max(worst, tdur)
         sim.emit(EventKind.READOUT_MOVE, qubits, sim.clock, worst)
         sim.clock += worst
-        for q in qubits:
-            sim.settle_zone(q, Zone.READOUT, sim.clock)
+        sim.settle_zones(qubits, Zone.READOUT, sim.clock)
     sim.emit(EventKind.READOUT_IMAGE, qubits, sim.clock, cfg.readout_time_us)
     sim.clock += cfg.readout_time_us
 

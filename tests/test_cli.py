@@ -143,6 +143,16 @@ class TestSimulate:
         assert "loads = 1" in r.stdout
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
+    @pytest.mark.parametrize("flag", ["--qasm", "--pauli"])
+    def test_directory_is_input_error(self, runner, tmp_path, command, flag):
+        r = runner.invoke(cli, [command, flag, str(tmp_path)])
+        assert r.exit_code == 2
+        assert isinstance(r.exception, SystemExit)  # not an uncaught OSError
+        assert r.stdout == ""
+
+
 class TestSweep:
     def test_csv_shape_and_order(self, runner):
         r = runner.invoke(

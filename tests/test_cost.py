@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -296,6 +298,50 @@ _COMBOS = [
 ]
 
 
+def _breakdown_reference(timeline) -> dict:
+    """``breakdown(timeline).categories`` by a per-transfer rule: each
+    transfer clips and sorts the travel events that can meet it, then walks
+    them with a cursor. ``breakdown`` merges the travel intervals once
+    instead."""
+    travel = sorted((e for e in timeline.events if e.kind in _HIDING),
+                    key=lambda e: e.start_us)
+    starts = [e.start_us for e in travel]
+    reach = list(accumulate((e.end_us for e in travel), max))
+
+    def overlap(e):
+        first = bisect_right(reach, e.start_us)
+        stop = bisect_left(starts, e.end_us, first)
+        spans = sorted(
+            (max(o.start_us, e.start_us), min(o.end_us, e.end_us))
+            for o in travel[first:stop]
+            if o.end_us > e.start_us and o.start_us < e.end_us
+        )
+        covered, cursor = 0.0, e.start_us
+        for lo, hi in spans:
+            lo = max(lo, cursor)
+            if hi > lo:
+                covered += hi - lo
+                cursor = hi
+        return covered
+
+    cat = dict.fromkeys(("load_store_us", "trap_transfer_us", "shuttling_us", "readout_us",
+                         "error_correction_us", "gate_execution_us"), 0.0)
+    for e in timeline.events:
+        if e.kind in (EventKind.LOAD, EventKind.STORE, EventKind.READOUT_MOVE):
+            cat["load_store_us"] += e.duration_us
+        elif e.kind is EventKind.TRAP_TRANSFER:
+            cat["trap_transfer_us"] += e.duration_us - overlap(e)
+        elif e.kind is EventKind.SHUTTLE:
+            cat["shuttling_us"] += e.duration_us
+        elif e.kind is EventKind.READOUT_IMAGE:
+            cat["readout_us"] += e.duration_us
+        elif e.kind is EventKind.EC_PREP:
+            cat["error_correction_us"] += e.duration_us
+        else:
+            cat["gate_execution_us"] += e.duration_us
+    return cat
+
+
 class TestRunInvariants:
     @given(_sources())
     @example(Circuit(4, (Gate(GateKind.CX, (0, 3)),)))
@@ -313,6 +359,18 @@ class TestRunInvariants:
             assert sum(r.breakdown.categories.values()) == pytest.approx(
                 makespan, rel=1e-9
             )
+
+    @given(_sources())
+    @example(Circuit(4, (Gate(GateKind.CX, (0, 3)),)))
+    @settings(max_examples=60, deadline=None)
+    def test_breakdown_matches_per_transfer_reference(self, source):
+        # The scheduler's travel events never overlap, so the merged union
+        # holds each one as its own piece and both rules add the same floats.
+        for cfg, options in _COMBOS:
+            tl = run(source, options, cfg).timeline
+            travel = sorted((e.start_us, e.end_us) for e in tl.events if e.kind in _HIDING)
+            assert all(b[0] >= a[1] for a, b in zip(travel, travel[1:]))
+            assert breakdown(tl).categories == _breakdown_reference(tl)
 
     @pytest.mark.parametrize("mode", ["mantra", "standard"])
     def test_type2_load_waits_for_its_trap_transfer(self, mode):

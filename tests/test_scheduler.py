@@ -12,6 +12,7 @@ from zonec.rewrite import (
     mantra_pipeline,
 )
 from zonec.scheduler import (
+    Event,
     EventKind,
     ScheduleError,
     count_ld_st,
@@ -238,3 +239,18 @@ class TestStepShuttlesWhatItHandedOver:
             (EventKind.SHUTTLE, (0, 2)),
         ]
         assert tl.makespan_us == pytest.approx(1593.957, abs=1e-3)
+
+
+class TestEventRecord:
+    def test_positional_immutable_value_record(self):
+        e = Event(EventKind.LOAD, (0, 2), 1.5, 2.25)
+        assert (e.kind, e.qubits, e.start_us, e.duration_us) == (
+            EventKind.LOAD, (0, 2), 1.5, 2.25)
+        assert e.end_us == e.start_us + e.duration_us
+        twin = Event(EventKind.LOAD, (0, 2), 1.5, 2.25)
+        assert e == twin and hash(e) == hash(twin)
+        assert e != Event(EventKind.STORE, (0, 2), 1.5, 2.25)
+        for name in ("kind", "qubits", "start_us", "duration_us"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, None)
+
