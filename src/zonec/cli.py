@@ -27,12 +27,18 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _bench_source(text, seed, cfg):
-    """The benchmark's circuit, built only once its qubit count has passed
-    the layout's capacity rule: an oversized generator can run for minutes."""
-    spec = parse_benchmark(text, seed=seed)
-    build_layout(cfg, spec.num_qubits)
-    return spec.materialize()
+def _source(bench, qasm, pauli, seed, cfg):
+    """The parsed input, checked against the layout's capacity rule before
+    anything else: building a benchmark or compiling a file does work that
+    grows with its qubit count, so an oversized register must fail first."""
+    if bench:
+        source = parse_benchmark(bench, seed=seed)
+    else:
+        with open(qasm or pauli) as fh:
+            text = fh.read()
+        source = parse_qasm(text) if qasm else parse_pauli_file(text)
+    build_layout(cfg, source.num_qubits)
+    return source.materialize() if bench else source
 
 
 def _load_source(bench, qasm, pauli, seed, cfg):
@@ -40,13 +46,7 @@ def _load_source(bench, qasm, pauli, seed, cfg):
     if len(given) != 1:
         _fail(EXIT_USAGE, "exactly one of --bench, --qasm, --pauli is required")
     try:
-        if bench:
-            return _bench_source(bench, seed, cfg)
-        if qasm:
-            with open(qasm) as fh:
-                return parse_qasm(fh.read())
-        with open(pauli) as fh:
-            return parse_pauli_file(fh.read())
+        return _source(bench, qasm, pauli, seed, cfg)
     except LayoutError as e:  # a ValueError
         _fail(EXIT_CAPACITY, str(e))
     except (OSError, ParseError, CircuitError, ValueError) as e:
@@ -190,7 +190,7 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
         spec = bench_template.replace("{" + name + "}", point)
         for m in mode_list:
             try:
-                source = _bench_source(spec, seed, cfg)
+                source = _source(spec, None, None, seed, cfg)
                 opts = PipelineOptions(mode=m, protocol=protocol, x_basis=x_basis)
                 result = run(source, opts, cfg)
                 click.echo(csv_row(result.record, extra=(point, m)))

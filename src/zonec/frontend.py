@@ -10,8 +10,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .ir import Circuit, CircuitError, Gate, GateKind, PauliTerm
 
 
@@ -307,6 +305,8 @@ def gen_ghz(n: int, chain: str = "fountain", measure: bool = True) -> Circuit:
 def gen_ucc_random(n: int, num_terms: int, seed: int) -> PauliTermFile:
     """Random UCC-style Pauli-term file: characters i.i.d. uniform over
     {I,X,Y,Z}, angles uniform over (0, 2*pi). Deterministic per seed."""
+    import numpy as np
+
     if n < 2:
         raise ValueError("need at least 2 qubits")
     rng = np.random.default_rng(seed)
@@ -338,6 +338,8 @@ def complete_graph(n: int) -> Graph:
 def power_law_graph(n: int, seed: int, m: int = 2) -> Graph:
     """Preferential-attachment graph (Barabasi-Albert style, m edges per new
     node), deterministic per seed."""
+    import numpy as np
+
     if n < m + 1:
         raise ValueError(f"need at least {m + 1} nodes")
     rng = np.random.default_rng(seed)
@@ -386,6 +388,8 @@ def gen_qaoa(
 
 
 def qaoa_angles(p: int, seed: int) -> tuple[list[float], list[float]]:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     gammas = [float(g) for g in rng.uniform(0.0, 2.0 * np.pi, size=p)]
     betas = [float(b) for b in rng.uniform(0.0, np.pi, size=p)]
@@ -466,6 +470,8 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
         return BenchmarkSpec(family, n, chain=chain, seed=seed)
     if family == "ucc":
         terms = int(parts[2]) if len(parts) > 2 else 10
+        if terms < 0:
+            raise ValueError(f"benchmark {text!r} needs a non-negative term count")
         return BenchmarkSpec(family, n, num_terms=terms, seed=seed)
     layers = int(parts[2]) if len(parts) > 2 else 1
     return BenchmarkSpec(family, n, layers=layers, seed=seed)

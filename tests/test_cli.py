@@ -4,6 +4,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import zonec.cli as cli_module
 from zonec.cli import cli
 from zonec.frontend import BenchmarkSpec
 
@@ -109,7 +110,7 @@ class TestSimulate:
         )
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("bench", ["ghz:0", "ghz:-3"])
+    @pytest.mark.parametrize("bench", ["ghz:0", "ghz:-3", "ucc:4:-1"])
     def test_nonpositive_qubit_count_is_input_error(self, runner, bench):
         r = runner.invoke(cli, ["simulate", "--bench", bench])
         assert r.exit_code == 2
@@ -204,21 +205,41 @@ class TestSweep:
 
 
 class TestCapacityBeforeBuild:
-    """An oversized benchmark fails the layout's capacity rule before its
-    circuit is built; building ``qaoa-sk:3000`` alone takes minutes."""
+    """An oversized input fails the layout's capacity rule right after
+    parsing: before a benchmark's circuit is built (building ``qaoa-sk:3000``
+    alone takes minutes) and before any input is compiled (compiling a
+    10^11-qubit register never ends)."""
 
     @pytest.fixture(autouse=True)
-    def no_materialize(self, monkeypatch):
-        def fail(spec):
+    def no_build_or_compile(self, monkeypatch):
+        def no_materialize(spec):
             raise AssertionError(f"{spec} was built before the capacity check")
 
-        monkeypatch.setattr(BenchmarkSpec, "materialize", fail)
+        def no_run(source, *args):
+            raise AssertionError("the input was compiled before the capacity check")
+
+        monkeypatch.setattr(BenchmarkSpec, "materialize", no_materialize)
+        monkeypatch.setattr(cli_module, "run", no_run)
 
     @pytest.mark.parametrize("command", ["simulate", "compile"])
     def test_oversized_bench_is_capacity_error(self, runner, command):
         r = runner.invoke(cli, [command, "--bench", "qaoa-sk:3000"])
         assert r.exit_code == 3
         assert r.stdout == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "compile"])
+    @pytest.mark.parametrize("flag, text", [
+        ("--qasm", 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[99999999999];\n'
+                   "h q[0];\ncx q[0],q[99999999998];\n"),
+        ("--pauli", "qubits 99999999999\n"),
+    ])
+    def test_oversized_file_is_capacity_error(self, runner, tmp_path, command, flag, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        r = runner.invoke(cli, [command, flag, str(path)])
+        assert r.exit_code == 3
+        assert r.stdout == ""
+        assert "capacity exceeded" in r.stderr
 
     def test_sweep_fails_the_oversized_point(self, runner):
         r = runner.invoke(cli, ["sweep", "--bench", "qaoa-sk:{n}", "--axis", "n=3000",
@@ -227,3 +248,20 @@ class TestCapacityBeforeBuild:
         rows = [ln.split(",") for ln in r.stdout.strip().splitlines()]
         assert len(rows) == 2
         assert rows[1][:3] == ["3000", "standard", "failed"]
+
+
+class TestColdStart:
+    """The compile->schedule->cost path never loads numpy: only the seeded
+    generators and the unitary helpers import it, inside the function."""
+
+    @pytest.mark.parametrize("code", [
+        "import zonec",
+        "import zonec.cli",
+        "import sys; from zonec.cli import main; "
+        "sys.argv = ['zonec', 'simulate', '--bench', 'ghz:8:path']; main()",
+    ])
+    def test_numpy_not_loaded(self, code):
+        check = "; import sys; sys.exit(2 if 'numpy' in sys.modules else 0)"
+        proc = subprocess.run([sys.executable, "-c", code + check],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"

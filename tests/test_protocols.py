@@ -55,6 +55,21 @@ class TestRecipes:
         assert rec.ad_phi1 == pytest.approx((np.pi + 2 * 0.7 + 0.2) / 2)
 
 
+class TestAnglesWithoutNumpy:
+    """The recipes use math.pi so the compile path never loads numpy; every
+    angle must stay the same double the numpy.pi formulas gave."""
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(finite)
+    def test_cphase_phi_is_bit_identical(self, g):
+        assert synth_rzz_cphase(g).cphase_phi == -2.0 * g - np.pi
+
+    @given(finite, finite)
+    def test_adiabatic_phi1_is_bit_identical(self, g, phi2):
+        assert synth_rzz_adiabatic(g, phi2).ad_phi1 == (np.pi + 2.0 * g + phi2) / 2.0
+
+
 class TestEquivalence:
     @given(angles)
     def test_global_phase_invariance(self, g):
