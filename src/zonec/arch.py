@@ -8,7 +8,7 @@ overridable through a key/value config file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .ir import Zone
@@ -80,6 +80,10 @@ class MachineConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must be in (0, 1]")
+
+    def pitch_um(self, zone: Zone) -> float:
+        """Site pitch in ``zone``: the storage grid is denser than the others."""
+        return self.pitch_storage_um if zone is Zone.STORAGE else self.pitch_entangling_um
 
     @property
     def shuttle_unit_us(self) -> float:
@@ -168,11 +172,7 @@ class AtomLayout:
         """Physical anchor (x, y) with y measured from the zone border
         nearest the other zone (row 0 is the border row)."""
         s = self.qubits[q]
-        pitch = (
-            self.config.pitch_storage_um
-            if s.zone is Zone.STORAGE
-            else self.config.pitch_entangling_um
-        )
+        pitch = self.config.pitch_um(s.zone)
         return s.col * pitch, s.row * pitch
 
 
@@ -271,10 +271,7 @@ def move_duration_us(layout: AtomLayout, move: AodMove, config: MachineConfig) -
     """Straight-line travel time: max over movers of path length / AOD speed."""
     worst = 0.0
     for q, (dr, dc) in move.displacements.items():
-        s = layout.site(q)
-        pitch = (
-            config.pitch_storage_um if s.zone is Zone.STORAGE else config.pitch_entangling_um
-        )
+        pitch = config.pitch_um(layout.site(q).zone)
         worst = max(worst, math.hypot(dr * pitch, dc * pitch))
     return worst / config.aod_speed_um_per_us
 
@@ -291,11 +288,8 @@ def crossing_distance_um(
 ) -> float:
     """Euclidean distance for a zone-gap crossing from the current site to
     (dest_row, dest_col) in dest_zone. Row 0 of each zone faces the gap."""
-    cfg = layout.config
     x0, y0 = layout.position_um(q)
-    dest_pitch = (
-        cfg.pitch_storage_um if dest_zone is Zone.STORAGE else cfg.pitch_entangling_um
-    )
+    dest_pitch = layout.config.pitch_um(dest_zone)
     x1 = dest_col * dest_pitch
     y1 = dest_row * dest_pitch
-    return math.hypot(x1 - x0, y0 + cfg.zone_gap_um + y1)
+    return math.hypot(x1 - x0, y0 + layout.config.zone_gap_um + y1)

@@ -7,12 +7,13 @@ stdout carries data only; diagnostics go to stderr. Exit codes: 0 ok,
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 
-from .arch import ConfigError, LayoutError, MachineConfig, Policy, build_layout, load_config
+from .arch import LayoutError, MachineConfig, Policy, build_layout, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, run
-from .frontend import ParseError, parse_benchmark, parse_pauli_file, parse_qasm
+from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import CircuitError, count_gates
 from .rewrite import PipelineOptions
 from .scheduler import ScheduleError
@@ -22,15 +23,38 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
+# What a bad input, a bad config or a program the machine cannot hold
+# raises; ConfigError, LayoutError and ParseError are ValueErrors.
+_ERRORS = (OSError, CircuitError, ValueError, ScheduleError)
+
+
+def _exit_code(e: Exception) -> int:
+    return EXIT_CAPACITY if isinstance(e, (LayoutError, ScheduleError)) else EXIT_INPUT
+
+
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _source(bench, qasm, pauli, seed, cfg):
-    """The parsed input, checked against the layout's capacity rule before
-    anything else: building a benchmark or compiling a file does work that
-    grows with its qubit count, so an oversized register must fail first."""
+def _or_exit(f, *args):
+    """``f(*args)``; on one of the ``_ERRORS``, exit with its code."""
+    try:
+        return f(*args)
+    except _ERRORS as e:
+        _fail(_exit_code(e), str(e))
+
+
+def _machine(config_path, policy) -> MachineConfig:
+    cfg = load_config(config_path) if config_path else MachineConfig()
+    return replace(cfg, policy=Policy(policy)) if policy else cfg
+
+
+def _compile(cfg, bench, qasm, pauli, seed, mode, protocol, x_basis):
+    """Parse the one input, check it against the layout's capacity rule,
+    then compile, schedule and cost it. Building a benchmark or compiling a
+    file does work that grows with its qubit count, so an oversized register
+    must fail first."""
     if bench:
         source = parse_benchmark(bench, seed=seed)
     else:
@@ -38,40 +62,17 @@ def _source(bench, qasm, pauli, seed, cfg):
             text = fh.read()
         source = parse_qasm(text) if qasm else parse_pauli_file(text)
     build_layout(cfg, source.num_qubits)
-    return source.materialize() if bench else source
+    if bench:
+        source = source.materialize()
+    return run(source, PipelineOptions(mode=mode, protocol=protocol, x_basis=x_basis), cfg)
 
 
-def _load_source(bench, qasm, pauli, seed, cfg):
-    given = [x for x in (bench, qasm, pauli) if x]
-    if len(given) != 1:
+def _result(bench, qasm, pauli, mode, policy, config_path, seed, x_basis, protocol):
+    """The costed run of compile's and simulate's one input."""
+    cfg = _or_exit(_machine, config_path, policy)
+    if len([x for x in (bench, qasm, pauli) if x]) != 1:
         _fail(EXIT_USAGE, "exactly one of --bench, --qasm, --pauli is required")
-    try:
-        return _source(bench, qasm, pauli, seed, cfg)
-    except LayoutError as e:  # a ValueError
-        _fail(EXIT_CAPACITY, str(e))
-    except (OSError, ParseError, CircuitError, ValueError) as e:
-        _fail(EXIT_INPUT, str(e))
-
-
-def _load_machine(config_path, policy):
-    try:
-        cfg = load_config(config_path) if config_path else MachineConfig()
-        if policy:
-            from dataclasses import replace
-
-            cfg = replace(cfg, policy=Policy(policy))
-        return cfg
-    except (ConfigError, OSError, ValueError) as e:
-        _fail(EXIT_INPUT, str(e))
-
-
-def _run(source, cfg, mode, protocol, x_basis):
-    try:
-        return run(source, PipelineOptions(mode=mode, protocol=protocol, x_basis=x_basis), cfg)
-    except (LayoutError, ScheduleError) as e:  # LayoutError is a ValueError
-        _fail(EXIT_CAPACITY, str(e))
-    except (CircuitError, ValueError) as e:
-        _fail(EXIT_INPUT, str(e))
+    return _or_exit(_compile, cfg, bench, qasm, pauli, seed, mode, protocol, x_basis)
 
 
 _INPUT = [
@@ -119,9 +120,8 @@ def cli():
 def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                 protocol, fmt):
     """Compile to a zone-step program and report gate/movement counts."""
-    cfg = _load_machine(config_path, policy)
-    source = _load_source(bench, qasm, pauli, seed, cfg)
-    result = _run(source, cfg, mode, protocol, x_basis)
+    result = _result(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
+                     protocol)
     counts = count_gates(result.flat)
     if fmt == "steps":
         for i, step in enumerate(result.program.steps):
@@ -147,9 +147,8 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
 def cmd_simulate(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                  protocol, fmt, events):
     """Schedule on the machine model and report time breakdown + fidelity."""
-    cfg = _load_machine(config_path, policy)
-    source = _load_source(bench, qasm, pauli, seed, cfg)
-    result = _run(source, cfg, mode, protocol, x_basis)
+    result = _result(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
+                     protocol)
     rec = result.record
     if events:
         click.echo(result.timeline.to_lines(), nl=False)
@@ -184,20 +183,18 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
     for m in mode_list:
         if m not in ("mantra", "standard"):
             _fail(EXIT_USAGE, f"unknown mode {m!r}")
-    cfg = _load_machine(config_path, policy)
+    cfg = _or_exit(_machine, config_path, policy)
     click.echo(csv_header(extra=(name, "mode")))
     for point in points:
         spec = bench_template.replace("{" + name + "}", point)
         for m in mode_list:
             try:
-                source = _source(spec, None, None, seed, cfg)
-                opts = PipelineOptions(mode=m, protocol=protocol, x_basis=x_basis)
-                result = run(source, opts, cfg)
-                click.echo(csv_row(result.record, extra=(point, m)))
-            except (ParseError, CircuitError, ConfigError, LayoutError,
-                    ScheduleError, ValueError) as e:
+                result = _compile(cfg, spec, None, None, seed, m, protocol, x_basis)
+            except _ERRORS as e:
                 click.echo(f"# point {name}={point} mode={m} failed: {e}", err=True)
                 click.echo(",".join([point, m] + ["failed"] * len(REPORT_KEYS)))
+            else:
+                click.echo(csv_row(result.record, extra=(point, m)))
 
 
 def main():

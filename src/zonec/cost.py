@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arch import MachineConfig, Policy, build_layout
-from .ir import Circuit, GateKind
+from .ir import UNPULSED, Circuit
 from .rewrite import PipelineOptions, ZoneStepProgram, mantra_pipeline
 from .scheduler import EventKind, Timeline, count_ld_st, schedule
 
@@ -41,19 +41,17 @@ class Breakdown:
 
     @property
     def categories(self) -> dict:
-        return {
-            "load_store_us": self.load_store_us,
-            "trap_transfer_us": self.trap_transfer_us,
-            "shuttling_us": self.shuttling_us,
-            "readout_us": self.readout_us,
-            "error_correction_us": self.error_correction_us,
-            "gate_execution_us": self.gate_execution_us,
-        }
+        return {name: getattr(self, name) for name in CATEGORIES}
 
     def share(self, name: str) -> float:
         if self.makespan_us == 0.0:
             return 0.0
         return self.categories[name] / self.makespan_us
+
+
+# The time categories, in report order: every field but the makespan they
+# sum to.
+CATEGORIES = tuple(f.name for f in fields(Breakdown) if f.name != "makespan_us")
 
 
 def _travel_union(events) -> tuple[list[float], list[float]]:
@@ -101,11 +99,7 @@ _CATEGORY = {
 
 
 def breakdown(timeline: Timeline) -> Breakdown:
-    cat = dict.fromkeys(
-        ("load_store_us", "trap_transfer_us", "shuttling_us", "readout_us",
-         "error_correction_us", "gate_execution_us"),
-        0.0,
-    )
+    cat = dict.fromkeys(CATEGORIES, 0.0)
     starts, ends = _travel_union(timeline.events)
     for e in timeline.events:
         name = _CATEGORY.get(e.kind, "gate_execution_us")
@@ -130,11 +124,7 @@ def physical_gate_count(circuit: Circuit, config: MachineConfig) -> int:
     """Transversal physical pulses: each logical 1Q/2Q gate is applied to all
     data atoms of the code block in parallel."""
     data_atoms = config.physical_per_logical // 2
-    logical = sum(
-        1
-        for g in circuit.gates
-        if g.kind not in (GateKind.RZ, GateKind.MEASURE)
-    )
+    logical = sum(1 for g in circuit.gates if g.kind not in UNPULSED)
     return logical * data_atoms
 
 
@@ -148,7 +138,7 @@ def fidelity(
     n1q = {q: 0 for q in range(n)}
     n2q = {q: 0 for q in range(n)}
     for g in circuit.gates:
-        if g.kind in (GateKind.RZ, GateKind.MEASURE):
+        if g.kind in UNPULSED:
             continue
         if len(g.qubits) == 1:
             n1q[g.qubits[0]] += 1
@@ -212,32 +202,22 @@ def fidelity(
 # ---------------------------------------------------------------------------
 
 REPORT_KEYS = (
-    "load_store_us",
-    "trap_transfer_us",
-    "shuttling_us",
-    "readout_us",
-    "error_correction_us",
-    "gate_execution_us",
-    "makespan_us",
-    "loads",
-    "stores",
-    "n_1q",
-    "n_2q",
-    "n_transfer",
-    "fidelity",
+    *CATEGORIES, "makespan_us", "loads", "stores", "n_1q", "n_2q", "n_transfer", "fidelity"
 )
 
 
 def report_record(bd: Breakdown, fr: FidelityReport, loads: int, stores: int) -> dict:
-    rec = dict(bd.categories)
-    rec["makespan_us"] = bd.makespan_us
-    rec["loads"] = loads
-    rec["stores"] = stores
-    rec["n_1q"] = fr.n_1q
-    rec["n_2q"] = fr.n_2q
-    rec["n_transfer"] = fr.n_transfer
-    rec["fidelity"] = fr.total
-    return {k: rec[k] for k in REPORT_KEYS}
+    """One run's report, keyed in ``REPORT_KEYS`` order."""
+    return {
+        **bd.categories,
+        "makespan_us": bd.makespan_us,
+        "loads": loads,
+        "stores": stores,
+        "n_1q": fr.n_1q,
+        "n_2q": fr.n_2q,
+        "n_transfer": fr.n_transfer,
+        "fidelity": fr.total,
+    }
 
 
 def format_record(rec: dict) -> str:

@@ -8,9 +8,9 @@ import ast
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .ir import Circuit, CircuitError, Gate, GateKind, PauliTerm
+from .ir import Circuit, CircuitError, Gate, GateKind, PauliTerm, PauliTermFile
 
 
 class ParseError(ValueError):
@@ -199,20 +199,6 @@ def dump_qasm(circuit: Circuit) -> str:
 # ---------------------------------------------------------------------------
 # Pauli-term files:  header `qubits <n>`, then `<label> <theta>` per line
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PauliTermFile:
-    num_qubits: int
-    terms: tuple[PauliTerm, ...]
-
-    def __post_init__(self):
-        for t in self.terms:
-            if t.num_qubits != self.num_qubits:
-                raise CircuitError(
-                    f"term {t.label!r} has length {t.num_qubits}, "
-                    f"expected {self.num_qubits}"
-                )
 
 
 def parse_pauli_file(text: str) -> PauliTermFile:
@@ -460,6 +446,8 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
         raise ValueError(f"unknown benchmark family {family!r}")
     if len(parts) < 2:
         raise ValueError(f"benchmark {text!r} needs a qubit count")
+    if len(parts) > 3:
+        raise ValueError(f"benchmark {text!r} takes at most one field after the qubit count")
     n = int(parts[1])
     if n < 1:
         raise ValueError(f"benchmark {text!r} needs at least one qubit")
@@ -474,4 +462,6 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
             raise ValueError(f"benchmark {text!r} needs a non-negative term count")
         return BenchmarkSpec(family, n, num_terms=terms, seed=seed)
     layers = int(parts[2]) if len(parts) > 2 else 1
+    if layers < 1:
+        raise ValueError(f"benchmark {text!r} needs at least one layer")
     return BenchmarkSpec(family, n, layers=layers, seed=seed)

@@ -81,6 +81,11 @@ GATE_ZONE = {
 }
 
 
+# Kinds that take no pulse: RZ is a virtual frame change of zero duration,
+# MEASURE is readout. Gate counts, pulse layers and fidelity skip them.
+UNPULSED = (GateKind.RZ, GateKind.MEASURE)
+
+
 class CircuitError(ValueError):
     pass
 
@@ -130,11 +135,6 @@ class Circuit:
         the whole gate tuple, so it costs O(len); bulk builders should
         collect ``Gate``s in a list and construct the ``Circuit`` once."""
         gate = Gate(kind, tuple(qubits), tuple(float(p) for p in params))
-        for q in gate.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise CircuitError(
-                    f"operand q[{q}] out of range for {self.num_qubits} qubits"
-                )
         return Circuit(self.num_qubits, self.gates + (gate,))
 
     def extend(self, gates) -> "Circuit":
@@ -169,6 +169,22 @@ class PauliTerm:
     @property
     def weight(self) -> int:
         return len(self.support)
+
+
+@dataclass(frozen=True)
+class PauliTermFile:
+    """Pauli terms over one register, compiled term by term."""
+
+    num_qubits: int
+    terms: tuple[PauliTerm, ...]
+
+    def __post_init__(self):
+        for t in self.terms:
+            if t.num_qubits != self.num_qubits:
+                raise CircuitError(
+                    f"term {t.label!r} has length {t.num_qubits}, "
+                    f"expected {self.num_qubits}"
+                )
 
 
 def layer_indices(gates) -> list[list[int]]:
@@ -213,7 +229,7 @@ def dependency_layers(gates) -> list[list[Gate]]:
 @dataclass(frozen=True)
 class GateCounts:
     by_kind: dict
-    n_1q: int  # 1-qubit pulsed gates (RZ excluded: virtual, zero duration)
+    n_1q: int  # 1-qubit pulsed gates (the UNPULSED kinds excluded)
     n_rz: int
     n_2q: int
     n_measure: int
@@ -227,11 +243,7 @@ def count_gates(circuit: Circuit) -> GateCounts:
     by_kind = Counter(g.kind for g in circuit.gates)
     n_rz = by_kind.get(GateKind.RZ, 0)
     n_measure = by_kind.get(GateKind.MEASURE, 0)
-    n_1q = sum(
-        n
-        for k, n in by_kind.items()
-        if ARITY[k] == 1 and k not in (GateKind.RZ, GateKind.MEASURE)
-    )
+    n_1q = sum(n for k, n in by_kind.items() if ARITY[k] == 1 and k not in UNPULSED)
     n_2q = sum(n for k, n in by_kind.items() if ARITY[k] == 2)
     return GateCounts(dict(by_kind), n_1q, n_rz, n_2q, n_measure)
 

@@ -16,6 +16,7 @@ from .ir import (
     Gate,
     GateKind,
     PauliTerm,
+    PauliTermFile,
     Zone,
     layer_indices,
 )
@@ -531,8 +532,6 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     Pauli-term files are compiled term by term (per-string execution); the
     per-term step sequences are concatenated with same-zone seams merged.
     """
-    from .frontend import PauliTermFile  # local import to avoid a cycle
-
     if isinstance(source, PauliTermFile):
         # Basis absorption is only sound at program start; never per term.
         term_options = PipelineOptions(options.mode, options.protocol, x_basis=False)

@@ -154,6 +154,43 @@ class TestUnreadableInput:
         assert r.stdout == ""
 
 
+class TestExitCodeMap:
+    """Each failure exits with one code whichever subcommand meets it:
+    1 usage, 2 input, 3 capacity, with nothing on stdout. Cases other tests
+    already run per command are not repeated here: simulate's bad config
+    (TestSimulate), a directory input (TestUnreadableInput) and an oversized
+    input (TestCapacityBeforeBuild)."""
+
+    SWEEP = ["--bench", "ghz:{n}", "--axis", "n=4"]
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("compile", ["--bench", "ghz:4"]), ("sweep", SWEEP),
+    ])
+    def test_bad_config(self, runner, tmp_path, command, inputs):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("pulse_2q_us = nan\n")
+        r = runner.invoke(cli, [command, *inputs, "--config", str(cfg)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == "error: pulse_2q_us must be finite\n"
+
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    @pytest.mark.parametrize("inputs", [[], ["--bench", "ghz:4", "--qasm", "x.qasm"]])
+    def test_not_one_input(self, runner, command, inputs):
+        r = runner.invoke(cli, [command, *inputs])
+        assert (r.exit_code, r.stdout) == (1, "")
+
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    @pytest.mark.parametrize("spec", ["ghz:4:star", "ucc:4:x"])
+    def test_bad_spec(self, runner, command, spec):
+        r = runner.invoke(cli, [command, "--bench", spec])
+        assert (r.exit_code, r.stdout) == (2, "")
+
+    def test_sweep_unknown_mode(self, runner):
+        r = runner.invoke(cli, ["sweep", *self.SWEEP, "--modes", "mantra,fast"])
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert "unknown mode 'fast'" in r.stderr
+
+
 class TestSweep:
     def test_csv_shape_and_order(self, runner):
         r = runner.invoke(

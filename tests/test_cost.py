@@ -5,10 +5,12 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from zonec.arch import MachineConfig, Policy
 from zonec.cost import (
+    CATEGORIES,
+    REPORT_KEYS,
     Breakdown,
     breakdown,
     csv_header,
@@ -218,6 +220,15 @@ class TestPhysicalCount:
 
 
 class TestSerialization:
+    def test_report_schema_is_breakdown_fields(self):
+        tl, prog, cfg = simulate(gen_ghz(4))
+        bd = breakdown(tl)
+        rec = report_record(bd, fidelity(tl, prog.flatten(), cfg), 1, 1)
+        assert tuple(rec) == REPORT_KEYS == tuple(csv_header().split(","))
+        assert REPORT_KEYS[: len(CATEGORIES) + 1] == tuple(
+            f.name for f in fields(Breakdown))
+        assert tuple(bd.categories) == CATEGORIES
+
     def test_record_key_order_stable(self):
         src = gen_ghz(4)
         tl, prog, cfg = simulate(src)

@@ -242,6 +242,18 @@ class TestBenchmarkSpec:
         with pytest.raises(ValueError):
             parse_benchmark("teleport:3")
 
+    @pytest.mark.parametrize("spec, why", [
+        ("ghz:4:path:junk", "at most one field"),
+        ("ucc:4:2:9", "at most one field"),
+        ("qaoa-sk:4:-1", "at least one layer"),
+        ("qaoa-pl:6:0", "at least one layer"),
+        ("po:4:0", "at least one layer"),
+    ])
+    def test_malformed_spec_named(self, spec, why):
+        with pytest.raises(ValueError, match=why) as exc:
+            parse_benchmark(spec)
+        assert repr(spec) in str(exc.value)
+
     @given(st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_materialize_deterministic(self, seed):

@@ -54,6 +54,10 @@ class TestCircuit:
         with pytest.raises(CircuitError):
             Circuit(1, (cx(0, 1),))
 
+    def test_append_operand_range_checked(self):
+        with pytest.raises(CircuitError, match=r"operand q\[2\] out of range for 2"):
+            Circuit(2).append(GateKind.CX, (0, 2))
+
     def test_append_is_persistent(self):
         c = Circuit(2)
         c2 = c.append(GateKind.H, (0,))
