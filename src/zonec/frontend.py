@@ -409,6 +409,13 @@ def gen_steane_prep() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
+# Most gates a benchmark may have, checked before it is built. The estimate
+# bounds the gates before lowering: 3n for ghz:<n>, 4n per term plus n for
+# ucc:<n>:<terms>, and 2n + p(n(n-1)/2 + n) for QAOA and po specs with p
+# layers. The largest spec in use, ucc:60:800, estimates 192,060.
+MAX_BENCH_GATES = 1_000_000
+
+
 @dataclass(frozen=True)
 class BenchmarkSpec:
     family: str
@@ -419,7 +426,20 @@ class BenchmarkSpec:
     seed: int = 0
 
     def materialize(self):
-        """Return a Circuit or PauliTermFile for this spec."""
+        """Return a Circuit or PauliTermFile for this spec; ValueError if its
+        gate estimate exceeds ``MAX_BENCH_GATES``."""
+        n = self.num_qubits
+        if self.family == "ghz":
+            estimate = 3 * n
+        elif self.family == "ucc":
+            estimate = 4 * n * self.num_terms + n
+        else:
+            estimate = 2 * n + self.layers * (n * (n - 1) // 2 + n)
+        if estimate > MAX_BENCH_GATES:
+            raise ValueError(
+                f"{self.family} benchmark on {n} qubits has about {estimate} gates, "
+                f"above the cap of {MAX_BENCH_GATES}"
+            )
         if self.family == "ghz":
             return gen_ghz(self.num_qubits, self.chain)
         if self.family == "ucc":
@@ -448,7 +468,16 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
         raise ValueError(f"benchmark {text!r} needs a qubit count")
     if len(parts) > 3:
         raise ValueError(f"benchmark {text!r} takes at most one field after the qubit count")
-    n = int(parts[1])
+
+    def field(i: int, name: str) -> int:
+        try:
+            return int(parts[i])
+        except ValueError:
+            raise ValueError(
+                f"benchmark {text!r}: {name} {parts[i]!r} is not an integer"
+            ) from None
+
+    n = field(1, "qubit count")
     if n < 1:
         raise ValueError(f"benchmark {text!r} needs at least one qubit")
     if family == "ghz":
@@ -457,11 +486,11 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
             raise ValueError(f"unknown chain {chain!r}")
         return BenchmarkSpec(family, n, chain=chain, seed=seed)
     if family == "ucc":
-        terms = int(parts[2]) if len(parts) > 2 else 10
+        terms = field(2, "term count") if len(parts) > 2 else 10
         if terms < 0:
             raise ValueError(f"benchmark {text!r} needs a non-negative term count")
         return BenchmarkSpec(family, n, num_terms=terms, seed=seed)
-    layers = int(parts[2]) if len(parts) > 2 else 1
+    layers = field(2, "layer count") if len(parts) > 2 else 1
     if layers < 1:
         raise ValueError(f"benchmark {text!r} needs at least one layer")
     return BenchmarkSpec(family, n, layers=layers, seed=seed)

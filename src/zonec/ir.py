@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Zone(Enum):
@@ -39,46 +40,28 @@ class GateKind(Enum):
     __hash__ = object.__hash__  # as for Zone
 
 
-ARITY = {
-    GateKind.H: 1,
-    GateKind.X: 1,
-    GateKind.RX: 1,
-    GateKind.RZ: 1,
-    GateKind.CX: 2,
-    GateKind.CZ: 2,
-    GateKind.SWAP: 2,
-    GateKind.RZZ: 2,
-    GateKind.CPHASE: 2,
-    GateKind.LP: 2,
-    GateKind.AD: 2,
-    GateKind.MEASURE: 1,
+# Operand and parameter count per kind.
+_SIGNATURES = {
+    GateKind.H: (1, 0),
+    GateKind.X: (1, 0),
+    GateKind.RX: (1, 1),
+    GateKind.RZ: (1, 1),
+    GateKind.CX: (2, 0),
+    GateKind.CZ: (2, 0),
+    GateKind.SWAP: (2, 0),
+    GateKind.RZZ: (2, 1),
+    GateKind.CPHASE: (2, 1),
+    GateKind.LP: (2, 1),
+    GateKind.AD: (2, 2),
+    GateKind.MEASURE: (1, 0),
 }
-
-NUM_PARAMS = {
-    GateKind.H: 0,
-    GateKind.X: 0,
-    GateKind.RX: 1,
-    GateKind.RZ: 1,
-    GateKind.CX: 0,
-    GateKind.CZ: 0,
-    GateKind.SWAP: 0,
-    GateKind.RZZ: 1,
-    GateKind.CPHASE: 1,
-    GateKind.LP: 1,
-    GateKind.AD: 2,
-    GateKind.MEASURE: 0,
-}
+ARITY = {kind: arity for kind, (arity, _) in _SIGNATURES.items()}
+NUM_PARAMS = {kind: n for kind, (_, n) in _SIGNATURES.items()}
 
 # Zone class is fixed per kind: 1Q gates run in the storage zone, 2Q gates in
 # the entangling zone, MEASURE in the readout zone (Type 1 policy semantics).
-GATE_ZONE = {
-    kind: (
-        Zone.READOUT
-        if kind is GateKind.MEASURE
-        else (Zone.STORAGE if ARITY[kind] == 1 else Zone.ENTANGLING)
-    )
-    for kind in GateKind
-}
+GATE_ZONE = {kind: Zone.STORAGE if n == 1 else Zone.ENTANGLING for kind, n in ARITY.items()}
+GATE_ZONE[GateKind.MEASURE] = Zone.READOUT
 
 
 # Kinds that take no pulse: RZ is a virtual frame change of zero duration,
@@ -90,25 +73,34 @@ class CircuitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):  # NamedTuple's own body may not define __new__
     kind: GateKind
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        if len(self.qubits) != ARITY[self.kind]:
+
+class Gate(_GateFields):
+    """An immutable ``(kind, qubits, params)`` tuple. The constructor,
+    ``_make`` (so ``_replace``), pickle and ``copy`` all check it."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = ()):
+        if len(qubits) != ARITY[kind]:
             raise CircuitError(
-                f"{self.kind.value} takes {ARITY[self.kind]} operand(s), "
-                f"got {len(self.qubits)}"
+                f"{kind.value} takes {ARITY[kind]} operand(s), got {len(qubits)}"
             )
-        if len(self.params) != NUM_PARAMS[self.kind]:
+        if len(params) != NUM_PARAMS[kind]:
             raise CircuitError(
-                f"{self.kind.value} takes {NUM_PARAMS[self.kind]} parameter(s), "
-                f"got {len(self.params)}"
+                f"{kind.value} takes {NUM_PARAMS[kind]} parameter(s), got {len(params)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"{self.kind.value} has duplicate operands {self.qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"{kind.value} has duplicate operands {qubits}")
+        return tuple.__new__(cls, (kind, qubits, params))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        return cls(*iterable)
 
     @property
     def zone(self) -> Zone:

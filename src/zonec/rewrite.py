@@ -8,10 +8,10 @@ Every pass preserves the circuit unitary up to global phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from . import protocols
 from .ir import (
+    GATE_ZONE,
     Circuit,
     Gate,
     GateKind,
@@ -88,11 +88,8 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
     for g in circuit.gates:
         if g.kind is GateKind.CX:
             c, t = g.qubits
-            gates += [
-                Gate(GateKind.H, (t,)),
-                Gate(GateKind.CZ, (c, t)),
-                Gate(GateKind.H, (t,)),
-            ]
+            h = Gate(GateKind.H, (t,))  # gates are immutable, so one serves twice
+            gates += (h, Gate(GateKind.CZ, (c, t)), h)
         else:
             gates.append(g)
     return Circuit(circuit.num_qubits, tuple(gates))
@@ -103,12 +100,8 @@ def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
     gates: list[Gate] = []
     for g in circuit.gates:
         if g.kind is GateKind.RZZ:
-            a, b = g.qubits
-            gates += [
-                Gate(GateKind.CX, (a, b)),
-                Gate(GateKind.RZ, (b,), g.params),
-                Gate(GateKind.CX, (a, b)),
-            ]
+            cx = Gate(GateKind.CX, g.qubits)
+            gates += (cx, Gate(GateKind.RZ, (g.qubits[1],), g.params), cx)
         else:
             gates.append(g)
     return Circuit(circuit.num_qubits, tuple(gates))
@@ -380,65 +373,53 @@ def gate_based_swap_reference(num_qubits: int, a: int, b: int) -> Circuit:
 def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     """Greedy preemptive alignment into alternating zone steps.
 
-    Starting from the first gate's zone, every dependency-ready gate of the
-    current zone is hoisted into the current step; readiness is recomputed
-    after each hoist so newly unblocked same-zone gates join too. When no
-    gate qualifies, a step opens in the other zone. Terminal MEASUREs form a
-    final readout step.
+    Steps alternate between the two zones, starting with the first
+    non-MEASURE gate's zone. Each gate is hoisted as early as its operands
+    allow: into the first step of its own zone at or after the latest step
+    of any earlier gate on its qubits. Within a step gates keep program
+    order. MEASUREs form a final readout step.
     """
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_aligned_raw(circuit)))
 
 
 def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``align_zone_steps``'s steps before seams are merged."""
+    # Steps of zone ``first`` have even numbers and the others odd ones.
+    first = next((g.zone for g in circuit.gates if g.zone is not Zone.READOUT), None)
+    frontier: dict[int, int] = {}  # qubit -> step of the last gate on it
+    free = frontier.get
+    steps: list[list[Gate]] = []
+    measures: list[Gate] = []
     for g in circuit.gates:
-        if g.kind in (GateKind.CX, GateKind.SWAP):
-            raise ValueError(f"align_zone_steps requires a {g.kind.value}-free circuit")
-
-    main = [(i, g) for i, g in enumerate(circuit.gates) if g.zone is not Zone.READOUT]
-    measures = tuple(g for g in circuit.gates if g.zone is Zone.READOUT)
-
-    # Kahn's algorithm over the operand-sharing DAG. A gate's predecessors
-    # all have lower indices, so popping the current zone's min-heap of ready
-    # gates, and pushing successors (higher indices) as they become ready,
-    # hoists a step's whole ready closure in ascending index order.
-    gate_at = dict(main)
-    last_on: dict[int, int] = {}
-    waiting: dict[int, int] = {}  # unfinished predecessors per gate
-    succs: dict[int, list[int]] = {i: [] for i, _ in main}
-    ready: dict[Zone, list[int]] = {Zone.STORAGE: [], Zone.ENTANGLING: []}
-    for i, g in main:
-        preds = {last_on[q] for q in g.qubits if q in last_on}
-        for p in preds:
-            succs[p].append(i)
-        waiting[i] = len(preds)
-        if not preds:
-            ready[g.zone].append(i)  # ascending, hence already a heap
-        for q in g.qubits:
-            last_on[q] = i
-
-    remaining = len(main)
-    raw: list[tuple[Zone, list[Gate]]] = []
-    current_zone = main[0][1].zone if main else Zone.STORAGE
-
-    while remaining:
-        step_gates: list[Gate] = []
-        heap = ready[current_zone]
-        while heap:
-            i = heappop(heap)
-            step_gates.append(gate_at[i])
-            for s in succs[i]:
-                waiting[s] -= 1
-                if not waiting[s]:
-                    heappush(ready[gate_at[s].zone], s)
-        remaining -= len(step_gates)
-        raw.append((current_zone, step_gates))
-        current_zone = (
-            Zone.ENTANGLING if current_zone is Zone.STORAGE else Zone.STORAGE
-        )
-
+        kind = g.kind
+        zone = GATE_ZONE[kind]
+        if zone is Zone.READOUT:
+            measures.append(g)
+            continue
+        if kind is GateKind.CX or kind is GateKind.SWAP:
+            raise ValueError(f"align_zone_steps requires a {kind.value}-free circuit")
+        qubits = g.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            step = free(a, 0)
+            sb = free(b, 0)
+            if sb > step:
+                step = sb
+        else:
+            (a,) = qubits
+            step = free(a, 0)
+        if (step & 1) != (zone is not first):
+            step += 1
+        for q in qubits:
+            frontier[q] = step
+        if step == len(steps):  # frontiers never pass the last step
+            steps.append([g])
+        else:
+            steps[step].append(g)
+    other = Zone.ENTANGLING if first is Zone.STORAGE else Zone.STORAGE
+    raw = [(other if k & 1 else first, gates) for k, gates in enumerate(steps)]
     if measures:
-        raw.append((Zone.READOUT, list(measures)))
+        raw.append((Zone.READOUT, measures))
     return raw
 
 
@@ -463,10 +444,10 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
             if g.kind is GateKind.MEASURE:
                 measures.append(g)
             elif g.kind is GateKind.CX:
-                c, t = g.qubits
-                pre.append(Gate(GateKind.H, (t,)))
-                two.append(Gate(GateKind.CZ, (c, t)))
-                post.append(Gate(GateKind.H, (t,)))
+                h = Gate(GateKind.H, (g.qubits[1],))
+                pre.append(h)
+                two.append(Gate(GateKind.CZ, g.qubits))
+                post.append(h)
             elif g.zone is Zone.STORAGE:
                 pre.append(g)
             else:
@@ -543,12 +524,9 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
                 continue
             c, raw_steps = _lower(_synth(term, term_options), term_options)
             raw += raw_steps(c)
-        num_qubits = source.num_qubits
-        measures = [
-            Gate(GateKind.MEASURE, (q,)) for q in range(num_qubits)
-        ]
-        raw.append((Zone.READOUT, measures))
-        return ZoneStepProgram(num_qubits, _merge_steps(raw))
+        n = source.num_qubits
+        raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
+        return ZoneStepProgram(n, _merge_steps(raw))
     c, raw_steps = _lower(source, options)
     return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis)
 

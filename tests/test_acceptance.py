@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from zonec.arch import MachineConfig, Policy, build_layout
 from zonec.cost import breakdown, fidelity, physical_gate_count, run

@@ -116,6 +116,19 @@ class TestSimulate:
         assert r.exit_code == 2
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("bench, field", [
+        ("ucc:4:x", "term count 'x'"),
+        ("ghz:x", "qubit count 'x'"),
+        ("qaoa-sk:4:1.5", "layer count '1.5'"),
+        ("po:4:100000000", "above the cap"),
+        ("ucc:4:100000000", "above the cap"),
+    ])
+    def test_malformed_or_oversized_spec_is_input_error(self, runner, bench, field):
+        r = runner.invoke(cli, ["simulate", "--bench", bench])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert field in r.stderr
+
     @pytest.mark.parametrize("flag,text", [
         ("--pauli", "qubits\nXZ 0.5\n"),
         ("--pauli", "qubits 0\n"),

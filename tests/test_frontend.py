@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonec.frontend import (
+    MAX_BENCH_GATES,
     BenchmarkSpec,
     Graph,
     ParseError,
@@ -248,11 +249,33 @@ class TestBenchmarkSpec:
         ("qaoa-sk:4:-1", "at least one layer"),
         ("qaoa-pl:6:0", "at least one layer"),
         ("po:4:0", "at least one layer"),
+        ("ucc:4:x", "^benchmark 'ucc:4:x': term count 'x' is not an integer$"),
+        ("ghz:x", "^benchmark 'ghz:x': qubit count 'x' is not an integer$"),
+        ("qaoa-sk:4:1.5", r"^benchmark 'qaoa-sk:4:1\.5': layer count '1\.5' is not an integer$"),
+        ("po::2", "qubit count '' is not an integer"),
     ])
     def test_malformed_spec_named(self, spec, why):
         with pytest.raises(ValueError, match=why) as exc:
             parse_benchmark(spec)
         assert repr(spec) in str(exc.value)
+
+    @pytest.mark.parametrize("spec", [
+        "po:4:100000000", "ucc:4:100000000", "qaoa-sk:120:200", "ghz:400000",
+    ])
+    def test_oversized_spec_fails_before_it_is_built(self, spec):
+        with pytest.raises(ValueError, match=f"above the cap of {MAX_BENCH_GATES}"):
+            parse_benchmark(spec).materialize()
+
+    def test_cap_is_checked_on_the_estimate(self):
+        # ucc:2:<t> estimates 4 * 2 * t + 2 gates: one term over the cap here.
+        terms = (MAX_BENCH_GATES - 2) // 8 + 1
+        with pytest.raises(ValueError, match="above the cap"):
+            BenchmarkSpec("ucc", 2, num_terms=terms).materialize()
+
+    def test_cap_admits_the_largest_spec_in_use(self):
+        pf = parse_benchmark("ucc:60:800").materialize()
+        assert len(pf.terms) == 800
+        assert parse_benchmark("qaoa-sk:120:2").materialize().num_qubits == 120
 
     @given(st.integers(0, 100))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -42,6 +44,58 @@ class TestGate:
     def test_duplicate_operands_rejected(self):
         with pytest.raises(CircuitError):
             Gate(GateKind.CX, (1, 1))
+
+    # A bad gate for each check, with the message the check gives.
+    BAD = [
+        ((GateKind.H, (0, 1), ()), r"^H takes 1 operand\(s\), got 2$"),
+        ((GateKind.RZ, (0,), ()), r"^RZ takes 1 parameter\(s\), got 0$"),
+        ((GateKind.CZ, (2, 2), ()), r"^CZ has duplicate operands \(2, 2\)$"),
+    ]
+    # Every way to make a Gate. The pickle and copy paths start from a tuple
+    # that skipped __new__, as a corrupt or hand-built one would.
+    MAKERS = {
+        "constructor": lambda f: Gate(*f),
+        "keywords": lambda f: Gate(kind=f[0], qubits=f[1], params=f[2]),
+        "_make": lambda f: Gate._make(f),
+        "_replace": lambda f: Gate(GateKind.CZ, (0, 1))._replace(
+            kind=f[0], qubits=f[1], params=f[2]),
+        "pickle": lambda f: pickle.loads(pickle.dumps(tuple.__new__(Gate, f))),
+        "copy": lambda f: copy.copy(tuple.__new__(Gate, f)),
+        "deepcopy": lambda f: copy.deepcopy(tuple.__new__(Gate, f)),
+    }
+
+    @pytest.mark.parametrize("fields, message", BAD)
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_every_construction_path_checks(self, make, fields, message):
+        with pytest.raises(CircuitError, match=message):
+            make(fields)
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_every_construction_path_keeps_a_good_gate(self, make):
+        fields = (GateKind.AD, (3, 1), (0.1, 0.2))
+        g = make(fields)
+        assert type(g) is Gate and g == Gate(*fields)
+
+    def test_replace_one_field(self):
+        g = Gate(GateKind.CZ, (0, 1))
+        assert g._replace(qubits=(2, 3)) == Gate(GateKind.CZ, (2, 3))
+        with pytest.raises(CircuitError, match="duplicate operands"):
+            g._replace(qubits=(2, 2))
+
+    def test_immutable(self):
+        g = Gate(GateKind.RZ, (3,), (0.25,))
+        with pytest.raises(AttributeError):
+            g.kind = GateKind.H
+        with pytest.raises(AttributeError):
+            g.label = "extra"
+        with pytest.raises(TypeError):
+            g[0] = GateKind.H
+        assert g == Gate(GateKind.RZ, (3,), (0.25,))
+
+    def test_hash_and_repr_match_the_field_tuple(self):
+        g = Gate(GateKind.RZ, (3,), (0.25,))
+        assert hash(g) == hash((g.kind, g.qubits, g.params))
+        assert repr(g) == "Gate(kind=<GateKind.RZ: 'RZ'>, qubits=(3,), params=(0.25,))"
 
     def test_zone_assignment(self):
         assert Gate(GateKind.RZ, (0,), (0.3,)).zone is Zone.STORAGE

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +16,6 @@ from zonec.rewrite import (
     align_zone_steps,
     cancel_hadamard_pairs,
     gate_based_swap_reference,
-    layer_zone_steps,
     lower_cx_to_cz,
     lower_rzz_to_cx,
     lower_swap,
@@ -503,7 +501,7 @@ def alignable_circuits(draw):
 
 class TestZoneSteps:
     @given(alignable_circuits())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     def test_alignment_matches_fixed_point_scan(self, circuit):
         assert align_zone_steps(circuit) == _align_reference(circuit)
 

@@ -1,12 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from zonec.arch import MachineConfig, Policy, Trap, build_layout
-from zonec.frontend import gen_ghz, gen_ucc_random, parse_benchmark
+from zonec.arch import MachineConfig, Policy, build_layout
+from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import Circuit, Gate, GateKind, Zone
 from zonec.rewrite import (
     PipelineOptions,
-    ZoneStep,
     ZoneStepProgram,
     gate_based_swap_reference,
     mantra_pipeline,
@@ -165,8 +163,9 @@ class TestEcPrep:
 
     @pytest.mark.parametrize("pulse_1q, pulse_2q", [(0.625, 0.380), (0.37, 0.113)])
     def test_prep_duration_matches_layered_circuit(self, pulse_1q, pulse_2q):
-        # The cached per-layer pattern sums, bit for bit and in layer order,
-        # to what layering the lowered prep circuit afresh gives.
+        # The constant per-layer pattern (scheduler._STEANE_PREP_LAYERS)
+        # sums, bit for bit and in layer order, to what layering the lowered
+        # prep circuit afresh gives.
         from dataclasses import replace
 
         from zonec.frontend import gen_steane_prep
