@@ -40,6 +40,7 @@ _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
 _CREG_RE = re.compile(r"creg\s+(\w+)\s*\[\s*(\d+)\s*\]")
 _STMT_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s*(.*)$")  # angles may nest ()
 _OPERAND_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
+_ANGLE_CHARS_RE = re.compile(r"[0-9eE\.\+\-\*/\s\(\)pi]*")
 
 
 _ANGLE_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
@@ -71,7 +72,7 @@ def _eval_angle(expr: str, line: int) -> float:
     """Evaluate a QASM angle expression (numbers, pi, unary +/-, + - * /,
     parentheses) to a finite float."""
     expr = expr.strip()
-    if not re.fullmatch(r"[0-9eE\.\+\-\*/\s\(\)pi]*", expr) or not expr:
+    if not _ANGLE_CHARS_RE.fullmatch(expr) or not expr:
         raise ParseError(f"unsupported angle expression {expr!r}", line)
     try:
         value = float(_angle_value(ast.parse(expr, mode="eval").body))
@@ -86,55 +87,70 @@ def _eval_angle(expr: str, line: int) -> float:
 def parse_qasm(text: str) -> Circuit:
     """Parse the supported OpenQASM-2.0 subset into a Circuit.
 
-    Supported: one qreg, gates {h, x, rx, rz, cx, cz, swap, rzz, measure},
-    no custom gate definitions, no classical control.
+    Supported: one qreg, any number of cregs, gates {h, x, rx, rz, cx, cz,
+    swap, rzz, measure}, no custom gate definitions, no classical control.
+    A measure's ``->`` target must name a declared creg and an index inside
+    it. Each distinct statement text is parsed once per call; a repeat
+    reuses the Gate its first occurrence built.
     """
     qreg_name = None
     num_qubits = 0
-    creg_names: set[str] = set()
+    creg_sizes: dict[str, int] = {}
     gates: list[Gate] = []
     saw_header = False
+    # Statement text -> its Gate, stored only once the statement has passed
+    # every check. A repeat is valid wherever its first occurrence was: a gate
+    # is accepted only after the single qreg is declared, which cannot change
+    # afterwards, and a measure only into a declared creg, which cannot be
+    # redeclared. A failing statement is never stored, so each error keeps the
+    # line and column of its first occurrence.
+    parsed: dict[str, Gate] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
-        if not line:
-            continue
-        for stmt in filter(None, (s.strip() for s in line.split(";"))):
-            if stmt.startswith("OPENQASM"):
-                if "2.0" not in stmt:
-                    raise ParseError("only OPENQASM 2.0 is supported", lineno)
-                saw_header = True
+        for stmt in raw.split("//", 1)[0].split(";"):
+            stmt = stmt.strip()
+            if not stmt:
                 continue
-            if stmt.startswith("include"):
-                continue
-            if stmt.startswith("qreg"):
-                m = _QREG_RE.match(stmt)
-                if not m:
-                    raise ParseError("malformed qreg declaration", lineno)
-                if qreg_name is not None:
-                    raise ParseError("only one qreg is supported", lineno)
-                qreg_name, num_qubits = m.group(1), int(m.group(2))
-                if num_qubits < 1:
-                    raise ParseError("circuit needs at least one qubit", lineno)
-                continue
-            if stmt.startswith("creg"):
-                m = _CREG_RE.match(stmt)
-                if not m:
-                    raise ParseError("malformed creg declaration", lineno)
-                creg_names.add(m.group(1))
-                continue
-            if stmt.startswith("barrier"):
+            gate = parsed.get(stmt)
+            if gate is not None:
+                gates.append(gate)
                 continue
 
             m = _STMT_RE.match(stmt)
-            if not m:
-                raise ParseError(f"cannot parse statement {stmt!r}", lineno)
+            signature = _QASM_GATES.get(m.group(1)) if m else None
+            if signature is None:
+                # Gates are looked up first: no gate name starts with one of
+                # these words, so no declaration is mistaken for a gate.
+                if stmt.startswith("OPENQASM"):
+                    if stmt.split() != ["OPENQASM", "2.0"]:
+                        raise ParseError("only OPENQASM 2.0 is supported", lineno)
+                    saw_header = True
+                elif stmt.startswith("qreg"):
+                    dm = _QREG_RE.fullmatch(stmt)
+                    if not dm:
+                        raise ParseError("malformed qreg declaration", lineno)
+                    if qreg_name is not None:
+                        raise ParseError("only one qreg is supported", lineno)
+                    qreg_name, num_qubits = dm.group(1), int(dm.group(2))
+                    if num_qubits < 1:
+                        raise ParseError("circuit needs at least one qubit", lineno)
+                elif stmt.startswith("creg"):
+                    dm = _CREG_RE.fullmatch(stmt)
+                    if not dm:
+                        raise ParseError("malformed creg declaration", lineno)
+                    if dm.group(1) in creg_sizes:
+                        raise ParseError(f"creg {dm.group(1)!r} declared twice", lineno)
+                    creg_sizes[dm.group(1)] = int(dm.group(2))
+                elif not stmt.startswith(("include", "barrier")):
+                    if not m:
+                        raise ParseError(f"cannot parse statement {stmt!r}", lineno)
+                    raise ParseError(f"unsupported gate {m.group(1)!r}", lineno)
+                continue
+
             name, arg_text, operand_text = m.group(1), m.group(2), m.group(3)
-            if name not in _QASM_GATES:
-                raise ParseError(f"unsupported gate {name!r}", lineno)
             if qreg_name is None:
                 raise ParseError("gate before qreg declaration", lineno)
-            kind, arity, n_params = _QASM_GATES[name]
+            kind, arity, n_params = signature
 
             params: tuple[float, ...] = ()
             if n_params:
@@ -144,8 +160,9 @@ def parse_qasm(text: str) -> Circuit:
             elif arg_text is not None:
                 raise ParseError(f"{name} takes no arguments", lineno)
 
+            arrow = target = ""
             if kind is GateKind.MEASURE:
-                operand_text = operand_text.split("->")[0].strip()
+                operand_text, arrow, target = operand_text.partition("->")
             operands = []
             for col, tok in enumerate(
                 t.strip() for t in operand_text.split(",") if t.strip()
@@ -167,16 +184,35 @@ def parse_qasm(text: str) -> Circuit:
                 raise ParseError(
                     f"{name} takes {arity} operand(s), got {len(operands)}", lineno
                 )
+            if arrow:
+                _check_measure_target(target.strip(), creg_sizes, lineno)
             try:
-                gates.append(Gate(kind, tuple(operands), params))
+                gate = Gate(kind, tuple(operands), params)
             except CircuitError as e:
                 raise ParseError(str(e), lineno) from None
+            parsed[stmt] = gate
+            gates.append(gate)
 
     if not saw_header:
         raise ParseError("missing OPENQASM 2.0 header", 1)
     if qreg_name is None:
         raise ParseError("no qreg declared", 1)
     return Circuit(num_qubits, tuple(gates))
+
+
+def _check_measure_target(target: str, creg_sizes: dict[str, int], line: int) -> None:
+    """A measure's ``-> c[i]`` target must name a declared creg and an index
+    inside it. Errors give column 1: the target follows the one operand."""
+    tm = _OPERAND_RE.match(target)
+    if not tm:
+        raise ParseError(f"malformed measure target {target!r}", line, 1)
+    reg, idx = tm.group(1), int(tm.group(2))
+    if reg not in creg_sizes:
+        raise ParseError(f"undeclared creg {reg!r}", line, 1)
+    if idx >= creg_sizes[reg]:
+        raise ParseError(
+            f"measure target {reg}[{idx}] out of range (size {creg_sizes[reg]})", line, 1
+        )
 
 
 def dump_qasm(circuit: Circuit) -> str:

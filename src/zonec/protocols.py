@@ -2,8 +2,8 @@
 single-qubit-gateless arbitrary ZZ-rotation recipes.
 
 Basis order is |00>, |01>, |10>, |11>. All constructors return fresh arrays.
-numpy is imported inside the matrix helpers only: the recipes are plain
-floats, so the compile path never loads it.
+numpy is imported inside the matrix helpers only: the recipe phases are
+plain floats, so the compile path never loads it.
 """
 
 from __future__ import annotations
@@ -66,18 +66,30 @@ class RzzRecipe:
         return adiabatic_matrix(self.ad_phi1, self.ad_phi2) @ lp_matrix(self.lp_gamma)
 
 
-def synth_rzz_cphase(gamma: float) -> RzzRecipe:
-    """LP(gamma) then CPHASE(-2*gamma - pi): total |11> phase cancels to zero."""
-    return RzzRecipe(protocol="cphase", lp_gamma=gamma, cphase_phi=-2.0 * gamma - math.pi)
+def cphase_phi(gamma: float) -> float:
+    """CPHASE angle after LP(gamma): -2*gamma - pi, so the total |11> phase
+    cancels to zero."""
+    return -2.0 * gamma - math.pi
 
 
-def synth_rzz_adiabatic(gamma: float, phi2: float = 0.0) -> RzzRecipe:
-    """Ad(phi1, phi2) then LP(gamma) with phi1 = (pi + 2*gamma + phi2) / 2.
+def adiabatic_phases(gamma: float, phi2: float = 0.0) -> tuple[float, float]:
+    """Ad gate phases (phi1, phi2) before LP(gamma), with
+    phi1 = (pi + 2*gamma + phi2) / 2.
 
     The Ad gate contributes exp(i*(phi2 - 2*phi1)) = exp(-i*(pi + 2*gamma)) on
     |11>, cancelling the LP gate's exp(i*(2*gamma + pi)).
     """
-    phi1 = (math.pi + 2.0 * gamma + phi2) / 2.0
+    return (math.pi + 2.0 * gamma + phi2) / 2.0, phi2
+
+
+def synth_rzz_cphase(gamma: float) -> RzzRecipe:
+    """LP(gamma) then CPHASE(cphase_phi(gamma))."""
+    return RzzRecipe(protocol="cphase", lp_gamma=gamma, cphase_phi=cphase_phi(gamma))
+
+
+def synth_rzz_adiabatic(gamma: float, phi2: float = 0.0) -> RzzRecipe:
+    """Ad(adiabatic_phases(gamma, phi2)) then LP(gamma)."""
+    phi1, phi2 = adiabatic_phases(gamma, phi2)
     return RzzRecipe(protocol="adiabatic", lp_gamma=gamma, ad_phi1=phi1, ad_phi2=phi2)
 
 

@@ -319,13 +319,11 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
             continue
         gamma = g.params[0]
         if protocol == "adiabatic":
-            recipe = protocols.synth_rzz_adiabatic(gamma)
-            out.append(Gate(GateKind.AD, g.qubits, (recipe.ad_phi1, recipe.ad_phi2)))
+            out.append(Gate(GateKind.AD, g.qubits, protocols.adiabatic_phases(gamma)))
             out.append(Gate(GateKind.LP, g.qubits, (gamma,)))
         else:
-            recipe = protocols.synth_rzz_cphase(gamma)
             out.append(Gate(GateKind.LP, g.qubits, (gamma,)))
-            out.append(Gate(GateKind.CPHASE, g.qubits, (recipe.cphase_phi,)))
+            out.append(Gate(GateKind.CPHASE, g.qubits, (protocols.cphase_phi(gamma),)))
     return Circuit(circuit.num_qubits, tuple(out))
 
 

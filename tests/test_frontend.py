@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from zonec.frontend import (
     power_law_graph,
     qaoa_angles,
 )
+from zonec import frontend
 from zonec.ir import Circuit, CircuitError, Gate, GateKind, PauliTerm
 
 
@@ -78,6 +80,221 @@ class TestQasm:
         for q in range(n):
             c = c.append(GateKind.MEASURE, [q])
         assert repr(parse_qasm(dump_qasm(c))) == repr(c)
+
+
+def _parse_qasm_reference(text):
+    """``parse_qasm`` as it was before statements were memoised: every
+    statement runs the prefix checks in order and is parsed afresh."""
+    qreg_re = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
+    creg_re = re.compile(r"creg\s+(\w+)\s*\[\s*(\d+)\s*\]")
+    stmt_re = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s*(.*)$")
+    operand_re = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
+    qreg_name = None
+    num_qubits = 0
+    creg_names = set()
+    gates = []
+    saw_header = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//")[0].strip()
+        if not line:
+            continue
+        for stmt in filter(None, (s.strip() for s in line.split(";"))):
+            if stmt.startswith("OPENQASM"):
+                if "2.0" not in stmt:
+                    raise ParseError("only OPENQASM 2.0 is supported", lineno)
+                saw_header = True
+                continue
+            if stmt.startswith("include"):
+                continue
+            if stmt.startswith("qreg"):
+                m = qreg_re.match(stmt)
+                if not m:
+                    raise ParseError("malformed qreg declaration", lineno)
+                if qreg_name is not None:
+                    raise ParseError("only one qreg is supported", lineno)
+                qreg_name, num_qubits = m.group(1), int(m.group(2))
+                if num_qubits < 1:
+                    raise ParseError("circuit needs at least one qubit", lineno)
+                continue
+            if stmt.startswith("creg"):
+                m = creg_re.match(stmt)
+                if not m:
+                    raise ParseError("malformed creg declaration", lineno)
+                creg_names.add(m.group(1))
+                continue
+            if stmt.startswith("barrier"):
+                continue
+
+            m = stmt_re.match(stmt)
+            if not m:
+                raise ParseError(f"cannot parse statement {stmt!r}", lineno)
+            name, arg_text, operand_text = m.group(1), m.group(2), m.group(3)
+            if name not in frontend._QASM_GATES:
+                raise ParseError(f"unsupported gate {name!r}", lineno)
+            if qreg_name is None:
+                raise ParseError("gate before qreg declaration", lineno)
+            kind, arity, n_params = frontend._QASM_GATES[name]
+
+            params = ()
+            if n_params:
+                if arg_text is None:
+                    raise ParseError(f"{name} requires an angle argument", lineno)
+                params = (frontend._eval_angle(arg_text, lineno),)
+            elif arg_text is not None:
+                raise ParseError(f"{name} takes no arguments", lineno)
+
+            if kind is GateKind.MEASURE:
+                operand_text = operand_text.split("->")[0].strip()
+            operands = []
+            for col, tok in enumerate(
+                t.strip() for t in operand_text.split(",") if t.strip()
+            ):
+                om = operand_re.match(tok)
+                if not om:
+                    raise ParseError(f"malformed operand {tok!r}", lineno, col)
+                reg, idx = om.group(1), int(om.group(2))
+                if reg != qreg_name:
+                    raise ParseError(f"undeclared register {reg!r}", lineno, col)
+                if idx >= num_qubits:
+                    raise ParseError(
+                        f"operand {reg}[{idx}] out of range (size {num_qubits})",
+                        lineno,
+                        col,
+                    )
+                operands.append(idx)
+            if len(operands) != arity:
+                raise ParseError(
+                    f"{name} takes {arity} operand(s), got {len(operands)}", lineno
+                )
+            try:
+                gates.append(Gate(kind, tuple(operands), params))
+            except CircuitError as e:
+                raise ParseError(str(e), lineno) from None
+
+    if not saw_header:
+        raise ParseError("missing OPENQASM 2.0 header", 1)
+    if qreg_name is None:
+        raise ParseError("no qreg declared", 1)
+    return Circuit(num_qubits, tuple(gates))
+
+
+# Statements that both parsers accept once `qreg q[3]` and `creg c[3]` are
+# declared, and statements that both reject with the same message.
+_GOOD_STATEMENTS = [
+    "h q[0]", "x q[2]", "cx q[0],q[1]", "cx q[0], q[1]", "cx  q[1] ,q[0]",
+    "cz q[1],q[2]", "swap q[0],q[2]", "rz(pi/4) q[2]", "rz(0.5*pi) q[1]",
+    "rz( 0.5*pi ) q[1]", "rx(-(pi/2)) q[0]", "rzz(0.3) q[0],q[2]",
+    "measure q[1] -> c[1]", "measure q[2]->c[0]", "measure q[0]",
+    "barrier q[0],q[1]", 'include "qelib1.inc"', "OPENQASM 2.0",
+]
+_BAD_STATEMENTS = [
+    "bogus q[0]", "h q[5]", "cx q[0],q[0]", "rz(1/0) q[0]", "rz(2**3) q[0]",
+    "h r[0]", "rz q[0]", "h(1) q[0]", "cx q[0]", "h q[0],q[1]", "h q0",
+    "qreg q[2]", "qreg r[]", "creg c", "OPENQASM 3.0", "[h] q[0]", "cx q[0],,q[9]",
+]
+
+
+@st.composite
+def _qasm_texts(draw):
+    """A header (sometimes missing the OPENQASM line or the qreg), then
+    statements drawn from a small pool, repeated in shuffled order, one to
+    three to a line."""
+    header = ["creg c[3];"]
+    if draw(st.booleans()):
+        header.insert(0, "qreg q[3];")
+    if draw(st.booleans()):
+        header.insert(0, "OPENQASM 2.0;")
+    pool = _GOOD_STATEMENTS + draw(
+        st.lists(st.sampled_from(_BAD_STATEMENTS), max_size=2))
+    statements = draw(st.lists(st.sampled_from(pool), max_size=30))
+    statements += draw(st.permutations(statements))
+    lines = header
+    i = 0
+    while i < len(statements):
+        k = draw(st.integers(1, 3))
+        comment = draw(st.sampled_from(["", " // note", "// h q[0];"]))
+        lines.append("; ".join(statements[i:i + k]) + ";" + comment)
+        i += k
+    return "\n".join(lines) + "\n"
+
+
+class TestQasmStatementMemo:
+    @given(_qasm_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_reference(self, text):
+        try:
+            expected = _parse_qasm_reference(text)
+        except ParseError as e:
+            with pytest.raises(ParseError) as exc:
+                parse_qasm(text)
+            assert (exc.value.line, exc.value.column, str(exc.value)) == (
+                e.line, e.column, str(e))
+        else:
+            assert parse_qasm(text) == expected
+
+    def test_gate_before_qreg_fails_on_first_line(self):
+        text = "OPENQASM 2.0;\nh q[0];\nqreg q[2];\nh q[0];\n"
+        with pytest.raises(ParseError, match="gate before qreg") as exc:
+            parse_qasm(text)
+        assert exc.value.line == 2
+
+    def test_measure_before_creg_fails_on_first_line(self):
+        text = ("OPENQASM 2.0;\nqreg q[2];\nmeasure q[0] -> c[0];\ncreg c[2];\n"
+                "measure q[0] -> c[0];\n")
+        with pytest.raises(ParseError, match="undeclared creg 'c'") as exc:
+            parse_qasm(text)
+        assert (exc.value.line, exc.value.column) == (3, 1)
+
+    def test_each_distinct_angle_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = frontend._eval_angle
+
+        def counting(expr, line):
+            calls.append(expr)
+            return evaluate(expr, line)
+
+        monkeypatch.setattr(frontend, "_eval_angle", counting)
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\n"
+                       + "rz(pi/4) q[0];\nrz(pi/4) q[1];\n" * 50)
+        assert len(c.gates) == 100
+        assert calls == ["pi/4", "pi/4"]
+
+
+class TestQasmDeclarations:
+    @pytest.mark.parametrize("body, line, col, why", [
+        ("creg c[2];\nmeasure q[0] -> d[1];", 4, 1, "undeclared creg 'd'"),
+        ("creg c[2];\nmeasure q[0] -> c[9];", 4, 1,
+         r"measure target c\[9\] out of range \(size 2\)"),
+        ("creg c[2];\nmeasure q[0] -> q[0];", 4, 1, "undeclared creg 'q'"),
+        ("creg c[2];\nmeasure q[0] -> c;", 4, 1, "malformed measure target 'c'"),
+        ("creg c[2];\nmeasure q[0] ->;", 4, 1, "malformed measure target ''"),
+        ("measure q[0] -> c[0];", 3, 1, "undeclared creg 'c'"),
+        ("creg c[2];\ncreg c[3];", 4, 0, "creg 'c' declared twice"),
+        ("creg c[2] junk;", 3, 0, "malformed creg declaration"),
+    ])
+    def test_measure_targets_and_cregs_checked(self, body, line, col, why):
+        with pytest.raises(ParseError, match=why) as exc:
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[3];\n{body}\n")
+        assert (exc.value.line, exc.value.column) == (line, col)
+
+    @pytest.mark.parametrize("text, line, why", [
+        ("OPENQASM 2.0;\nqreg q[3] junk;\n", 2, "malformed qreg declaration"),
+        ("OPENQASM 2.0;\nqreg q[3]junk;\n", 2, "malformed qreg declaration"),
+        ("OPENQASM 2.01;\nqreg q[3];\n", 1, "only OPENQASM 2.0"),
+        ("OPENQASM 12.0;\nqreg q[3];\n", 1, "only OPENQASM 2.0"),
+        ("OPENQASM 2.0 x;\nqreg q[3];\n", 1, "only OPENQASM 2.0"),
+    ])
+    def test_declaration_matches_whole_statement(self, text, line, why):
+        with pytest.raises(ParseError, match=why) as exc:
+            parse_qasm(text)
+        assert exc.value.line == line
+
+    def test_measure_into_any_declared_creg(self):
+        c = parse_qasm("OPENQASM  2.0;\nqreg q[2];\ncreg a[1];\ncreg b[2];\n"
+                       "measure q[0] -> a[0];\nmeasure q[1] -> b[1];\nmeasure q[1];\n")
+        assert [(g.kind, g.qubits) for g in c.gates] == [
+            (GateKind.MEASURE, (0,)), (GateKind.MEASURE, (1,)), (GateKind.MEASURE, (1,))]
 
 
 # Angle expressions as QASM text: numbers, pi, unary +/-, + - * /, brackets.
