@@ -1,5 +1,5 @@
-"""Parameterized machine model: zones, atom-grid geometry, trap assignment,
-and AOD movement constraints.
+"""Parameterized machine model: zones, atom-grid geometry and every distance
+the scheduler charges, trap assignment, and AOD movement constraints.
 
 Defaults model a representative zoned Rydberg array; every knob is
 overridable through a key/value config file.
@@ -86,11 +86,6 @@ class MachineConfig:
         return self.pitch_storage_um if zone is Zone.STORAGE else self.pitch_entangling_um
 
     @property
-    def shuttle_unit_us(self) -> float:
-        """Time to travel one entangling-zone lattice edge (~21.8 us)."""
-        return self.pitch_entangling_um / self.aod_speed_um_per_us
-
-    @property
     def min_ld_st_us(self) -> float:
         """Minimum zone-gap crossing time (~36.4 us)."""
         return self.zone_gap_um / self.aod_speed_um_per_us
@@ -109,8 +104,9 @@ _CONFIG_FIELDS = {f.name: f for f in fields(MachineConfig)}
 
 def load_config(path) -> MachineConfig:
     """Read a `key = value` (or `key: value`) config file; unset keys keep
-    their defaults."""
+    their defaults, and a key may be set once."""
     overrides = {}
+    set_on = {}  # key -> line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -125,6 +121,9 @@ def load_config(path) -> MachineConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(f"line {lineno}: unknown parameter {key!r}")
+            if key in set_on:
+                raise ConfigError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             ftype = _CONFIG_FIELDS[key].type
             if key == "policy":
                 overrides[key] = Policy(val.lower())
@@ -133,16 +132,6 @@ def load_config(path) -> MachineConfig:
             else:
                 overrides[key] = float(val)
     return MachineConfig(**overrides)
-
-
-def dump_config(config: MachineConfig) -> str:
-    lines = []
-    for f in fields(MachineConfig):
-        v = getattr(config, f.name)
-        if isinstance(v, Policy):
-            v = v.value
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 class LayoutError(ValueError):
@@ -164,9 +153,6 @@ class LogicalSite:
 class AtomLayout:
     config: MachineConfig
     qubits: list[LogicalSite]
-
-    def site(self, q: int) -> LogicalSite:
-        return self.qubits[q]
 
     def position_um(self, q: int) -> tuple[float, float]:
         """Physical anchor (x, y) with y measured from the zone border
@@ -237,9 +223,9 @@ def validate_move(layout: AtomLayout, move: AodMove):
     """
     movers = move.qubits
     for q in movers:
-        if layout.site(q).trap is not Trap.AOD:
+        if layout.qubits[q].trap is not Trap.AOD:
             raise LayoutError(f"qubit {q} is not in an AOD trap")
-    start = {q: (layout.site(q).row, layout.site(q).col) for q in movers}
+    start = {q: (layout.qubits[q].row, layout.qubits[q].col) for q in movers}
     end = {
         q: (start[q][0] + move.displacements[q][0], start[q][1] + move.displacements[q][1])
         for q in movers
@@ -260,7 +246,7 @@ def validate_move(layout: AtomLayout, move: AodMove):
     }
     seen = set()
     for q in movers:
-        dest = (layout.site(q).zone, *end[q])
+        dest = (layout.qubits[q].zone, *end[q])
         if dest in occupied or dest in seen:
             return MoveViolation(f"destination {end[q]} of qubit {q} occupied", (q,))
         seen.add(dest)
@@ -271,25 +257,83 @@ def move_duration_us(layout: AtomLayout, move: AodMove, config: MachineConfig) -
     """Straight-line travel time: max over movers of path length / AOD speed."""
     worst = 0.0
     for q, (dr, dc) in move.displacements.items():
-        pitch = config.pitch_um(layout.site(q).zone)
+        pitch = config.pitch_um(layout.qubits[q].zone)
         worst = max(worst, math.hypot(dr * pitch, dc * pitch))
     return worst / config.aod_speed_um_per_us
 
 
 def apply_move(layout: AtomLayout, move: AodMove) -> None:
     for q, (dr, dc) in move.displacements.items():
-        s = layout.site(q)
+        s = layout.qubits[q]
         s.row += dr
         s.col += dc
 
 
-def crossing_distance_um(
-    layout: AtomLayout, q: int, dest_row: int, dest_col: int, dest_zone: Zone
-) -> float:
-    """Euclidean distance for a zone-gap crossing from the current site to
-    (dest_row, dest_col) in dest_zone. Row 0 of each zone faces the gap."""
+def plan_swap_in_entangling(
+    layout: AtomLayout, a: int, b: int
+) -> list[tuple[AodMove, float]]:
+    """Exchange two entangling-zone block positions in at most three AOD legs
+    through a vacant waypoint row; zero loads/stores."""
+    if a == b:
+        return []
+    sa, sb = layout.qubits[a], layout.qubits[b]
+    for q, s in ((a, sa), (b, sb)):
+        if s.zone is not Zone.ENTANGLING:
+            raise LayoutError(f"qubit {q} is not in the entangling zone")
+        s.trap = Trap.AOD
+    waypoint_row = max(s.row for s in layout.qubits if s.zone is Zone.ENTANGLING) + 1
+    if waypoint_row >= layout.config.array_rows:
+        raise LayoutError("no vacant waypoint row; SLM handoff required")
+    plan: list[tuple[AodMove, float]] = []
+    orig_a, orig_b = (sa.row, sa.col), (sb.row, sb.col)
+    moves = [
+        AodMove({a: (waypoint_row - orig_a[0], 0)}),
+        AodMove({b: (orig_a[0] - orig_b[0], orig_a[1] - orig_b[1])}),
+        AodMove({a: (orig_b[0] - waypoint_row, orig_b[1] - orig_a[1])}),
+    ]
+    for mv in moves:
+        ok = validate_move(layout, mv)
+        if ok is not True:
+            raise LayoutError(f"swap leg invalid: {ok.reason}")
+        dur = move_duration_us(layout, mv, layout.config)
+        apply_move(layout, mv)
+        plan.append((mv, dur))
+    return plan
+
+
+# Every distance the scheduler charges. Zone order is storage | entangling |
+# readout, and row 0 of each zone faces the gap to the next zone.
+
+
+def crossing_distance_um(layout: AtomLayout, q: int, dest_zone: Zone) -> float:
+    """Euclidean distance for a zone-gap crossing from q's site to the same
+    (row, col) in dest_zone."""
+    s = layout.qubits[q]
     x0, y0 = layout.position_um(q)
     dest_pitch = layout.config.pitch_um(dest_zone)
-    x1 = dest_col * dest_pitch
-    y1 = dest_row * dest_pitch
+    x1 = s.col * dest_pitch
+    y1 = s.row * dest_pitch
     return math.hypot(x1 - x0, y0 + layout.config.zone_gap_um + y1)
+
+
+def readout_distance_um(layout: AtomLayout, q: int) -> float:
+    """Travel from q's site to the readout zone: one gap from the entangling
+    zone, two gaps plus the entangling zone's span from storage."""
+    cfg = layout.config
+    dist = layout.position_um(q)[1] + cfg.zone_gap_um
+    if layout.qubits[q].zone is Zone.STORAGE:
+        dist += cfg.array_rows * cfg.pitch_entangling_um + cfg.zone_gap_um
+    return dist
+
+
+def shuttle_distance_um(layout: AtomLayout, q: int, partner: int) -> float:
+    """In-zone travel of q onto its gate partner's entangling-zone site."""
+    pitch = layout.config.pitch_entangling_um
+    s, p = layout.qubits[q], layout.qubits[partner]
+    return math.hypot((s.row - p.row) * pitch, (s.col - p.col) * pitch)
+
+
+def isolation_hop_um(config: MachineConfig) -> float:
+    """Type 2's shuttle that takes a 1Q target more than one entangling
+    pitch clear of every other atom before its local pulse."""
+    return 2.0 * config.pitch_entangling_um

@@ -38,6 +38,7 @@ _QASM_GATES = {
 
 _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
 _CREG_RE = re.compile(r"creg\s+(\w+)\s*\[\s*(\d+)\s*\]")
+_INCLUDE_RE = re.compile(r'include\s*"[^"]+"')
 _STMT_RE = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s*(.*)$")  # angles may nest ()
 _OPERAND_RE = re.compile(r"^(\w+)\s*\[\s*(\d+)\s*\]$")
 _ANGLE_CHARS_RE = re.compile(r"[0-9eE\.\+\-\*/\s\(\)pi]*")
@@ -87,17 +88,21 @@ def _eval_angle(expr: str, line: int) -> float:
 def parse_qasm(text: str) -> Circuit:
     """Parse the supported OpenQASM-2.0 subset into a Circuit.
 
-    Supported: one qreg, any number of cregs, gates {h, x, rx, rz, cx, cz,
-    swap, rzz, measure}, no custom gate definitions, no classical control.
-    A measure's ``->`` target must name a declared creg and an index inside
-    it. Each distinct statement text is parsed once per call; a repeat
-    reuses the Gate its first occurrence built.
+    Supported: the ``OPENQASM 2.0`` header as the first statement, one qreg,
+    any number of cregs, ``include "<file>"`` and ``barrier`` (both skipped),
+    gates {h, x, rx, rz, cx, cz, swap, rzz, measure}, no custom gate
+    definitions, no classical control. Register names are unique, a barrier's
+    operands are the qreg or indices inside it, and a measure's ``->`` target
+    must name a declared creg and an index inside it. Each distinct statement
+    text is parsed once per call; a repeat reuses the Gate its first
+    occurrence built.
     """
     qreg_name = None
     num_qubits = 0
     creg_sizes: dict[str, int] = {}
     gates: list[Gate] = []
     saw_header = False
+    started = False  # a declaration has been read; a gate read shows in gates
     # Statement text -> its Gate, stored only once the statement has passed
     # every check. A repeat is valid wherever its first occurrence was: a gate
     # is accepted only after the single qreg is declared, which cannot change
@@ -117,13 +122,16 @@ def parse_qasm(text: str) -> Circuit:
                 continue
 
             m = _STMT_RE.match(stmt)
-            signature = _QASM_GATES.get(m.group(1)) if m else None
+            word = m.group(1) if m else None
+            signature = _QASM_GATES.get(word)
             if signature is None:
                 # Gates are looked up first: no gate name starts with one of
                 # these words, so no declaration is mistaken for a gate.
                 if stmt.startswith("OPENQASM"):
                     if stmt.split() != ["OPENQASM", "2.0"]:
                         raise ParseError("only OPENQASM 2.0 is supported", lineno)
+                    if started or gates:
+                        raise ParseError("OPENQASM 2.0 must be the first statement", lineno)
                     saw_header = True
                 elif stmt.startswith("qreg"):
                     dm = _QREG_RE.fullmatch(stmt)
@@ -131,6 +139,8 @@ def parse_qasm(text: str) -> Circuit:
                         raise ParseError("malformed qreg declaration", lineno)
                     if qreg_name is not None:
                         raise ParseError("only one qreg is supported", lineno)
+                    if dm.group(1) in creg_sizes:
+                        raise ParseError(f"qreg {dm.group(1)!r} reuses a creg name", lineno)
                     qreg_name, num_qubits = dm.group(1), int(dm.group(2))
                     if num_qubits < 1:
                         raise ParseError("circuit needs at least one qubit", lineno)
@@ -140,11 +150,21 @@ def parse_qasm(text: str) -> Circuit:
                         raise ParseError("malformed creg declaration", lineno)
                     if dm.group(1) in creg_sizes:
                         raise ParseError(f"creg {dm.group(1)!r} declared twice", lineno)
+                    if dm.group(1) == qreg_name:
+                        raise ParseError(f"creg {dm.group(1)!r} reuses the qreg name", lineno)
                     creg_sizes[dm.group(1)] = int(dm.group(2))
-                elif not stmt.startswith(("include", "barrier")):
-                    if not m:
-                        raise ParseError(f"cannot parse statement {stmt!r}", lineno)
-                    raise ParseError(f"unsupported gate {m.group(1)!r}", lineno)
+                elif word == "include":
+                    if not _INCLUDE_RE.fullmatch(stmt):
+                        raise ParseError('expected include "<file>"', lineno)
+                elif word == "barrier":
+                    if m.group(2) is not None:
+                        raise ParseError("barrier takes no arguments", lineno)
+                    _qubit_operands(m.group(3), qreg_name, num_qubits, lineno, whole=True)
+                elif not m:
+                    raise ParseError(f"cannot parse statement {stmt!r}", lineno)
+                else:
+                    raise ParseError(f"unsupported gate {word!r}", lineno)
+                started = True
                 continue
 
             name, arg_text, operand_text = m.group(1), m.group(2), m.group(3)
@@ -163,23 +183,7 @@ def parse_qasm(text: str) -> Circuit:
             arrow = target = ""
             if kind is GateKind.MEASURE:
                 operand_text, arrow, target = operand_text.partition("->")
-            operands = []
-            for col, tok in enumerate(
-                t.strip() for t in operand_text.split(",") if t.strip()
-            ):
-                om = _OPERAND_RE.match(tok)
-                if not om:
-                    raise ParseError(f"malformed operand {tok!r}", lineno, col)
-                reg, idx = om.group(1), int(om.group(2))
-                if reg != qreg_name:
-                    raise ParseError(f"undeclared register {reg!r}", lineno, col)
-                if idx >= num_qubits:
-                    raise ParseError(
-                        f"operand {reg}[{idx}] out of range (size {num_qubits})",
-                        lineno,
-                        col,
-                    )
-                operands.append(idx)
+            operands = _qubit_operands(operand_text, qreg_name, num_qubits, lineno)
             if len(operands) != arity:
                 raise ParseError(
                     f"{name} takes {arity} operand(s), got {len(operands)}", lineno
@@ -198,6 +202,25 @@ def parse_qasm(text: str) -> Circuit:
     if qreg_name is None:
         raise ParseError("no qreg declared", 1)
     return Circuit(num_qubits, tuple(gates))
+
+
+def _qubit_operands(text: str, qreg_name, num_qubits: int, line: int, whole=False) -> list[int]:
+    """Indices of the checked ``q[i]`` operands in ``text``; an error's column
+    is the operand's position. ``whole`` skips a bare qreg name (a barrier's)."""
+    operands = []
+    for col, tok in enumerate(t.strip() for t in text.split(",") if t.strip()):
+        if whole and tok == qreg_name:
+            continue
+        om = _OPERAND_RE.match(tok)
+        if not om:
+            raise ParseError(f"malformed operand {tok!r}", line, col)
+        reg, idx = om.group(1), int(om.group(2))
+        if reg != qreg_name:
+            raise ParseError(f"undeclared register {reg!r}", line, col)
+        if idx >= num_qubits:
+            raise ParseError(f"operand {reg}[{idx}] out of range (size {num_qubits})", line, col)
+        operands.append(idx)
+    return operands
 
 
 def _check_measure_target(target: str, creg_sizes: dict[str, int], line: int) -> None:
@@ -249,8 +272,9 @@ def parse_pauli_file(text: str) -> PauliTermFile:
             if num_qubits is not None:
                 raise ParseError("duplicate qubits header", lineno)
             try:
-                num_qubits = int(toks[1])
-            except (IndexError, ValueError):
+                _, count = toks
+                num_qubits = int(count)
+            except ValueError:
                 raise ParseError("expected `qubits <n>`", lineno) from None
             if num_qubits < 1:
                 raise ParseError("need at least one qubit", lineno)

@@ -1,12 +1,12 @@
 """Gate-level circuit IR shared by the frontends, rewrite passes, and scheduler.
 
-Circuits are immutable: every mutation returns a new ``Circuit``. Gate order is
-program order; nothing reorders commuting gates implicitly.
+Circuits are immutable: a pass collects ``Gate``s and builds a new ``Circuit``
+once. Gate order is program order; nothing reorders commuting gates
+implicitly.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -122,16 +122,6 @@ class Circuit:
                         f"operand q[{q}] out of range for {self.num_qubits} qubits"
                     )
 
-    def append(self, kind: GateKind, qubits, params=()) -> "Circuit":
-        """Return a copy with one gate added. Each call copies and re-checks
-        the whole gate tuple, so it costs O(len); bulk builders should
-        collect ``Gate``s in a list and construct the ``Circuit`` once."""
-        gate = Gate(kind, tuple(qubits), tuple(float(p) for p in params))
-        return Circuit(self.num_qubits, self.gates + (gate,))
-
-    def extend(self, gates) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + tuple(gates))
-
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -212,12 +202,6 @@ def layer_indices(gates) -> list[list[int]]:
     return layers
 
 
-def dependency_layers(gates) -> list[list[Gate]]:
-    """``layer_indices`` as lists of the gates themselves."""
-    gates = tuple(gates)
-    return [[gates[i] for i in layer] for layer in layer_indices(gates)]
-
-
 @dataclass(frozen=True)
 class GateCounts:
     by_kind: dict
@@ -225,10 +209,6 @@ class GateCounts:
     n_rz: int
     n_2q: int
     n_measure: int
-
-    @property
-    def n_pulsed(self) -> int:
-        return self.n_1q + self.n_2q
 
 
 def count_gates(circuit: Circuit) -> GateCounts:
@@ -238,48 +218,3 @@ def count_gates(circuit: Circuit) -> GateCounts:
     n_1q = sum(n for k, n in by_kind.items() if ARITY[k] == 1 and k not in UNPULSED)
     n_2q = sum(n for k, n in by_kind.items() if ARITY[k] == 2)
     return GateCounts(dict(by_kind), n_1q, n_rz, n_2q, n_measure)
-
-
-# -- Canonical textual dump: one gate per line, `KIND q[i](,q[j]) (param,...)` --
-
-
-def _fmt_params(params: tuple[float, ...]) -> str:
-    if not params:
-        return ""
-    return " (" + ",".join(repr(p) for p in params) + ")"
-
-
-def dump(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.num_qubits}"]
-    for g in circuit.gates:
-        ops = ",".join(f"q[{q}]" for q in g.qubits)
-        lines.append(f"{g.kind.value} {ops}{_fmt_params(g.params)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_dump(text: str) -> Circuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits "):
-        raise CircuitError("dump must start with a `qubits <n>` line")
-    try:
-        num_qubits = int(lines[0].split()[1])
-    except (ValueError, IndexError) as e:
-        raise CircuitError(f"malformed dump header {lines[0]!r}: {e}") from e
-    gates = []
-    for ln in lines[1:]:
-        head, _, tail = ln.partition(" ")
-        try:
-            kind = GateKind(head)
-            ops_text, _, param_text = tail.partition(" (")
-            qubits = tuple(
-                int(tok[2:-1]) for tok in ops_text.strip().split(",") if tok
-            )
-            params: tuple[float, ...] = ()
-            if param_text:
-                params = tuple(float(tok) for tok in param_text.rstrip(")").split(","))
-        except (ValueError, IndexError) as e:
-            raise CircuitError(f"malformed dump line {ln!r}: {e}") from e
-        if not all(map(math.isfinite, params)):
-            raise CircuitError(f"non-finite parameter in dump line {ln!r}")
-        gates.append(Gate(kind, qubits, params))
-    return Circuit(num_qubits, tuple(gates))

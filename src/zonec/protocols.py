@@ -1,5 +1,7 @@
-"""Closed-form 4x4 unitaries for the Rydberg-mediated gate set and the
-single-qubit-gateless arbitrary ZZ-rotation recipes.
+"""Closed-form 4x4 unitaries for the Rydberg-mediated gate set and the phase
+formulas of the single-qubit-gateless arbitrary ZZ-rotation recipes: RZZ(gamma)
+is LP(gamma) then CPHASE(cphase_phi(gamma)), or Ad(adiabatic_phases(gamma))
+then LP(gamma).
 
 Basis order is |00>, |01>, |10>, |11>. All constructors return fresh arrays.
 numpy is imported inside the matrix helpers only: the recipe phases are
@@ -9,7 +11,6 @@ plain floats, so the compile path never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -50,22 +51,6 @@ def adiabatic_matrix(phi1: float, phi2: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(1j * (phi2 - 2.0 * phi1))])
 
 
-@dataclass(frozen=True)
-class RzzRecipe:
-    """Two native entangling pulses whose product equals rzz_matrix(lp_gamma)."""
-
-    protocol: str  # "adiabatic" | "cphase"
-    lp_gamma: float
-    cphase_phi: float | None = None
-    ad_phi1: float | None = None
-    ad_phi2: float | None = None
-
-    def compose(self) -> np.ndarray:
-        if self.protocol == "cphase":
-            return lp_matrix(self.lp_gamma) @ cphase_matrix(self.cphase_phi)
-        return adiabatic_matrix(self.ad_phi1, self.ad_phi2) @ lp_matrix(self.lp_gamma)
-
-
 def cphase_phi(gamma: float) -> float:
     """CPHASE angle after LP(gamma): -2*gamma - pi, so the total |11> phase
     cancels to zero."""
@@ -80,17 +65,6 @@ def adiabatic_phases(gamma: float, phi2: float = 0.0) -> tuple[float, float]:
     |11>, cancelling the LP gate's exp(i*(2*gamma + pi)).
     """
     return (math.pi + 2.0 * gamma + phi2) / 2.0, phi2
-
-
-def synth_rzz_cphase(gamma: float) -> RzzRecipe:
-    """LP(gamma) then CPHASE(cphase_phi(gamma))."""
-    return RzzRecipe(protocol="cphase", lp_gamma=gamma, cphase_phi=cphase_phi(gamma))
-
-
-def synth_rzz_adiabatic(gamma: float, phi2: float = 0.0) -> RzzRecipe:
-    """Ad(adiabatic_phases(gamma, phi2)) then LP(gamma)."""
-    phi1, phi2 = adiabatic_phases(gamma, phi2)
-    return RzzRecipe(protocol="adiabatic", lp_gamma=gamma, ad_phi1=phi1, ad_phi2=phi2)
 
 
 def equiv_up_to_global_phase(u, v, tol: float = 1e-9) -> bool:

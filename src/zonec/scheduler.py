@@ -15,22 +15,19 @@ events never overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 from .arch import (
-    AodMove,
     AtomLayout,
-    LayoutError,
     MachineConfig,
     Policy,
     Trap,
-    apply_move,
     crossing_distance_um,
-    move_duration_us,
-    validate_move,
+    isolation_hop_um,
+    readout_distance_um,
+    shuttle_distance_um,
 )
 from .ir import UNPULSED, Gate, Zone, layer_indices
 from .rewrite import ZoneStepProgram
@@ -131,7 +128,7 @@ def ec_prep_events(config: MachineConfig, n_logical: int) -> tuple[Event, ...]:
     travel to the storage zone. Fully parallel across logical qubits."""
     dur = steane_prep_duration_us(config) + config.pulse_2q_us
     if config.policy is not Policy.TYPE3:
-        dur += config.zone_gap_um / config.aod_speed_um_per_us
+        dur += config.min_ld_st_us
     return (Event(EventKind.EC_PREP, tuple(range(n_logical)), 0.0, dur),)
 
 
@@ -290,7 +287,7 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
                 first_zone.setdefault(q, step.zone)
     for q, zone in first_zone.items():
         if zone is Zone.ENTANGLING:
-            sim.layout.site(q).zone = Zone.ENTANGLING
+            sim.layout.qubits[q].zone = Zone.ENTANGLING
 
 
 def _pulse_storage_layers(sim: _Sim, gates):
@@ -304,7 +301,7 @@ def _pulse_in_place_layers(sim: _Sim, gates):
     clear of every other atom, pulse, and shuttle back."""
     cfg = sim.config
     sites = sim.layout.qubits
-    hop = 2.0 * cfg.pitch_entangling_um / cfg.aod_speed_um_per_us
+    hop = isolation_hop_um(cfg) / cfg.aod_speed_um_per_us
     for qubits in _pulsed_layers(gates):
         sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is Trap.SLM])
         sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
@@ -319,7 +316,7 @@ def _entangling_gates(sim: _Sim, gates, movers):
     """Shuttle the ``movers`` (one per gate, by position) and fire one 2Q
     pulse per parallel layer."""
     cfg = sim.config
-    pitch, speed = cfg.pitch_entangling_um, cfg.aod_speed_um_per_us
+    speed = cfg.aod_speed_um_per_us
     sites = sim.layout.qubits
     for layer in layer_indices(gates):
         worst = 0.0
@@ -328,9 +325,9 @@ def _entangling_gates(sim: _Sim, gates, movers):
         for i in layer:
             a, b = gates[i].qubits
             m = movers[i]
-            ms, os_ = sites[m], sites[b if m == a else a]
-            dist = math.hypot((ms.row - os_.row) * pitch, (ms.col - os_.col) * pitch)
-            worst = max(worst, dist / speed)
+            partner = b if m == a else a
+            worst = max(worst, shuttle_distance_um(sim.layout, m, partner) / speed)
+            ms, os_ = sites[m], sites[partner]
             ms.row, ms.col = os_.row, os_.col
             layer_movers.append(m)
             qubits += (a, b)
@@ -360,9 +357,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
         return
     travel = cfg.min_ld_st_us
     for q in qubits:
-        site = sites[q]
-        travel = max(travel, crossing_distance_um(layout, q, site.row, site.col, dest)
-                     / cfg.aod_speed_um_per_us)
+        travel = max(travel, crossing_distance_um(layout, q, dest) / cfg.aod_speed_um_per_us)
     sim.emit(EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE,
              qubits, sim.clock, travel)
     sim.clock += max(window, travel)
@@ -410,16 +405,9 @@ def _schedule_readout(sim: _Sim, qubits):
     if qubits:
         pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
         tdur = sim.transfer_batch(pickups)
-        # Zone order is storage | entangling | readout: readout travel from
-        # the entangling zone crosses one gap, from storage two plus the span.
         worst = 0.0
-        entangling_span = cfg.array_rows * cfg.pitch_entangling_um
         for q in qubits:
-            x, y = sim.layout.position_um(q)
-            dist = y + cfg.zone_gap_um
-            if sites[q].zone is Zone.STORAGE:
-                dist += entangling_span + cfg.zone_gap_um
-            worst = max(worst, dist / cfg.aod_speed_um_per_us)
+            worst = max(worst, readout_distance_um(sim.layout, q) / cfg.aod_speed_um_per_us)
         worst = max(worst, tdur)
         sim.emit(EventKind.READOUT_MOVE, qubits, sim.clock, worst)
         sim.clock += worst
@@ -434,7 +422,7 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
     cfg = sim.config
     all_qubits = set(range(program.num_qubits))
     for q in all_qubits:  # single zone; all time decoheres at the fast rate
-        sim.layout.site(q).zone = Zone.ENTANGLING
+        sim.layout.qubits[q].zone = Zone.ENTANGLING
     for step in program.steps:
         if step.zone is Zone.READOUT:
             qs = sorted({q for g in step.gates for q in g.qubits})
@@ -450,42 +438,3 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
             bucket = sim.xcz if two_q else sim.x1q
             for q in all_qubits - set(qubits):
                 bucket[q] = bucket.get(q, 0) + 1
-
-
-# ---------------------------------------------------------------------------
-# Movement-based SWAP within the entangling zone
-# ---------------------------------------------------------------------------
-
-
-def plan_swap_in_entangling(
-    layout: AtomLayout, a: int, b: int
-) -> list[tuple[AodMove, float]]:
-    """Exchange two entangling-zone block positions in at most three AOD legs
-    through a vacant waypoint row; zero loads/stores."""
-    if a == b:
-        return []
-    for q in (a, b):
-        if layout.site(q).zone is not Zone.ENTANGLING:
-            raise LayoutError(f"qubit {q} is not in the entangling zone")
-        layout.site(q).trap = Trap.AOD
-    occupied_rows = {s.row for s in layout.qubits if s.zone is Zone.ENTANGLING}
-    waypoint_row = max(occupied_rows) + 1
-    if waypoint_row >= layout.config.array_rows:
-        raise LayoutError("no vacant waypoint row; SLM handoff required")
-    sa, sb = layout.site(a), layout.site(b)
-    plan: list[tuple[AodMove, float]] = []
-    orig_a = (sa.row, sa.col)
-    orig_b = (sb.row, sb.col)
-    moves = [
-        AodMove({a: (waypoint_row - orig_a[0], 0)}),
-        AodMove({b: (orig_a[0] - orig_b[0], orig_a[1] - orig_b[1])}),
-        AodMove({a: (orig_b[0] - waypoint_row, orig_b[1] - orig_a[1])}),
-    ]
-    for mv in moves:
-        ok = validate_move(layout, mv)
-        if ok is not True:
-            raise LayoutError(f"swap leg invalid: {ok.reason}")
-        dur = move_duration_us(layout, mv, layout.config)
-        apply_move(layout, mv)
-        plan.append((mv, dur))
-    return plan

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from zonec.arch import MachineConfig, Policy, build_layout
+from zonec.arch import MachineConfig, Policy, build_layout, plan_swap_in_entangling
 from zonec.cost import breakdown, fidelity, physical_gate_count, run
 from zonec.frontend import (
     STEANE_X_STABILIZERS,
@@ -24,12 +24,13 @@ from zonec.frontend import (
 from zonec.ir import Circuit, Gate, GateKind, PauliTerm, Zone
 from zonec.oracle import pauli_expectation, statevector_of, unitary_of
 from zonec.protocols import (
+    adiabatic_matrix,
+    adiabatic_phases,
     cphase_matrix,
+    cphase_phi,
     equiv_up_to_global_phase,
     lp_matrix,
     rzz_matrix,
-    synth_rzz_adiabatic,
-    synth_rzz_cphase,
 )
 from zonec.rewrite import (
     PipelineOptions,
@@ -43,7 +44,7 @@ from zonec.rewrite import (
     synth_pauli_fountain,
     synth_pauli_path,
 )
-from zonec.scheduler import count_ld_st, plan_swap_in_entangling
+from zonec.scheduler import count_ld_st
 
 DATA = pathlib.Path(__file__).parent / "data"
 UCC_SEED = 10  # fixed suite seed: every generated term is entangling-grade
@@ -74,8 +75,8 @@ def test_criterion_01_protocol_algebra():
     for gamma, phi2 in zip(rng.uniform(-2 * np.pi, 2 * np.pi, 1000),
                            rng.uniform(-2 * np.pi, 2 * np.pi, 1000)):
         target = rzz_matrix(gamma)
-        for rec in (synth_rzz_cphase(gamma), synth_rzz_adiabatic(gamma, phi2)):
-            m = rec.compose()
+        for m in (lp_matrix(gamma) @ cphase_matrix(cphase_phi(gamma)),
+                  adiabatic_matrix(*adiabatic_phases(gamma, phi2)) @ lp_matrix(gamma)):
             phase = m[0, 0] / target[0, 0]
             worst = max(worst, float(np.abs(m - phase * target).max()))
     elapsed = time.monotonic() - t0
@@ -117,12 +118,12 @@ def test_criterion_02_rewrite_soundness():
         swap_samples += bool(swaps)
         lowered, _ = lower_swap(c)
         if not equiv_up_to_global_phase(
-            unitary_of(lowered.extend(swaps)), ref, 1e-9
+            unitary_of(Circuit(c.num_qubits, lowered.gates + tuple(swaps))), ref, 1e-9
         ):
             failures += 1
         for mode in ("mantra", "standard"):
             prog = mantra_pipeline(c, PipelineOptions(mode=mode))
-            flat = prog.flatten().extend(swaps)
+            flat = Circuit(c.num_qubits, prog.flatten().gates + tuple(swaps))
             if not equiv_up_to_global_phase(unitary_of(flat), ref, 1e-9):
                 failures += 1
     for _ in range(200):
@@ -219,7 +220,7 @@ def test_criterion_08_swap_dominance():
         gate_ld_st = sum(count_ld_st(tl))
         lay = build_layout(MachineConfig(), n)
         for q in range(n):
-            lay.site(q).zone = Zone.ENTANGLING
+            lay.qubits[q].zone = Zone.ENTANGLING
         plan = plan_swap_in_entangling(lay, a, b)
         move_time = sum(d for _, d in plan)
         ok &= gate_ld_st == 6 and move_time < tl.makespan_us

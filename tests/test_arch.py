@@ -14,9 +14,11 @@ from zonec.arch import (
     apply_move,
     build_layout,
     crossing_distance_um,
-    dump_config,
+    isolation_hop_um,
     load_config,
     move_duration_us,
+    readout_distance_um,
+    shuttle_distance_um,
     validate_move,
 )
 from zonec.ir import Zone
@@ -33,7 +35,6 @@ class TestConfig:
     def test_derived_times(self):
         cfg = MachineConfig()
         assert cfg.min_ld_st_us == pytest.approx(20.0 / 0.55)
-        assert cfg.shuttle_unit_us == pytest.approx(12.0 / 0.55)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -65,7 +66,7 @@ class TestConfig:
     def test_config_file_round_trip(self, tmp_path):
         cfg = MachineConfig(pulse_2q_us=0.5, policy=Policy.TYPE2, array_rows=21)
         path = tmp_path / "machine.cfg"
-        path.write_text(dump_config(cfg))
+        path.write_text("pulse_2q_us = 0.5\npolicy = type2\narray_rows: 21\n")
         assert load_config(path) == cfg
 
     def test_config_file_partial_override(self, tmp_path):
@@ -75,6 +76,16 @@ class TestConfig:
         assert cfg.aod_speed_um_per_us == 1.1
         assert cfg.policy is Policy.TYPE3
         assert cfg.pulse_1q_us == 0.625
+
+    @pytest.mark.parametrize("text", [
+        "pulse_2q_us = 0.4\n# c\npulse_2q_us = 0.9\n",
+        "pulse_2q_us = 0.4\n\npulse_2q_us: 0.4\n",
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, text):
+        path = tmp_path / "machine.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"^line 3: 'pulse_2q_us' already set on line 1$"):
+            load_config(path)
 
     def test_removed_x_basis_allowed_rejected(self, tmp_path):
         path = tmp_path / "machine.cfg"
@@ -127,7 +138,7 @@ class TestMoves:
 
     def test_order_violation_detected(self):
         lay = self._layout()
-        a, b = lay.site(0), lay.site(1)
+        a, b = lay.qubits[0], lay.qubits[1]
         # Force columns to cross.
         delta = b.col - a.col
         mv = AodMove({0: (0, delta + 1), 1: (0, 0)})
@@ -136,8 +147,7 @@ class TestMoves:
 
     def test_occupied_destination_detected(self):
         lay = self._layout()
-        b = lay.site(1)
-        a = lay.site(0)
+        a, b = lay.qubits[0], lay.qubits[1]
         mv = AodMove({0: (b.row - a.row, b.col - a.col)})
         v = validate_move(lay, mv)
         assert isinstance(v, MoveViolation)
@@ -151,13 +161,52 @@ class TestMoves:
 
     def test_apply_move_updates_positions(self):
         lay = self._layout()
-        before = (lay.site(0).row, lay.site(0).col)
+        s = lay.qubits[0]
+        before = (s.row, s.col)
         apply_move(lay, AodMove({0: (2, 1)}))
-        assert (lay.site(0).row, lay.site(0).col) == (before[0] + 2, before[1] + 1)
+        assert (s.row, s.col) == (before[0] + 2, before[1] + 1)
 
     @given(st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_crossing_distance_at_least_gap(self, r, c):
         lay = build_layout(MachineConfig(), 4)
-        d = crossing_distance_um(lay, 0, r, c, Zone.ENTANGLING)
+        lay.qubits[0].row, lay.qubits[0].col = r, c
+        d = crossing_distance_um(lay, 0, Zone.ENTANGLING)
         assert d >= lay.config.zone_gap_um
+
+
+class TestDistances:
+    """Closed forms at the default geometry: 6 um storage pitch, 12 um
+    entangling pitch, a 20 um zone gap and 41 rows per zone."""
+
+    @staticmethod
+    def _at(zone, row, col=0):
+        lay = build_layout(MachineConfig(), 2)
+        s = lay.qubits[0]
+        s.zone, s.row, s.col = zone, row, col
+        return lay
+
+    @pytest.mark.parametrize("row", [0, 1, 7, 40])
+    def test_readout_trip(self, row):
+        assert readout_distance_um(self._at(Zone.STORAGE, row), 0) == 6 * row + 20 + 41 * 12 + 20
+        assert readout_distance_um(self._at(Zone.ENTANGLING, row), 0) == 12 * row + 20
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (3, 0), (2, 5), (40, 40)])
+    def test_crossing_keeps_row_and_column(self, row, col):
+        # Storage (row, col) to entangling (row, col): the x offset is the
+        # pitch difference, the y span both rows plus the gap.
+        up = crossing_distance_um(self._at(Zone.STORAGE, row, col), 0, Zone.ENTANGLING)
+        down = crossing_distance_um(self._at(Zone.ENTANGLING, row, col), 0, Zone.STORAGE)
+        assert up == down == math.hypot(6 * col, 18 * row + 20)
+
+    def test_shuttle_onto_partner(self):
+        lay = self._at(Zone.ENTANGLING, 1, 2)
+        p = lay.qubits[1]
+        p.zone, p.row, p.col = Zone.ENTANGLING, 4, 6
+        assert shuttle_distance_um(lay, 0, 1) == 60.0  # a 3-4-5 triangle of 12 um edges
+        assert shuttle_distance_um(lay, 1, 0) == 60.0
+        assert shuttle_distance_um(lay, 0, 0) == 0.0
+
+    def test_isolation_hop(self):
+        assert isolation_hop_um(MachineConfig()) == 24.0
+        assert isolation_hop_um(MachineConfig(pitch_entangling_um=15.0)) == 30.0

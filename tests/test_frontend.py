@@ -25,7 +25,7 @@ from zonec.frontend import (
     qaoa_angles,
 )
 from zonec import frontend
-from zonec.ir import Circuit, CircuitError, Gate, GateKind, PauliTerm
+from zonec.ir import Circuit, CircuitError, Gate, GateKind, PauliTerm, layer_indices
 
 
 class TestQasm:
@@ -70,21 +70,23 @@ class TestQasm:
     def test_parse_equals_append_built(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
-        c = Circuit(n)
+        gates = []
         for _ in range(int(rng.integers(0, 30))):
             name = str(rng.choice(["h", "x", "rx", "rz", "cx", "cz", "swap", "rzz"]))
             kind = GateKind[name.upper()]
             arity = 2 if name in ("cx", "cz", "swap", "rzz") else 1
-            params = [float(rng.uniform(-4, 4))] if name in ("rx", "rz", "rzz") else []
-            c = c.append(kind, rng.permutation(n)[:arity].tolist(), params)
-        for q in range(n):
-            c = c.append(GateKind.MEASURE, [q])
+            params = (float(rng.uniform(-4, 4)),) if name in ("rx", "rz", "rzz") else ()
+            gates.append(Gate(kind, tuple(rng.permutation(n)[:arity].tolist()), params))
+        gates += [Gate(GateKind.MEASURE, (q,)) for q in range(n)]
+        c = Circuit(n, tuple(gates))
         assert repr(parse_qasm(dump_qasm(c))) == repr(c)
 
 
 def _parse_qasm_reference(text):
     """``parse_qasm`` as it was before statements were memoised: every
-    statement runs the prefix checks in order and is parsed afresh."""
+    statement runs the prefix checks in order and is parsed afresh. The
+    header must come first, once; ``include`` and ``barrier`` must be the
+    whole first word; register names are unique."""
     qreg_re = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
     creg_re = re.compile(r"creg\s+(\w+)\s*\[\s*(\d+)\s*\]")
     stmt_re = re.compile(r"^(\w+)\s*(?:\((.*)\))?\s*(.*)$")
@@ -94,18 +96,46 @@ def _parse_qasm_reference(text):
     creg_names = set()
     gates = []
     saw_header = False
+    statements_read = 0
+
+    def qubit_operands(operand_text, lineno, whole=False):
+        operands = []
+        for col, tok in enumerate(
+            t.strip() for t in operand_text.split(",") if t.strip()
+        ):
+            if whole and tok == qreg_name:
+                continue
+            om = operand_re.match(tok)
+            if not om:
+                raise ParseError(f"malformed operand {tok!r}", lineno, col)
+            reg, idx = om.group(1), int(om.group(2))
+            if reg != qreg_name:
+                raise ParseError(f"undeclared register {reg!r}", lineno, col)
+            if idx >= num_qubits:
+                raise ParseError(
+                    f"operand {reg}[{idx}] out of range (size {num_qubits})",
+                    lineno,
+                    col,
+                )
+            operands.append(idx)
+        return operands
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//")[0].strip()
         if not line:
             continue
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
+            statements_read += 1
             if stmt.startswith("OPENQASM"):
                 if "2.0" not in stmt:
                     raise ParseError("only OPENQASM 2.0 is supported", lineno)
+                if statements_read > 1:
+                    raise ParseError("OPENQASM 2.0 must be the first statement", lineno)
                 saw_header = True
                 continue
-            if stmt.startswith("include"):
+            if re.match(r"include\b", stmt):
+                if not re.fullmatch(r'include\s*"[^"]+"', stmt):
+                    raise ParseError('expected include "<file>"', lineno)
                 continue
             if stmt.startswith("qreg"):
                 m = qreg_re.match(stmt)
@@ -113,6 +143,8 @@ def _parse_qasm_reference(text):
                     raise ParseError("malformed qreg declaration", lineno)
                 if qreg_name is not None:
                     raise ParseError("only one qreg is supported", lineno)
+                if m.group(1) in creg_names:
+                    raise ParseError(f"qreg {m.group(1)!r} reuses a creg name", lineno)
                 qreg_name, num_qubits = m.group(1), int(m.group(2))
                 if num_qubits < 1:
                     raise ParseError("circuit needs at least one qubit", lineno)
@@ -121,9 +153,15 @@ def _parse_qasm_reference(text):
                 m = creg_re.match(stmt)
                 if not m:
                     raise ParseError("malformed creg declaration", lineno)
+                if m.group(1) == qreg_name:
+                    raise ParseError(f"creg {m.group(1)!r} reuses the qreg name", lineno)
                 creg_names.add(m.group(1))
                 continue
-            if stmt.startswith("barrier"):
+            if re.match(r"barrier\b", stmt):
+                m = stmt_re.match(stmt)
+                if m.group(2) is not None:
+                    raise ParseError("barrier takes no arguments", lineno)
+                qubit_operands(m.group(3), lineno, whole=True)
                 continue
 
             m = stmt_re.match(stmt)
@@ -146,23 +184,7 @@ def _parse_qasm_reference(text):
 
             if kind is GateKind.MEASURE:
                 operand_text = operand_text.split("->")[0].strip()
-            operands = []
-            for col, tok in enumerate(
-                t.strip() for t in operand_text.split(",") if t.strip()
-            ):
-                om = operand_re.match(tok)
-                if not om:
-                    raise ParseError(f"malformed operand {tok!r}", lineno, col)
-                reg, idx = om.group(1), int(om.group(2))
-                if reg != qreg_name:
-                    raise ParseError(f"undeclared register {reg!r}", lineno, col)
-                if idx >= num_qubits:
-                    raise ParseError(
-                        f"operand {reg}[{idx}] out of range (size {num_qubits})",
-                        lineno,
-                        col,
-                    )
-                operands.append(idx)
+            operands = qubit_operands(operand_text, lineno)
             if len(operands) != arity:
                 raise ParseError(
                     f"{name} takes {arity} operand(s), got {len(operands)}", lineno
@@ -180,18 +202,22 @@ def _parse_qasm_reference(text):
 
 
 # Statements that both parsers accept once `qreg q[3]` and `creg c[3]` are
-# declared, and statements that both reject with the same message.
+# declared (the OPENQASM line only as the first statement, which a drawn one
+# never is), and statements that both reject with the same message.
 _GOOD_STATEMENTS = [
     "h q[0]", "x q[2]", "cx q[0],q[1]", "cx q[0], q[1]", "cx  q[1] ,q[0]",
     "cz q[1],q[2]", "swap q[0],q[2]", "rz(pi/4) q[2]", "rz(0.5*pi) q[1]",
     "rz( 0.5*pi ) q[1]", "rx(-(pi/2)) q[0]", "rzz(0.3) q[0],q[2]",
     "measure q[1] -> c[1]", "measure q[2]->c[0]", "measure q[0]",
-    "barrier q[0],q[1]", 'include "qelib1.inc"', "OPENQASM 2.0",
+    "barrier q[0],q[1]", "barrier q", "barrier q, q[2]", 'include "qelib1.inc"',
+    "OPENQASM 2.0",
 ]
 _BAD_STATEMENTS = [
     "bogus q[0]", "h q[5]", "cx q[0],q[0]", "rz(1/0) q[0]", "rz(2**3) q[0]",
     "h r[0]", "rz q[0]", "h(1) q[0]", "cx q[0]", "h q[0],q[1]", "h q0",
     "qreg q[2]", "qreg r[]", "creg c", "OPENQASM 3.0", "[h] q[0]", "cx q[0],,q[9]",
+    "includefoo q[0]", "include qelib1.inc", "barrier_junk(7) r[9]", "barrier r[0]",
+    "barrier q[0],q[7]", "barrier(1) q", "creg q[2]", "qreg c[3]",
 ]
 
 
@@ -220,8 +246,10 @@ def _qasm_texts(draw):
 
 
 class TestQasmStatementMemo:
+    # A drawn OPENQASM line fails as a late header, so fewer texts parse
+    # than when it was skipped; 600 examples keep over 100 that parse.
     @given(_qasm_texts())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_same_result_as_reference(self, text):
         try:
             expected = _parse_qasm_reference(text)
@@ -289,6 +317,42 @@ class TestQasmDeclarations:
         with pytest.raises(ParseError, match=why) as exc:
             parse_qasm(text)
         assert exc.value.line == line
+
+    @pytest.mark.parametrize("text, line, col, why", [
+        ("OPENQASM 2.0;\nqreg q[2];\nincludefoo q[0];\n", 3, 0, "unsupported gate 'includefoo'"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier_junk(7) r[9];\n", 3, 0,
+         "unsupported gate 'barrier_junk'"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier r[0];\n", 3, 0, "undeclared register 'r'"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier q, q[5];\n", 3, 1,
+         r"operand q\[5\] out of range \(size 2\)"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0],;\nbarrier q0;\n", 4, 0,
+         "malformed operand 'q0'"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier(1) q;\n", 3, 0, "barrier takes no arguments"),
+        ("OPENQASM 2.0;\nbarrier q[0];\nqreg q[2];\n", 2, 0, "undeclared register 'q'"),
+        ("OPENQASM 2.0;\ninclude qelib1.inc;\nqreg q[2];\n", 2, 0, 'expected include "<file>"'),
+        ('OPENQASM 2.0;\ninclude "a" "b";\nqreg q[2];\n', 2, 0, 'expected include "<file>"'),
+        ('OPENQASM 2.0;\ninclude "";\nqreg q[2];\n', 2, 0, 'expected include "<file>"'),
+        ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\nOPENQASM 2.0;\n", 4, 0,
+         "OPENQASM 2.0 must be the first statement"),
+        ("OPENQASM 2.0;\nOPENQASM 2.0;\nqreg q[2];\n", 2, 0,
+         "OPENQASM 2.0 must be the first statement"),
+        ("OPENQASM 2.0; OPENQASM 2.0;\nqreg q[2];\n", 1, 0,
+         "OPENQASM 2.0 must be the first statement"),
+        ('include "qelib1.inc";\nOPENQASM 2.0;\nqreg q[2];\n', 2, 0,
+         "OPENQASM 2.0 must be the first statement"),
+        ("OPENQASM 2.0;\nqreg q[2];\ncreg q[2];\n", 3, 0, "creg 'q' reuses the qreg name"),
+        ("OPENQASM 2.0;\ncreg q[2];\nqreg q[2];\n", 3, 0, "qreg 'q' reuses a creg name"),
+    ])
+    def test_include_barrier_header_and_names_checked(self, text, line, col, why):
+        with pytest.raises(ParseError, match=why) as exc:
+            parse_qasm(text)
+        assert str(exc.value).startswith(f"line {line}, col {col}: ")
+
+    def test_barriers_and_includes_skipped(self):
+        c = parse_qasm('OPENQASM 2.0;\ninclude"qelib1.inc";\ninclude  "my gates.inc";\n'
+                       "qreg q[3];\ncreg c[3];\nh q[0];\nbarrier q;\nbarrier q, q[2];\n"
+                       "barrier q[0],q[1],q[2];\nbarrier q;\nh q[0];\n")
+        assert c == Circuit(3, (Gate(GateKind.H, (0,)),) * 2)
 
     def test_measure_into_any_declared_creg(self):
         c = parse_qasm("OPENQASM  2.0;\nqreg q[2];\ncreg a[1];\ncreg b[2];\n"
@@ -364,7 +428,8 @@ class TestPauliFile:
         with pytest.raises(ParseError):
             parse_pauli_file("qubits 2\nXYZ 0.5\n")
 
-    @pytest.mark.parametrize("header", ["qubits", "qubits x", "qubits 0", "qubits -2"])
+    @pytest.mark.parametrize("header", ["qubits", "qubits x", "qubits 0", "qubits -2",
+                                        "qubits 2 junk", "qubits 2 2"])
     def test_bad_header(self, header):
         with pytest.raises(ParseError) as exc:
             parse_pauli_file(f"# terms\n{header}\nXZ 0.5\n")
@@ -385,11 +450,8 @@ class TestGhz:
         assert sum(1 for g in c.gates if g.kind is GateKind.H) == 1
 
     def test_parallel_depth_logarithmic(self):
-        from zonec.ir import dependency_layers
-
         c = gen_ghz(16, chain="parallel", measure=False)
-        cx_layers = dependency_layers(c.gates)
-        assert len(cx_layers) == 1 + 4  # H layer + log2(16) doubling layers
+        assert len(layer_indices(c.gates)) == 1 + 4  # H layer + log2(16) doubling layers
 
     def test_measure_flag(self):
         assert any(g.kind is GateKind.MEASURE for g in gen_ghz(4).gates)
@@ -503,13 +565,14 @@ class TestBenchmarkSpec:
 
 
 def _ghz_by_append(n, chain):
-    c = Circuit(n).append(GateKind.H, [0])
+    """gen_ghz's circuit, one gate appended at a time."""
+    gates = [Gate(GateKind.H, (0,))]
     if chain == "path":
         for i in range(n - 1):
-            c = c.append(GateKind.CX, [i, i + 1])
+            gates.append(Gate(GateKind.CX, (i, i + 1)))
     elif chain == "fountain":
         for i in range(1, n):
-            c = c.append(GateKind.CX, [0, i])
+            gates.append(Gate(GateKind.CX, (0, i)))
     else:
         segments = [(0, n)]
         while segments:
@@ -517,27 +580,26 @@ def _ghz_by_append(n, chain):
             for lo, hi in segments:
                 if hi - lo > 1:
                     mid = lo + (hi - lo + 1) // 2
-                    c = c.append(GateKind.CX, [lo, mid])
+                    gates.append(Gate(GateKind.CX, (lo, mid)))
                     nxt += [(lo, mid), (mid, hi)]
             segments = nxt
     for q in range(n):
-        c = c.append(GateKind.MEASURE, [q])
-    return c
+        gates.append(Gate(GateKind.MEASURE, (q,)))
+    return Circuit(n, tuple(gates))
 
 
 def _qaoa_by_append(graph, p, gammas, betas):
-    c = Circuit(graph.num_nodes)
-    for q in range(graph.num_nodes):
-        c = c.append(GateKind.H, [q])
+    """gen_qaoa's circuit, one gate appended at a time, every angle a float."""
+    gates = [Gate(GateKind.H, (q,)) for q in range(graph.num_nodes)]
     weights = graph.weights or (1.0,) * len(graph.edges)
     for k in range(p):
         for (a, b), w in zip(graph.edges, weights):
-            c = c.append(GateKind.RZZ, [a, b], [gammas[k] * w])
+            gates.append(Gate(GateKind.RZZ, (a, b), (float(gammas[k] * w),)))
         for q in range(graph.num_nodes):
-            c = c.append(GateKind.RX, [q], [2.0 * betas[k]])
+            gates.append(Gate(GateKind.RX, (q,), (float(2.0 * betas[k]),)))
     for q in range(graph.num_nodes):
-        c = c.append(GateKind.MEASURE, [q])
-    return c
+        gates.append(Gate(GateKind.MEASURE, (q,)))
+    return Circuit(graph.num_nodes, tuple(gates))
 
 
 class TestBuildOnce:
@@ -557,19 +619,17 @@ class TestBuildOnce:
         assert repr(gen_qaoa(weighted, 2, gammas, betas)) == repr(expected)
 
     def test_steane_equals_append_built(self):
-        c = Circuit(7)
-        for kind, qubits in [("H", [0]), ("H", [1]), ("H", [2]), ("H", [3]),
-                             ("CX", [0, 5]), ("CX", [0, 6]), ("CX", [1, 4]),
-                             ("CX", [1, 6]), ("CX", [2, 4]), ("CX", [2, 5]),
-                             ("CX", [3, 4]), ("CX", [3, 5]), ("CX", [3, 6])]:
-            c = c.append(GateKind[kind], qubits)
-        assert gen_steane_prep() == c
+        gates = [Gate(GateKind[kind], qubits)
+                 for kind, qubits in [("H", (0,)), ("H", (1,)), ("H", (2,)), ("H", (3,)),
+                                      ("CX", (0, 5)), ("CX", (0, 6)), ("CX", (1, 4)),
+                                      ("CX", (1, 6)), ("CX", (2, 4)), ("CX", (2, 5)),
+                                      ("CX", (3, 4)), ("CX", (3, 5)), ("CX", (3, 6))]]
+        assert gen_steane_prep() == Circuit(7, tuple(gates))
 
     def test_extend_checks_range(self):
-        c = Circuit(2).extend([Gate(GateKind.H, (0,)), Gate(GateKind.CZ, (0, 1))])
-        assert c == Circuit(2).append(GateKind.H, [0]).append(GateKind.CZ, [0, 1])
+        c = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CZ, (0, 1))))
         with pytest.raises(CircuitError, match=r"q\[2\]"):
-            c.extend([Gate(GateKind.H, (1,)), Gate(GateKind.H, (2,))])
+            Circuit(2, c.gates + (Gate(GateKind.H, (1,)), Gate(GateKind.H, (2,))))
 
     @pytest.mark.parametrize("build", [
         lambda: parse_qasm("OPENQASM 2.0;\nqreg q[6];\n" + "".join(

@@ -68,3 +68,23 @@ def test_imports_follow_the_order(path):
         if RANK.get(name, len(RANK)) >= RANK[path.stem]
     }
     assert not later, sorted(later)
+
+
+# Only arch knows the machine's geometry: the scheduler charges travel through
+# arch's distance functions and plans no AOD legs of its own, so a change to
+# where atoms sit or how far they travel touches arch alone.
+GEOMETRY_FIELDS = {"zone_gap_um", "array_rows", "pitch_entangling_um", "pitch_storage_um"}
+AOD_MOVE_HELPERS = {"AodMove", "validate_move", "move_duration_us", "apply_move"}
+
+
+def test_scheduler_leaves_geometry_to_arch():
+    tree = ast.parse((SRC / "scheduler.py").read_text())
+    nodes = list(ast.walk(tree))
+    imported = {a.name for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))
+                for a in n.names}
+    used = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    used |= {n.id for n in nodes if isinstance(n, ast.Name)}
+    used |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert "math" not in imported
+    assert not {u for u in used if u in GEOMETRY_FIELDS or u.startswith("pitch_")}
+    assert not (imported | used) & AOD_MOVE_HELPERS

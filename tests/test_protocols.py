@@ -4,13 +4,13 @@ from hypothesis import given, strategies as st
 
 from zonec.protocols import (
     adiabatic_matrix,
+    adiabatic_phases,
     cphase_matrix,
+    cphase_phi,
     equiv_up_to_global_phase,
     is_unitary,
     lp_matrix,
     rzz_matrix,
-    synth_rzz_adiabatic,
-    synth_rzz_cphase,
 )
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
@@ -38,36 +38,35 @@ class TestConstructors:
 class TestRecipes:
     @given(angles)
     def test_cphase_recipe(self, g):
-        rec = synth_rzz_cphase(g)
-        assert equiv_up_to_global_phase(rec.compose(), rzz_matrix(g), 1e-12)
+        u = lp_matrix(g) @ cphase_matrix(cphase_phi(g))
+        assert equiv_up_to_global_phase(u, rzz_matrix(g), 1e-12)
 
     @given(angles, angles)
     def test_adiabatic_recipe(self, g, phi2):
-        rec = synth_rzz_adiabatic(g, phi2)
-        assert equiv_up_to_global_phase(rec.compose(), rzz_matrix(g), 1e-12)
+        u = adiabatic_matrix(*adiabatic_phases(g, phi2)) @ lp_matrix(g)
+        assert equiv_up_to_global_phase(u, rzz_matrix(g), 1e-12)
 
     def test_cphase_angle_formula(self):
-        rec = synth_rzz_cphase(0.7)
-        assert rec.cphase_phi == pytest.approx(-2 * 0.7 - np.pi)
+        assert cphase_phi(0.7) == pytest.approx(-2 * 0.7 - np.pi)
 
     def test_adiabatic_angle_formula(self):
-        rec = synth_rzz_adiabatic(0.7, 0.2)
-        assert rec.ad_phi1 == pytest.approx((np.pi + 2 * 0.7 + 0.2) / 2)
+        assert adiabatic_phases(0.7, 0.2) == pytest.approx(
+            ((np.pi + 2 * 0.7 + 0.2) / 2, 0.2))
 
 
 class TestAnglesWithoutNumpy:
-    """The recipes use math.pi so the compile path never loads numpy; every
-    angle must stay the same double the numpy.pi formulas gave."""
+    """The phase formulas use math.pi so the compile path never loads numpy;
+    every angle must stay the same double the numpy.pi formulas gave."""
 
     finite = st.floats(allow_nan=False, allow_infinity=False)
 
     @given(finite)
     def test_cphase_phi_is_bit_identical(self, g):
-        assert synth_rzz_cphase(g).cphase_phi == -2.0 * g - np.pi
+        assert cphase_phi(g) == -2.0 * g - np.pi
 
     @given(finite, finite)
     def test_adiabatic_phi1_is_bit_identical(self, g, phi2):
-        assert synth_rzz_adiabatic(g, phi2).ad_phi1 == (np.pi + 2.0 * g + phi2) / 2.0
+        assert adiabatic_phases(g, phi2)[0] == (np.pi + 2.0 * g + phi2) / 2.0
 
 
 class TestEquivalence:

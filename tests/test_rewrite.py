@@ -107,7 +107,7 @@ class TestLoweringPasses:
         assert_equiv(c, cancel_hadamard_pairs(c))
         assert_equiv(c, substitute_rzz(c))
         lowered, _ = lower_swap(c)
-        assert_equiv(c, lowered.extend(swaps_of(c)))
+        assert_equiv(c, Circuit(c.num_qubits, lowered.gates + swaps_of(c)))
 
     def test_cancel_is_fixed_point(self):
         c = Circuit(2, (Gate(GateKind.H, (0,)),) * 4)
@@ -409,7 +409,7 @@ class TestSwapLowering:
         lowered, slots = lower_swap(c)
         assert lowered.gates == (Gate(GateKind.H, (0,)), Gate(GateKind.CZ, (0, 2)))
         assert slots == (0, 1, 2)
-        assert_equiv(c, lowered.extend(swaps_of(c)))
+        assert_equiv(c, Circuit(c.num_qubits, lowered.gates + swaps_of(c)))
 
     def test_chained_swaps_permute_slots(self):
         c = Circuit(
@@ -427,7 +427,7 @@ class TestSwapLowering:
             Gate(GateKind.CZ, (1, 0)),
         )
         assert slots == (1, 2, 0)
-        assert_equiv(c, lowered.extend(swaps_of(c)))
+        assert_equiv(c, Circuit(c.num_qubits, lowered.gates + swaps_of(c)))
 
     def test_measure_after_swap_is_relabelled(self):
         c = Circuit(
@@ -533,7 +533,7 @@ class TestZoneSteps:
         c = random_gate_circuit(rng, rng.randint(2, 5), 8)
         for mode in ("mantra", "standard"):
             prog = mantra_pipeline(c, PipelineOptions(mode=mode))
-            assert_equiv(c, prog.flatten().extend(swaps_of(c)))
+            assert_equiv(c, Circuit(c.num_qubits, prog.flatten().gates + swaps_of(c)))
 
 
 class TestXBasisAbsorption:
@@ -562,9 +562,7 @@ class TestPipeline:
         rng = random.Random(seed)
         n = rng.randint(2, 5)
         pf = PauliTermFile(n, tuple(random_term(rng, n) for _ in range(3)))
-        reference = Circuit(n)
-        for t in pf.terms:
-            reference = reference.extend(synth_pauli_path(t).gates)
+        reference = Circuit(n, tuple(g for t in pf.terms for g in synth_pauli_path(t).gates))
         prog = mantra_pipeline(pf, PipelineOptions(mode="mantra"))
         flat = Circuit(
             n, tuple(g for g in prog.flatten().gates if g.kind is not GateKind.MEASURE)

@@ -1,6 +1,6 @@
 import pytest
 
-from zonec.arch import MachineConfig, Policy, build_layout
+from zonec.arch import MachineConfig, Policy, build_layout, plan_swap_in_entangling
 from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import Circuit, Gate, GateKind, Zone
 from zonec.rewrite import (
@@ -15,7 +15,6 @@ from zonec.scheduler import (
     ScheduleError,
     count_ld_st,
     ec_prep_events,
-    plan_swap_in_entangling,
     schedule,
     steane_prep_duration_us,
 )
@@ -169,14 +168,14 @@ class TestEcPrep:
         from dataclasses import replace
 
         from zonec.frontend import gen_steane_prep
-        from zonec.ir import dependency_layers
+        from zonec.ir import layer_indices
         from zonec.rewrite import cancel_hadamard_pairs, lower_cx_to_cz
 
         cfg = replace(MachineConfig(), pulse_1q_us=pulse_1q, pulse_2q_us=pulse_2q)
         prep = cancel_hadamard_pairs(lower_cx_to_cz(gen_steane_prep()))
         total = 0.0
-        for layer in dependency_layers(prep.gates):
-            kinds = {g.kind for g in layer}
+        for layer in layer_indices(prep.gates):
+            kinds = {prep.gates[i].kind for i in layer}
             if GateKind.CZ in kinds:
                 total += pulse_2q
             if kinds & {GateKind.H, GateKind.X, GateKind.RX}:
@@ -188,17 +187,17 @@ class TestMovementSwap:
     def _entangled_layout(self, n=4):
         lay = build_layout(MachineConfig(), n)
         for q in range(n):
-            lay.site(q).zone = Zone.ENTANGLING
+            lay.qubits[q].zone = Zone.ENTANGLING
         return lay
 
     def test_three_validated_legs(self):
         lay = self._entangled_layout()
-        a0 = (lay.site(0).row, lay.site(0).col)
-        b0 = (lay.site(1).row, lay.site(1).col)
+        a, b = lay.qubits[0], lay.qubits[1]
+        a0, b0 = (a.row, a.col), (b.row, b.col)
         plan = plan_swap_in_entangling(lay, 0, 1)
         assert len(plan) == 3
-        assert (lay.site(0).row, lay.site(0).col) == b0
-        assert (lay.site(1).row, lay.site(1).col) == a0
+        assert (a.row, a.col) == b0
+        assert (b.row, b.col) == a0
 
     def test_identity_swap_empty(self):
         lay = self._entangled_layout()
