@@ -104,7 +104,9 @@ _CONFIG_FIELDS = {f.name: f for f in fields(MachineConfig)}
 
 def load_config(path) -> MachineConfig:
     """Read a `key = value` (or `key: value`) config file; unset keys keep
-    their defaults, and a key may be set once."""
+    their defaults, and a key may be set once. A line that does not parse,
+    or whose value does not convert, raises a ``ConfigError`` naming the
+    line; ``MachineConfig`` then checks each value's range."""
     overrides = {}
     set_on = {}  # key -> line that set it
     with open(path) as fh:
@@ -125,12 +127,15 @@ def load_config(path) -> MachineConfig:
                 raise ConfigError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
             set_on[key] = lineno
             ftype = _CONFIG_FIELDS[key].type
-            if key == "policy":
-                overrides[key] = Policy(val.lower())
-            elif ftype == "int":
-                overrides[key] = int(val)
-            else:
-                overrides[key] = float(val)
+            try:
+                if key == "policy":
+                    overrides[key] = Policy(val.lower())
+                elif ftype == "int":
+                    overrides[key] = int(val)
+                else:
+                    overrides[key] = float(val)
+            except ValueError as e:
+                raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from None
     return MachineConfig(**overrides)
 
 
@@ -140,9 +145,9 @@ class LayoutError(ValueError):
 
 @dataclass
 class LogicalSite:
-    """Mutable per-logical-qubit placement state owned by the scheduler."""
+    """Mutable per-logical-qubit placement state; the scheduler moves its
+    own copy."""
 
-    index: int
     zone: Zone
     row: int
     col: int
@@ -153,13 +158,6 @@ class LogicalSite:
 class AtomLayout:
     config: MachineConfig
     qubits: list[LogicalSite]
-
-    def position_um(self, q: int) -> tuple[float, float]:
-        """Physical anchor (x, y) with y measured from the zone border
-        nearest the other zone (row 0 is the border row)."""
-        s = self.qubits[q]
-        pitch = self.config.pitch_um(s.zone)
-        return s.col * pitch, s.row * pitch
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,6 @@ def build_layout(config: MachineConfig, n_logical: int) -> AtomLayout:
         site = q * config.physical_per_logical
         qubits.append(
             LogicalSite(
-                index=q,
                 zone=Zone.STORAGE,
                 row=site // config.array_cols,
                 col=site % config.array_cols,
@@ -241,8 +238,9 @@ def validate_move(layout: AtomLayout, move: AodMove):
                         f"{'row' if axis == 0 else 'column'} order",
                         (a, b),
                     )
+    moving = set(movers)
     occupied = {
-        (s.zone, s.row, s.col) for s in layout.qubits if s.index not in set(movers)
+        (s.zone, s.row, s.col) for q, s in enumerate(layout.qubits) if q not in moving
     }
     seen = set()
     for q in movers:
@@ -306,24 +304,21 @@ def plan_swap_in_entangling(
 
 
 def crossing_distance_um(layout: AtomLayout, q: int, dest_zone: Zone) -> float:
-    """Euclidean distance for a zone-gap crossing from q's site to the same
-    (row, col) in dest_zone."""
-    s = layout.qubits[q]
-    x0, y0 = layout.position_um(q)
-    dest_pitch = layout.config.pitch_um(dest_zone)
-    x1 = s.col * dest_pitch
-    y1 = s.row * dest_pitch
-    return math.hypot(x1 - x0, y0 + layout.config.zone_gap_um + y1)
-
-
-def readout_distance_um(layout: AtomLayout, q: int) -> float:
-    """Travel from q's site to the readout zone: one gap from the entangling
-    zone, two gaps plus the entangling zone's span from storage."""
+    """Travel of q from its site to ``dest_zone``. Storage and entangling
+    cross one gap to the same (row, col), Euclidean over the two pitches.
+    The readout zone lies straight along y past the entangling zone: one gap
+    from there, two gaps plus the entangling zone's span from storage."""
     cfg = layout.config
-    dist = layout.position_um(q)[1] + cfg.zone_gap_um
-    if layout.qubits[q].zone is Zone.STORAGE:
-        dist += cfg.array_rows * cfg.pitch_entangling_um + cfg.zone_gap_um
-    return dist
+    s = layout.qubits[q]
+    pitch = cfg.pitch_um(s.zone)
+    x0, y0 = s.col * pitch, s.row * pitch
+    if dest_zone is Zone.READOUT:
+        dist = y0 + cfg.zone_gap_um
+        if s.zone is Zone.STORAGE:
+            dist += cfg.array_rows * cfg.pitch_entangling_um + cfg.zone_gap_um
+        return dist
+    dest_pitch = cfg.pitch_um(dest_zone)
+    return math.hypot(s.col * dest_pitch - x0, y0 + cfg.zone_gap_um + s.row * dest_pitch)
 
 
 def shuttle_distance_um(layout: AtomLayout, q: int, partner: int) -> float:

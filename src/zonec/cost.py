@@ -1,9 +1,10 @@
 """Reduces a Timeline to an execution-time breakdown and a product-form
 fidelity estimate; ``run`` is the whole compile→schedule→cost path.
 
-Breakdown categories: load/store (zone-gap travel, incl. readout travel),
-trap transfer (exposed remainder only — time hidden under concurrent travel
-is not charged), shuttling, readout imaging, error-correction prep, and gate
+Breakdown categories: load/store (the travel of every zone crossing, readout
+included), trap transfer (exposed remainder only — every zone crossing
+overlaps one transfer batch, and time hidden under concurrent travel is not
+charged), shuttling, readout imaging, error-correction prep, and gate
 execution. Transfer exposure is measured against the merged union of the
 travel intervals (load, store, readout travel, error-correction prep), built
 once per timeline. Fidelity multiplies per-gate, per-transfer, readout,

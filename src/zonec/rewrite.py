@@ -368,6 +368,15 @@ def gate_based_swap_reference(num_qubits: int, a: int, b: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
+def _reject_after_measure(g: Gate, measured: set[int]) -> None:
+    """Readout is terminal: the scheduler carries measured qubits to the
+    readout zone for good, so no gate but a MEASURE may follow a qubit's
+    MEASURE. Both zone steppers call this before placing a gate."""
+    for q in g.qubits:
+        if q in measured:
+            raise ValueError(f"{g.kind.value} on qubit {q} after its MEASURE; readout is terminal")
+
+
 def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     """Greedy preemptive alignment into alternating zone steps.
 
@@ -375,7 +384,8 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     non-MEASURE gate's zone. Each gate is hoisted as early as its operands
     allow: into the first step of its own zone at or after the latest step
     of any earlier gate on its qubits. Within a step gates keep program
-    order. MEASUREs form a final readout step.
+    order. MEASUREs form a final readout step, so a gate after its qubit's
+    MEASURE raises ``ValueError``.
     """
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_aligned_raw(circuit)))
 
@@ -388,12 +398,16 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     free = frontier.get
     steps: list[list[Gate]] = []
     measures: list[Gate] = []
+    measured: set[int] = set()
     for g in circuit.gates:
         kind = g.kind
         zone = GATE_ZONE[kind]
         if zone is Zone.READOUT:
             measures.append(g)
+            measured.add(g.qubits[0])
             continue
+        if measured:
+            _reject_after_measure(g, measured)
         if kind is GateKind.CX or kind is GateKind.SWAP:
             raise ValueError(f"align_zone_steps requires a {kind.value}-free circuit")
         qubits = g.qubits
@@ -424,7 +438,8 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
 def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     """Unaligned (standard-execution) zone stepping: one zone segment per
     dependency layer of the input circuit, CX gates expanded in place, and
-    only adjacent same-zone segments merged. No cross-layer hoisting."""
+    only adjacent same-zone segments merged. No cross-layer hoisting.
+    MEASUREs form a final readout step, as in ``align_zone_steps``."""
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit)))
 
 
@@ -432,8 +447,9 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``layer_zone_steps``'s segments before seams are merged."""
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
+    measured: set[int] = set()
     gates = circuit.gates
-    for layer in layer_indices(gates):
+    for layer in layer_indices(gates):  # a MEASURE's layer precedes later gates on its qubit
         pre: list[Gate] = []
         two: list[Gate] = []
         post: list[Gate] = []
@@ -441,7 +457,11 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
             g = gates[i]
             if g.kind is GateKind.MEASURE:
                 measures.append(g)
-            elif g.kind is GateKind.CX:
+                measured.add(g.qubits[0])
+                continue
+            if measured:
+                _reject_after_measure(g, measured)
+            if g.kind is GateKind.CX:
                 h = Gate(GateKind.H, (g.qubits[1],))
                 pre.append(h)
                 two.append(Gate(GateKind.CZ, g.qubits))

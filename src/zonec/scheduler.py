@@ -3,19 +3,20 @@ transfers, in-zone shuttling, readout travel, and error-correction prep,
 producing a deterministic event timeline.
 
 Type 1 and type 2 share one zoned step loop; type 3 runs unzoned in place.
-Every storage<->entangling crossing follows one rule (``_cross``): one
-trap-transfer batch overlaps one LOAD or STORE batch event whose duration is
-the longest member travel time, and the clock waits for the longer of the
-two, so only a transfer's exposed remainder shows up in the breakdown. The
+Every zone crossing follows one rule (``_cross``): one trap-transfer batch
+overlaps one LOAD, STORE or READOUT_MOVE batch event whose duration is the
+longest member travel time, and the clock waits for the longer of the two,
+so only a transfer's exposed remainder shows up in the breakdown. The
 moving operand of each 2Q gate is picked once per entangling step; the trap
 hand-over and the shuttles both follow that pick. Every travel event
 advances the clock past its own end before the next one starts, so travel
-events never overlap.
+events never overlap. ``schedule`` moves a copy of the layout's sites, so
+its caller's layout is never changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -26,7 +27,6 @@ from .arch import (
     Trap,
     crossing_distance_um,
     isolation_hop_um,
-    readout_distance_um,
     shuttle_distance_um,
 )
 from .ir import UNPULSED, Gate, Zone, layer_indices
@@ -229,12 +229,14 @@ def schedule(
     program: ZoneStepProgram, layout: AtomLayout, config: MachineConfig
 ) -> Timeline:
     """Deterministic schedule of a zone-step program under the configured
-    operation policy."""
+    operation policy, starting from ``layout``'s sites; ``layout`` itself is
+    left unchanged."""
     n = program.num_qubits
     if n > len(layout.qubits):
         raise ScheduleError(
             f"program uses {n} logical qubits, layout holds {len(layout.qubits)}"
         )
+    layout = AtomLayout(layout.config, [replace(s) for s in layout.qubits])
     sim = _Sim(config, layout, t_in=dict.fromkeys(range(n), 0.0),
                t_out=dict.fromkeys(range(n), 0.0))
 
@@ -250,16 +252,8 @@ def schedule(
 
     for q in range(n):  # charge each qubit's time since its last move
         sim.settle_zones((q,), layout.qubits[q].zone, sim.clock)
-    measured = tuple(
-        sorted(
-            {
-                g.qubits[0]
-                for step in program.steps
-                if step.zone is Zone.READOUT
-                for g in step.gates
-            }
-        )
-    )
+    measured = tuple(sorted({g.qubits[0] for step in program.steps
+                             if step.zone is Zone.READOUT for g in step.gates}))
     return Timeline(
         num_qubits=n,
         events=tuple(sim.events),
@@ -340,13 +334,18 @@ def _entangling_gates(sim: _Sim, gates, movers):
         sim.clock += cfg.pulse_2q_us
 
 
+# The travel event of a crossing, by destination zone.
+_CROSSING = {Zone.ENTANGLING: EventKind.LOAD, Zone.STORAGE: EventKind.STORE,
+             Zone.READOUT: EventKind.READOUT_MOVE}
+
+
 def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
-    """Carry the sorted ``qubits`` across the storage/entangling boundary to
-    ``dest``. One trap-transfer batch over ``handover`` and the qubits the
-    AOD picks up from SLM traps overlaps one LOAD (dest entangling) or STORE
-    (dest storage) batch lasting the slowest member's travel; the clock
-    advances by the longer of the two. Entangling-zone slots mirror the
-    storage block grid one-to-one, so every qubit keeps its (row, col)."""
+    """Carry the sorted ``qubits`` across the zone gaps to ``dest``. One
+    trap-transfer batch over ``handover`` and the qubits the AOD picks up
+    from SLM traps overlaps one LOAD, STORE or READOUT_MOVE batch (by
+    ``dest``) lasting the slowest member's travel; the clock advances by the
+    longer of the two. Every zone's slots mirror the storage block grid
+    one-to-one, so every qubit keeps its (row, col)."""
     cfg = sim.config
     layout = sim.layout
     sites = layout.qubits
@@ -358,8 +357,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     travel = cfg.min_ld_st_us
     for q in qubits:
         travel = max(travel, crossing_distance_um(layout, q, dest) / cfg.aod_speed_um_per_us)
-    sim.emit(EventKind.LOAD if dest is Zone.ENTANGLING else EventKind.STORE,
-             qubits, sim.clock, travel)
+    sim.emit(_CROSSING[dest], qubits, sim.clock, travel)
     sim.clock += max(window, travel)
     sim.settle_zones(qubits, dest, sim.clock)
 
@@ -377,6 +375,7 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
     for step in program.steps:
         used = sorted({q for g in step.gates for q in g.qubits})
         if step.zone is Zone.READOUT:
+            _cross(sim, used, Zone.READOUT)
             _schedule_readout(sim, used)
         elif step.zone is Zone.STORAGE and loaded:
             _pulse_in_place_layers(sim, step.gates)
@@ -400,20 +399,9 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
 
 
 def _schedule_readout(sim: _Sim, qubits):
-    cfg = sim.config
-    sites = sim.layout.qubits
-    if qubits:
-        pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
-        tdur = sim.transfer_batch(pickups)
-        worst = 0.0
-        for q in qubits:
-            worst = max(worst, readout_distance_um(sim.layout, q) / cfg.aod_speed_um_per_us)
-        worst = max(worst, tdur)
-        sim.emit(EventKind.READOUT_MOVE, qubits, sim.clock, worst)
-        sim.clock += worst
-        sim.settle_zones(qubits, Zone.READOUT, sim.clock)
-    sim.emit(EventKind.READOUT_IMAGE, qubits, sim.clock, cfg.readout_time_us)
-    sim.clock += cfg.readout_time_us
+    """Image the sorted ``qubits`` where they stand."""
+    sim.emit(EventKind.READOUT_IMAGE, qubits, sim.clock, sim.config.readout_time_us)
+    sim.clock += sim.config.readout_time_us
 
 
 def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
@@ -425,9 +413,7 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
         sim.layout.qubits[q].zone = Zone.ENTANGLING
     for step in program.steps:
         if step.zone is Zone.READOUT:
-            qs = sorted({q for g in step.gates for q in g.qubits})
-            sim.emit(EventKind.READOUT_IMAGE, qs, sim.clock, cfg.readout_time_us)
-            sim.clock += cfg.readout_time_us
+            _schedule_readout(sim, sorted({q for g in step.gates for q in g.qubits}))
             continue
         two_q = step.zone is Zone.ENTANGLING
         kind = EventKind.PULSE_2Q if two_q else EventKind.PULSE_1Q

@@ -17,7 +17,6 @@ from zonec.arch import (
     isolation_hop_um,
     load_config,
     move_duration_us,
-    readout_distance_um,
     shuttle_distance_um,
     validate_move,
 )
@@ -85,6 +84,18 @@ class TestConfig:
         path = tmp_path / "machine.cfg"
         path.write_text(text)
         with pytest.raises(ConfigError, match=r"^line 3: 'pulse_2q_us' already set on line 1$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("array_rows = 2.0\n", "array_rows"),
+        ("policy = foo\n", "policy"),
+        ("# c\n\npulse_1q_us = fast\n", "pulse_1q_us"),
+    ])
+    def test_bad_value_names_line_and_key(self, tmp_path, text, key):
+        path = tmp_path / "machine.cfg"
+        path.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(ConfigError, match=rf"^line {line}: bad value for '{key}'"):
             load_config(path)
 
     def test_removed_x_basis_allowed_rejected(self, tmp_path):
@@ -188,8 +199,9 @@ class TestDistances:
 
     @pytest.mark.parametrize("row", [0, 1, 7, 40])
     def test_readout_trip(self, row):
-        assert readout_distance_um(self._at(Zone.STORAGE, row), 0) == 6 * row + 20 + 41 * 12 + 20
-        assert readout_distance_um(self._at(Zone.ENTANGLING, row), 0) == 12 * row + 20
+        up = crossing_distance_um(self._at(Zone.STORAGE, row), 0, Zone.READOUT)
+        assert up == 6 * row + 20 + 41 * 12 + 20
+        assert crossing_distance_um(self._at(Zone.ENTANGLING, row), 0, Zone.READOUT) == 12 * row + 20
 
     @pytest.mark.parametrize("row, col", [(0, 0), (3, 0), (2, 5), (40, 40)])
     def test_crossing_keeps_row_and_column(self, row, col):

@@ -93,6 +93,26 @@ class TestSimulate:
         assert r.exit_code == 2
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("line, key", [("array_rows = 2.0", "array_rows"),
+                                           ("policy = foo", "policy")])
+    def test_bad_config_value_names_line_and_key(self, runner, tmp_path, line, key):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(line + "\n")
+        r = runner.invoke(cli, ["simulate", "--bench", "ghz:4", "--config", str(cfg)])
+        assert r.exit_code == 2
+        assert f"line 1: bad value for '{key}'" in r.stderr
+
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    @pytest.mark.parametrize("mode", ["mantra", "standard"])
+    def test_gate_after_measure_is_input_error(self, runner, tmp_path, command, mode):
+        path = tmp_path / "late.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n"
+                        "measure q[0] -> c[0];\nh q[0];\ncx q[0],q[1];\n")
+        r = runner.invoke(cli, [command, "--qasm", str(path), "--mode", mode])
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert "H on qubit 0 after its MEASURE" in r.stderr
+
     def test_capacity_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zonec.cli", "simulate", "--bench",

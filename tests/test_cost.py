@@ -1,13 +1,14 @@
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dataclasses import fields, replace
 
-from zonec.arch import MachineConfig, Policy
+from zonec.arch import AtomLayout, MachineConfig, Policy, crossing_distance_um
 from zonec.cost import (
     CATEGORIES,
     REPORT_KEYS,
@@ -22,9 +23,9 @@ from zonec.cost import (
     run,
 )
 from zonec.frontend import gen_ghz, gen_ucc_random, parse_benchmark
-from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind
-from zonec.rewrite import PipelineOptions, mantra_pipeline
-from zonec.scheduler import Event, EventKind, Timeline, count_ld_st
+from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, Zone
+from zonec.rewrite import PipelineOptions, _lower, lower_cx_to_cz, mantra_pipeline
+from zonec.scheduler import Event, EventKind, Timeline, _Sim, count_ld_st
 
 
 def simulate(source, mode="mantra", policy=Policy.TYPE1):
@@ -353,14 +354,60 @@ def _breakdown_reference(timeline) -> dict:
     return cat
 
 
+_CROSSING_DEST = {
+    EventKind.LOAD: Zone.ENTANGLING,
+    EventKind.STORE: Zone.STORAGE,
+    EventKind.READOUT_MOVE: Zone.READOUT,
+}
+
+
+def _run_recording_crossings(source, options, cfg):
+    """``run``, plus each zone crossing the scheduler emits with a copy of
+    the sites its members left."""
+    crossings = []
+    emit = _Sim.emit
+
+    def recording(sim, kind, qubits, start, dur):
+        if kind in _CROSSING_DEST:
+            sites = [replace(site) for site in sim.layout.qubits]
+            crossings.append((kind, tuple(qubits), dur, AtomLayout(sim.layout.config, sites)))
+        emit(sim, kind, qubits, start, dur)
+
+    with mock.patch.object(_Sim, "emit", recording):
+        return run(source, options, cfg), crossings
+
+
+def _per_qubit(circuit):
+    on = [[] for _ in range(circuit.num_qubits)]
+    for g in circuit.gates:
+        for q in g.qubits:
+            on[q].append(g)
+    return on
+
+
 class TestRunInvariants:
     @given(_sources())
     @example(Circuit(4, (Gate(GateKind.CX, (0, 3)),)))
     @settings(max_examples=60, deadline=None)
     def test_schedule_and_cost_invariants(self, source):
         for cfg, options in _COMBOS:
-            r = run(source, options, cfg)
+            r, crossings = _run_recording_crossings(source, options, cfg)
             tl, makespan = r.timeline, r.timeline.makespan_us
+            # Every zone crossing lasts its slowest member's travel, however
+            # long its overlapping trap transfer.
+            assert [c[:3] for c in crossings] == [
+                (e.kind, e.qubits, e.duration_us) for e in tl.events if e.kind in _CROSSING_DEST
+            ]
+            speed = cfg.aod_speed_um_per_us
+            for kind, qubits, dur, sites in crossings:
+                dest = _CROSSING_DEST[kind]
+                assert dur == max(cfg.min_ld_st_us,
+                                  *(crossing_distance_um(sites, q, dest) / speed for q in qubits))
+            # The zone steppers keep each qubit's gates, MEASURE included, in
+            # the order of the circuit they step (CX written as H CZ H).
+            if isinstance(source, Circuit):
+                lowered = lower_cx_to_cz(_lower(source, options)[0])
+                assert _per_qubit(r.flat) == _per_qubit(lowered)
             for q in range(tl.num_qubits):
                 assert tl.t_in_us[q] + tl.t_out_us[q] == pytest.approx(makespan, rel=1e-9)
             assert all(e.end_us <= makespan * (1 + 1e-12) for e in tl.events)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zonec.frontend import (
     MAX_BENCH_GATES,
@@ -153,6 +153,8 @@ def _parse_qasm_reference(text):
                 m = creg_re.match(stmt)
                 if not m:
                     raise ParseError("malformed creg declaration", lineno)
+                if m.group(1) in creg_names:
+                    raise ParseError(f"creg {m.group(1)!r} declared twice", lineno)
                 if m.group(1) == qreg_name:
                     raise ParseError(f"creg {m.group(1)!r} reuses the qreg name", lineno)
                 creg_names.add(m.group(1))
@@ -249,6 +251,7 @@ class TestQasmStatementMemo:
     # A drawn OPENQASM line fails as a late header, so fewer texts parse
     # than when it was skipped; 600 examples keep over 100 that parse.
     @given(_qasm_texts())
+    @example("creg c[3];\ncreg q[2];\ncreg q[2];\n")
     @settings(max_examples=600, deadline=None)
     def test_same_result_as_reference(self, text):
         try:

@@ -88,3 +88,36 @@ def test_scheduler_leaves_geometry_to_arch():
     assert "math" not in imported
     assert not {u for u in used if u in GEOMETRY_FIELDS or u.startswith("pitch_")}
     assert not (imported | used) & AOD_MOVE_HELPERS
+
+
+# Every zone crossing follows ``scheduler._cross``: no other emit or event
+# names a crossing's kind, or the table that picks it by destination.
+CROSSING_NAMES = {"LOAD", "STORE", "READOUT_MOVE", "_CROSSING"}
+
+
+def _callee(call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def _names(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Name):
+            yield n.id
+
+
+def test_only_cross_emits_crossings():
+    tree = ast.parse((SRC / "scheduler.py").read_text())
+    (cross,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_cross"]
+    in_cross = {id(n) for n in ast.walk(cross)}
+    events = [n for n in ast.walk(tree)
+              if isinstance(n, ast.Call) and _callee(n) in ("emit", "Event")]
+    assert any(id(call) in in_cross and CROSSING_NAMES & set(_names(call)) for call in events)
+    outside = {
+        f"scheduler.py:{call.lineno} names {sorted(CROSSING_NAMES & set(_names(call)))}"
+        for call in events
+        if id(call) not in in_cross and CROSSING_NAMES & set(_names(call))
+    }
+    assert not outside, sorted(outside)

@@ -16,6 +16,7 @@ from zonec.rewrite import (
     align_zone_steps,
     cancel_hadamard_pairs,
     gate_based_swap_reference,
+    layer_zone_steps,
     lower_cx_to_cz,
     lower_rzz_to_cx,
     lower_swap,
@@ -488,7 +489,7 @@ _ALIGNABLE = [k for k in GateKind if k not in (GateKind.CX, GateKind.SWAP)]
 
 
 @st.composite
-def alignable_circuits(draw):
+def measured_anywhere_circuits(draw):
     """Random CX- and SWAP-free circuits, MEASUREs anywhere."""
     n = draw(st.integers(1, 6))
     kinds = [k for k in _ALIGNABLE if ARITY[k] <= n]
@@ -499,11 +500,47 @@ def alignable_circuits(draw):
     return Circuit(n, tuple(gates))
 
 
+@st.composite
+def alignable_circuits(draw):
+    """Random CX- and SWAP-free circuits; each MEASURE comes after the last
+    gate on its qubit."""
+    c = draw(measured_anywhere_circuits())
+    gates = [g for g in c.gates if g.kind is not GateKind.MEASURE]
+    for q in draw(st.lists(st.integers(0, c.num_qubits - 1), max_size=c.num_qubits)):
+        last = max((i for i, g in enumerate(gates) if q in g.qubits), default=-1)
+        gates.insert(draw(st.integers(last + 1, len(gates))), Gate(GateKind.MEASURE, (q,)))
+    return Circuit(c.num_qubits, tuple(gates))
+
+
+def _gates_after_measure(circuit) -> set[str]:
+    """How the zone steppers name each gate that follows its qubit's
+    MEASURE."""
+    measured, late = set(), set()
+    for g in circuit.gates:
+        if g.kind is GateKind.MEASURE:
+            measured.add(g.qubits[0])
+        else:
+            late.update(f"{g.kind.value} on qubit {q}" for q in g.qubits if q in measured)
+    return late
+
+
 class TestZoneSteps:
     @given(alignable_circuits())
     @settings(max_examples=1000, deadline=None)
     def test_alignment_matches_fixed_point_scan(self, circuit):
         assert align_zone_steps(circuit) == _align_reference(circuit)
+
+    @given(measured_anywhere_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_gate_after_measure_raises_in_both_modes(self, circuit):
+        late = _gates_after_measure(circuit)
+        for steps in (align_zone_steps, layer_zone_steps):
+            if not late:
+                steps(circuit)
+                continue
+            with pytest.raises(ValueError, match="after its MEASURE; readout is terminal") as err:
+                steps(circuit)
+            assert str(err.value).partition(" after")[0] in late
 
     def test_adjacent_steps_differ(self):
         with pytest.raises(Exception):

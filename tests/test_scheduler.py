@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from zonec.arch import MachineConfig, Policy, build_layout, plan_swap_in_entangling
@@ -58,6 +60,18 @@ class TestLdStCounting:
         assert any(e.kind is EventKind.READOUT_MOVE for e in tl.events)
         assert count_ld_st(tl) == (1, 1)
 
+    def test_readout_move_lasts_its_travel(self):
+        # The x-basis fountain makes no load or store. Its readout trip from
+        # entangling row 3 at most (12 * 3 + 20 um) is shorter than the trap
+        # transfer that picks the qubits up: the move lasts its travel, and
+        # imaging waits for the transfer.
+        tl, cfg = compile_and_schedule(gen_ghz(12, chain="fountain"), x_basis=True)
+        assert count_ld_st(tl) == (0, 0)
+        (move,) = [e for e in tl.events if e.kind is EventKind.READOUT_MOVE]
+        assert move.duration_us == (12 * 3 + 20) / cfg.aod_speed_um_per_us
+        (image,) = [e for e in tl.events if e.kind is EventKind.READOUT_IMAGE]
+        assert image.start_us == move.start_us + cfg.trap_transfer_time_us
+
 
 class TestTimelineInvariants:
     @pytest.mark.parametrize(
@@ -92,6 +106,20 @@ class TestTimelineInvariants:
         a, _ = compile_and_schedule(src, mode="standard")
         b, _ = compile_and_schedule(src, mode="standard")
         assert a.to_lines() == b.to_lines()
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("x_basis", [False, True])
+    def test_schedule_leaves_its_layout_alone(self, policy, x_basis):
+        # The scheduler moves its own copy of the sites: scheduling again on
+        # the same layout gives the same timeline, and the layout stays as
+        # built.
+        cfg = replace(MachineConfig(), policy=policy)
+        src = parse_benchmark("qaoa-sk:12:1", seed=0).materialize()
+        prog = mantra_pipeline(src, PipelineOptions(x_basis=x_basis))
+        layout = build_layout(cfg, prog.num_qubits)
+        first = schedule(prog, layout, cfg)
+        assert schedule(prog, layout, cfg) == first
+        assert layout == build_layout(cfg, prog.num_qubits)
 
     def test_capacity_mismatch_raises(self):
         prog = mantra_pipeline(gen_ghz(6), PipelineOptions())
