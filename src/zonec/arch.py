@@ -1,5 +1,5 @@
-"""Parameterized machine model: zones, atom-grid geometry and every distance
-the scheduler charges, trap assignment, and AOD movement constraints.
+"""Parameterized machine model: zones, atom-grid geometry, every distance
+the scheduler charges, mover landing, traps, and AOD movement constraints.
 
 Defaults model a representative zoned Rydberg array; every knob is
 overridable through a key/value config file.
@@ -104,9 +104,9 @@ _CONFIG_FIELDS = {f.name: f for f in fields(MachineConfig)}
 
 def load_config(path) -> MachineConfig:
     """Read a `key = value` (or `key: value`) config file; unset keys keep
-    their defaults, and a key may be set once. A line that does not parse,
-    or whose value does not convert, raises a ``ConfigError`` naming the
-    line; ``MachineConfig`` then checks each value's range."""
+    their defaults, and a key may be set once. ``MachineConfig`` checks each
+    value alone as its line is read (no range rule spans fields), so every
+    error names its line."""
     overrides = {}
     set_on = {}  # key -> line that set it
     with open(path) as fh:
@@ -129,13 +129,17 @@ def load_config(path) -> MachineConfig:
             ftype = _CONFIG_FIELDS[key].type
             try:
                 if key == "policy":
-                    overrides[key] = Policy(val.lower())
+                    value = Policy(val.lower())
                 elif ftype == "int":
-                    overrides[key] = int(val)
+                    value = int(val)
                 else:
-                    overrides[key] = float(val)
+                    value = float(val)
+                MachineConfig(**{key: value})
+            except ConfigError as e:
+                raise ConfigError(f"line {lineno}: {e}") from None
             except ValueError as e:
                 raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from None
+            overrides[key] = value
     return MachineConfig(**overrides)
 
 
@@ -321,11 +325,16 @@ def crossing_distance_um(layout: AtomLayout, q: int, dest_zone: Zone) -> float:
     return math.hypot(s.col * dest_pitch - x0, y0 + cfg.zone_gap_um + s.row * dest_pitch)
 
 
-def shuttle_distance_um(layout: AtomLayout, q: int, partner: int) -> float:
-    """In-zone travel of q onto its gate partner's entangling-zone site."""
+def land_movers(layout: AtomLayout, pairs) -> float:
+    """Move each ``(mover, partner)`` pair's mover onto the partner's site for
+    the 2Q pulse; return the longest in-zone travel. Pairs share no qubit."""
     pitch = layout.config.pitch_entangling_um
-    s, p = layout.qubits[q], layout.qubits[partner]
-    return math.hypot((s.row - p.row) * pitch, (s.col - p.col) * pitch)
+    worst = 0.0
+    for q, partner in pairs:
+        s, p = layout.qubits[q], layout.qubits[partner]
+        worst = max(worst, math.hypot((s.row - p.row) * pitch, (s.col - p.col) * pitch))
+        s.row, s.col = p.row, p.col
+    return worst
 
 
 def isolation_hop_um(config: MachineConfig) -> float:

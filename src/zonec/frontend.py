@@ -10,7 +10,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .ir import Circuit, CircuitError, Gate, GateKind, PauliTerm, PauliTermFile
+from .ir import ARITY, NUM_PARAMS, Circuit, CircuitError, Gate, GateKind, PauliTerm, PauliTermFile
 
 
 class ParseError(ValueError):
@@ -24,16 +24,12 @@ class ParseError(ValueError):
 # OpenQASM 2.0 subset
 # ---------------------------------------------------------------------------
 
+# QASM gate name -> kind; ir.ARITY and ir.NUM_PARAMS give its operand and
+# angle counts.
 _QASM_GATES = {
-    "h": (GateKind.H, 1, 0),
-    "x": (GateKind.X, 1, 0),
-    "rx": (GateKind.RX, 1, 1),
-    "rz": (GateKind.RZ, 1, 1),
-    "cx": (GateKind.CX, 2, 0),
-    "cz": (GateKind.CZ, 2, 0),
-    "swap": (GateKind.SWAP, 2, 0),
-    "rzz": (GateKind.RZZ, 2, 1),
-    "measure": (GateKind.MEASURE, 1, 0),
+    kind.value.lower(): kind
+    for kind in (GateKind.H, GateKind.X, GateKind.RX, GateKind.RZ, GateKind.CX,
+                 GateKind.CZ, GateKind.SWAP, GateKind.RZZ, GateKind.MEASURE)
 }
 
 _QREG_RE = re.compile(r"qreg\s+(\w+)\s*\[\s*(\d+)\s*\]")
@@ -123,8 +119,8 @@ def parse_qasm(text: str) -> Circuit:
 
             m = _STMT_RE.match(stmt)
             word = m.group(1) if m else None
-            signature = _QASM_GATES.get(word)
-            if signature is None:
+            kind = _QASM_GATES.get(word)
+            if kind is None:
                 # Gates are looked up first: no gate name starts with one of
                 # these words, so no declaration is mistaken for a gate.
                 if stmt.startswith("OPENQASM"):
@@ -170,10 +166,10 @@ def parse_qasm(text: str) -> Circuit:
             name, arg_text, operand_text = m.group(1), m.group(2), m.group(3)
             if qreg_name is None:
                 raise ParseError("gate before qreg declaration", lineno)
-            kind, arity, n_params = signature
+            arity = ARITY[kind]
 
             params: tuple[float, ...] = ()
-            if n_params:
+            if NUM_PARAMS[kind]:
                 if arg_text is None:
                     raise ParseError(f"{name} requires an angle argument", lineno)
                 params = (_eval_angle(arg_text, lineno),)

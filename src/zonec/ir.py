@@ -204,7 +204,6 @@ def layer_indices(gates) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class GateCounts:
-    by_kind: dict
     n_1q: int  # 1-qubit pulsed gates (the UNPULSED kinds excluded)
     n_rz: int
     n_2q: int
@@ -217,4 +216,4 @@ def count_gates(circuit: Circuit) -> GateCounts:
     n_measure = by_kind.get(GateKind.MEASURE, 0)
     n_1q = sum(n for k, n in by_kind.items() if ARITY[k] == 1 and k not in UNPULSED)
     n_2q = sum(n for k, n in by_kind.items() if ARITY[k] == 2)
-    return GateCounts(dict(by_kind), n_1q, n_rz, n_2q, n_measure)
+    return GateCounts(n_1q, n_rz, n_2q, n_measure)

@@ -368,12 +368,17 @@ def gate_based_swap_reference(num_qubits: int, a: int, b: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _reject_after_measure(g: Gate, measured: set[int]) -> None:
+def _check_readout(circuit: Circuit) -> None:
     """Readout is terminal: the scheduler carries measured qubits to the
-    readout zone for good, so no gate but a MEASURE may follow a qubit's
-    MEASURE. Both zone steppers call this before placing a gate."""
-    for q in g.qubits:
-        if q in measured:
+    readout zone for good, so only a MEASURE may follow a qubit's MEASURE.
+    Raises ``ValueError`` naming the first gate that does, as the circuit
+    has it; a SWAP counts."""
+    measured: set[int] = set()
+    for g in circuit.gates:
+        if g.kind is GateKind.MEASURE:
+            measured.add(g.qubits[0])
+        elif measured and not measured.isdisjoint(g.qubits):
+            q = next(q for q in g.qubits if q in measured)
             raise ValueError(f"{g.kind.value} on qubit {q} after its MEASURE; readout is terminal")
 
 
@@ -387,6 +392,7 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     order. MEASUREs form a final readout step, so a gate after its qubit's
     MEASURE raises ``ValueError``.
     """
+    _check_readout(circuit)
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_aligned_raw(circuit)))
 
 
@@ -398,16 +404,12 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     free = frontier.get
     steps: list[list[Gate]] = []
     measures: list[Gate] = []
-    measured: set[int] = set()
     for g in circuit.gates:
         kind = g.kind
         zone = GATE_ZONE[kind]
         if zone is Zone.READOUT:
             measures.append(g)
-            measured.add(g.qubits[0])
             continue
-        if measured:
-            _reject_after_measure(g, measured)
         if kind is GateKind.CX or kind is GateKind.SWAP:
             raise ValueError(f"align_zone_steps requires a {kind.value}-free circuit")
         qubits = g.qubits
@@ -440,6 +442,7 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     dependency layer of the input circuit, CX gates expanded in place, and
     only adjacent same-zone segments merged. No cross-layer hoisting.
     MEASUREs form a final readout step, as in ``align_zone_steps``."""
+    _check_readout(circuit)
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit)))
 
 
@@ -447,9 +450,8 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``layer_zone_steps``'s segments before seams are merged."""
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
-    measured: set[int] = set()
     gates = circuit.gates
-    for layer in layer_indices(gates):  # a MEASURE's layer precedes later gates on its qubit
+    for layer in layer_indices(gates):
         pre: list[Gate] = []
         two: list[Gate] = []
         post: list[Gate] = []
@@ -457,10 +459,7 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
             g = gates[i]
             if g.kind is GateKind.MEASURE:
                 measures.append(g)
-                measured.add(g.qubits[0])
                 continue
-            if measured:
-                _reject_after_measure(g, measured)
             if g.kind is GateKind.CX:
                 h = Gate(GateKind.H, (g.qubits[1],))
                 pre.append(h)
@@ -530,6 +529,8 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
 
     Pauli-term files are compiled term by term (per-string execution); the
     per-term step sequences are concatenated with same-zone seams merged.
+    A circuit with a gate after its qubit's MEASURE raises ``ValueError``
+    in either mode, before any pass runs.
     """
     if isinstance(source, PauliTermFile):
         # Basis absorption is only sound at program start; never per term.
@@ -545,6 +546,7 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         n = source.num_qubits
         raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
+    _check_readout(source)
     c, raw_steps = _lower(source, options)
     return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis)
 

@@ -27,7 +27,7 @@ from .arch import (
     Trap,
     crossing_distance_um,
     isolation_hop_um,
-    shuttle_distance_um,
+    land_movers,
 )
 from .ir import UNPULSED, Gate, Zone, layer_indices
 from .rewrite import ZoneStepProgram
@@ -307,24 +307,18 @@ def _pulse_in_place_layers(sim: _Sim, gates):
 
 
 def _entangling_gates(sim: _Sim, gates, movers):
-    """Shuttle the ``movers`` (one per gate, by position) and fire one 2Q
-    pulse per parallel layer."""
+    """Per parallel layer, shuttle the ``movers`` (one per gate, by position)
+    onto their partners in one ``land_movers`` call, then fire one 2Q pulse."""
     cfg = sim.config
-    speed = cfg.aod_speed_um_per_us
-    sites = sim.layout.qubits
     for layer in layer_indices(gates):
-        worst = 0.0
-        layer_movers = []
-        qubits = []  # the gates of one layer share no qubit
+        pairs, layer_movers, qubits = [], [], []  # the gates of one layer share no qubit
         for i in layer:
             a, b = gates[i].qubits
             m = movers[i]
-            partner = b if m == a else a
-            worst = max(worst, shuttle_distance_um(sim.layout, m, partner) / speed)
-            ms, os_ = sites[m], sites[partner]
-            ms.row, ms.col = os_.row, os_.col
+            pairs.append((m, b if m == a else a))
             layer_movers.append(m)
             qubits += (a, b)
+        worst = land_movers(sim.layout, pairs) / cfg.aod_speed_um_per_us
         if worst > 0.0:
             layer_movers.sort()
             sim.emit(EventKind.SHUTTLE, layer_movers, sim.clock, worst)

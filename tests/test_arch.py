@@ -15,9 +15,9 @@ from zonec.arch import (
     build_layout,
     crossing_distance_um,
     isolation_hop_um,
+    land_movers,
     load_config,
     move_duration_us,
-    shuttle_distance_um,
     validate_move,
 )
 from zonec.ir import Zone
@@ -97,6 +97,19 @@ class TestConfig:
         line = text.count("\n")
         with pytest.raises(ConfigError, match=rf"^line {line}: bad value for '{key}'"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("pulse_2q_us = nan\n", "line 1: pulse_2q_us must be finite"),
+        ("# c\narray_rows = 0\n", "line 2: array_rows must be at least 1"),
+        ("pulse_1q_us = 0.5\nf_2q: 1.5\n", "line 2: f_2q must be in (0, 1]"),
+        ("physical_per_logical = 1\n", "line 1: physical_per_logical must be at least 2"),
+    ])
+    def test_out_of_range_names_line(self, tmp_path, text, message):
+        path = tmp_path / "machine.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message
 
     def test_removed_x_basis_allowed_rejected(self, tmp_path):
         path = tmp_path / "machine.cfg"
@@ -211,13 +224,32 @@ class TestDistances:
         down = crossing_distance_um(self._at(Zone.ENTANGLING, row, col), 0, Zone.STORAGE)
         assert up == down == math.hypot(6 * col, 18 * row + 20)
 
-    def test_shuttle_onto_partner(self):
+    def _pair(self):
+        """Qubit 0 at entangling (1, 2), qubit 1 at entangling (4, 6): a
+        3-4-5 triangle of 12 um edges apart."""
         lay = self._at(Zone.ENTANGLING, 1, 2)
         p = lay.qubits[1]
         p.zone, p.row, p.col = Zone.ENTANGLING, 4, 6
-        assert shuttle_distance_um(lay, 0, 1) == 60.0  # a 3-4-5 triangle of 12 um edges
-        assert shuttle_distance_um(lay, 1, 0) == 60.0
-        assert shuttle_distance_um(lay, 0, 0) == 0.0
+        return lay
+
+    @pytest.mark.parametrize("mover, partner", [(0, 1), (1, 0)])
+    def test_mover_lands_on_partner(self, mover, partner):
+        lay = self._pair()
+        stays = (lay.qubits[partner].row, lay.qubits[partner].col)
+        assert land_movers(lay, [(mover, partner)]) == 60.0
+        m, p = lay.qubits[mover], lay.qubits[partner]
+        assert (m.row, m.col) == (p.row, p.col) == stays
+        assert m.zone is p.zone is Zone.ENTANGLING
+        assert land_movers(lay, [(mover, partner)]) == 0.0  # already there
+
+    def test_layer_travel_is_its_longest(self):
+        lay = build_layout(MachineConfig(), 4)
+        for q, (row, col) in enumerate([(0, 0), (0, 1), (5, 5), (8, 9)]):
+            s = lay.qubits[q]
+            s.zone, s.row, s.col = Zone.ENTANGLING, row, col
+        assert land_movers(lay, [(0, 1), (3, 2)]) == 60.0  # 12 um against 60 um
+        assert [(s.row, s.col) for s in lay.qubits] == [(0, 1), (0, 1), (5, 5), (5, 5)]
+        assert land_movers(lay, []) == 0.0
 
     def test_isolation_hop(self):
         assert isolation_hop_um(MachineConfig()) == 24.0

@@ -113,6 +113,25 @@ class TestSimulate:
         assert r.stdout == ""
         assert "H on qubit 0 after its MEASURE" in r.stderr
 
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    @pytest.mark.parametrize("mode", ["mantra", "standard"])
+    @pytest.mark.parametrize("body, late", [
+        ("h q[0];\nmeasure q[0] -> c[0];\nh q[0];\nh q[0];\n", "H on qubit 0"),
+        ("measure q[0] -> c[0];\ncx q[1],q[0];\nrz(0.3) q[0];\ncx q[1],q[0];\n",
+         "CX on qubit 0"),
+        ("measure q[0] -> c[0];\nswap q[0],q[1];\nh q[1];\n", "SWAP on qubit 0"),
+    ])
+    def test_readout_verdict_of_the_written_program(self, runner, tmp_path, command, mode,
+                                                    body, late):
+        # Mantra cancels the H pair and folds the idiom into AD and LP, and
+        # both modes relabel the SWAP away; the verdict and the named gate
+        # are still the written program's.
+        path = tmp_path / "late.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n" + body)
+        r = runner.invoke(cli, [command, "--qasm", str(path), "--mode", mode])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == f"error: {late} after its MEASURE; readout is terminal\n"
+
     def test_capacity_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zonec.cli", "simulate", "--bench",
@@ -176,6 +195,19 @@ class TestSimulate:
         assert r.exit_code == 0
         assert "loads = 1" in r.stdout
 
+    @pytest.mark.parametrize("policy", ["type1", "type2", "type3"])
+    @pytest.mark.parametrize("bench", ["ghz:8:parallel", "ucc:6:4", "qaoa-sk:6:1"])
+    def test_cphase_protocol_only_relabels_the_pulses(self, runner, bench, policy):
+        # LP+CPHASE and AD+LP are two 2Q pulses on one pair either way, so
+        # the record and the event timeline are byte-identical.
+        def run(protocol):
+            r = runner.invoke(cli, ["simulate", "--bench", bench, "--policy", policy,
+                                    "--protocol", protocol, "--events"])
+            assert r.exit_code == 0, r.output
+            return r.stdout
+
+        assert run("cphase") == run("adiabatic")
+
 
 class TestUnreadableInput:
     @pytest.mark.parametrize("command", ["simulate", "compile"])
@@ -204,7 +236,7 @@ class TestExitCodeMap:
         cfg.write_text("pulse_2q_us = nan\n")
         r = runner.invoke(cli, [command, *inputs, "--config", str(cfg)])
         assert (r.exit_code, r.stdout) == (2, "")
-        assert r.stderr == "error: pulse_2q_us must be finite\n"
+        assert r.stderr == "error: line 1: pulse_2q_us must be finite\n"
 
     @pytest.mark.parametrize("command", ["compile", "simulate"])
     @pytest.mark.parametrize("inputs", [[], ["--bench", "ghz:4", "--qasm", "x.qasm"]])

@@ -25,7 +25,16 @@ from zonec.frontend import (
     qaoa_angles,
 )
 from zonec import frontend
-from zonec.ir import Circuit, CircuitError, Gate, GateKind, PauliTerm, layer_indices
+from zonec.ir import (
+    ARITY,
+    NUM_PARAMS,
+    Circuit,
+    CircuitError,
+    Gate,
+    GateKind,
+    PauliTerm,
+    layer_indices,
+)
 
 
 class TestQasm:
@@ -174,7 +183,8 @@ def _parse_qasm_reference(text):
                 raise ParseError(f"unsupported gate {name!r}", lineno)
             if qreg_name is None:
                 raise ParseError("gate before qreg declaration", lineno)
-            kind, arity, n_params = frontend._QASM_GATES[name]
+            kind = frontend._QASM_GATES[name]
+            arity, n_params = ARITY[kind], NUM_PARAMS[kind]
 
             params = ()
             if n_params:

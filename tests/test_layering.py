@@ -90,6 +90,25 @@ def test_scheduler_leaves_geometry_to_arch():
     assert not (imported | used) & AOD_MOVE_HELPERS
 
 
+# Only arch lands a mover: the scheduler never writes a site's row or column,
+# neither by assignment nor by keyword.
+SITE_COORDS = {"row", "col"}
+
+
+def test_scheduler_places_no_atom():
+    tree = ast.parse((SRC / "scheduler.py").read_text())
+    writes = {
+        f"scheduler.py:{n.lineno} sets {n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and n.attr in SITE_COORDS
+    }
+    writes |= {
+        f"scheduler.py:{n.value.lineno} passes {n.arg}="
+        for n in ast.walk(tree) if isinstance(n, ast.keyword) and n.arg in SITE_COORDS
+    }
+    assert not writes, sorted(writes)
+
+
 # Every zone crossing follows ``scheduler._cross``: no other emit or event
 # names a crossing's kind, or the table that picks it by destination.
 CROSSING_NAMES = {"LOAD", "STORE", "READOUT_MOVE", "_CROSSING"}

@@ -25,7 +25,7 @@ from zonec.rewrite import (
     synth_pauli_fountain,
     synth_pauli_path,
 )
-from zonec.rewrite import _fold_zz_idioms, _merge_steps
+from zonec.rewrite import _check_readout, _fold_zz_idioms, _merge_steps
 
 
 def random_term(rng, n):
@@ -513,7 +513,7 @@ def alignable_circuits(draw):
 
 
 def _gates_after_measure(circuit) -> set[str]:
-    """How the zone steppers name each gate that follows its qubit's
+    """How the readout check names each gate that follows its qubit's
     MEASURE."""
     measured, late = set(), set()
     for g in circuit.gates:
@@ -522,6 +522,29 @@ def _gates_after_measure(circuit) -> set[str]:
         else:
             late.update(f"{g.kind.value} on qubit {q}" for q in g.qubits if q in measured)
     return late
+
+
+@st.composite
+def readout_circuits(draw):
+    """Random circuits of CX, SWAP, H pairs, ``cx; rz; cx`` idioms and
+    single H, RZ and MEASURE gates, MEASUREs anywhere: the shapes that the
+    passes before zone stepping lower, cancel, fold or relabel."""
+    n = draw(st.integers(2, 5))
+    gates = []
+    for shape in draw(st.lists(st.sampled_from(
+            ["cx", "swap", "hh", "idiom", "h", "rz", "measure"]), max_size=24)):
+        a, b = draw(st.permutations(range(n)))[:2]
+        cx = Gate(GateKind.CX, (a, b))
+        gates += {
+            "cx": [cx],
+            "swap": [Gate(GateKind.SWAP, (a, b))],
+            "hh": [Gate(GateKind.H, (a,))] * 2,
+            "idiom": [cx, Gate(GateKind.RZ, (b,), (0.3,)), cx],
+            "h": [Gate(GateKind.H, (a,))],
+            "rz": [Gate(GateKind.RZ, (a,), (0.7,))],
+            "measure": [Gate(GateKind.MEASURE, (a,))],
+        }[shape]
+    return Circuit(n, tuple(gates))
 
 
 class TestZoneSteps:
@@ -605,6 +628,31 @@ class TestPipeline:
             n, tuple(g for g in prog.flatten().gates if g.kind is not GateKind.MEASURE)
         )
         assert_equiv(reference, flat)
+
+    @given(readout_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_readout_verdict_is_the_inputs_in_both_modes(self, circuit):
+        # Both modes judge the program as written: H pairs that cancel, an
+        # idiom that folds and a SWAP that relabels neither hide nor rename
+        # a gate after its qubit's MEASURE.
+        late = _gates_after_measure(circuit)
+        for mode in ("mantra", "standard"):
+            if not late:
+                mantra_pipeline(circuit, PipelineOptions(mode=mode))
+                continue
+            with pytest.raises(ValueError, match="after its MEASURE; readout is terminal") as err:
+                mantra_pipeline(circuit, PipelineOptions(mode=mode))
+            assert str(err.value).partition(" after")[0] in late
+
+    def test_readout_walked_once_per_call(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("zonec.rewrite._check_readout",
+                            lambda c: seen.append(c) or _check_readout(c))
+        c = gen_ghz(6, chain="parallel")
+        for mode in ("mantra", "standard"):
+            seen.clear()
+            mantra_pipeline(c, PipelineOptions(mode=mode))
+            assert seen == [c]
 
     def test_deterministic(self):
         c = gen_ghz(8, chain="parallel")

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from zonec.arch import MachineConfig, Policy, build_layout, plan_swap_in_entangling
+from zonec.arch import MachineConfig, Policy, build_layout, land_movers, plan_swap_in_entangling
 from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import Circuit, Gate, GateKind, Zone
 from zonec.rewrite import (
@@ -132,6 +132,17 @@ class TestTimelineInvariants:
         images = [e for e in tl.events if e.kind is EventKind.READOUT_IMAGE]
         assert len(images) == 1
         assert images[0].duration_us == cfg.readout_time_us
+
+
+@pytest.mark.parametrize("policy", [Policy.TYPE1, Policy.TYPE2])
+@pytest.mark.parametrize("bench", ["ghz:8:parallel", "qaoa-sk:6:1", "ucc:6:4"])
+def test_one_landing_per_entangling_layer(monkeypatch, bench, policy):
+    # arch lands each layer's movers in one call: one per 2Q pulse.
+    calls = []
+    monkeypatch.setattr("zonec.scheduler.land_movers",
+                        lambda layout, pairs: calls.append(pairs) or land_movers(layout, pairs))
+    tl, _ = compile_and_schedule(parse_benchmark(bench).materialize(), policy=policy)
+    assert len(calls) == sum(e.kind is EventKind.PULSE_2Q for e in tl.events) > 0
 
 
 class TestPolicies:
