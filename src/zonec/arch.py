@@ -80,6 +80,9 @@ class MachineConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must be in (0, 1]")
+        for name in ("xtalk_1q", "xtalk_cz"):  # so 1 - xtalk is in (0, 1] too
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
 
     def pitch_um(self, zone: Zone) -> float:
         """Site pitch in ``zone``: the storage grid is denser than the others."""

@@ -12,7 +12,7 @@ from dataclasses import replace
 import click
 
 from .arch import LayoutError, MachineConfig, Policy, build_layout, load_config
-from .cost import REPORT_KEYS, csv_header, csv_row, format_record, run
+from .cost import REPORT_KEYS, csv_header, csv_row, format_record, format_value, run
 from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import CircuitError, count_gates
 from .rewrite import PipelineOptions
@@ -158,8 +158,7 @@ def cmd_simulate(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
     elif fmt == "human":
         for k, v in rec.items():
             label = k.replace("_us", " (us)").replace("_", " ")
-            click.echo(f"{label:24s} {v:.6f}" if isinstance(v, float)
-                       else f"{label:24s} {v}")
+            click.echo(f"{label:24s} {format_value(v)}")
     else:
         click.echo(format_record(rec), nl=False)
 
@@ -174,12 +173,16 @@ def cmd_simulate(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
 def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
               protocol):
     """Run a benchmark template across one axis; emit one CSV row per point."""
-    if "=" not in axis:
-        _fail(EXIT_USAGE, "axis must look like name=v1,v2,...")
     name, _, values = axis.partition("=")
     name = name.strip()
     points = [v.strip() for v in values.split(",") if v.strip()]
     mode_list = [m.strip() for m in modes.split(",") if m.strip()]
+    if not name or not points:
+        _fail(EXIT_USAGE, f"axis {axis!r} must look like name=v1,v2,...")
+    if "{" + name + "}" not in bench_template:
+        _fail(EXIT_USAGE, f"--bench template has no {{{name}}} placeholder")
+    if not mode_list:
+        _fail(EXIT_USAGE, "--modes names no mode")
     for m in mode_list:
         if m not in ("mantra", "standard"):
             _fail(EXIT_USAGE, f"unknown mode {m!r}")

@@ -129,6 +129,22 @@ def physical_gate_count(circuit: Circuit, config: MachineConfig) -> int:
     return logical * data_atoms
 
 
+def crosstalk_exposures(timeline: Timeline) -> tuple[list[int], list[int]]:
+    """Per qubit, the 1Q and the 2Q pulse layers that do not drive it. The
+    non-zoned policy pulses every atom of the register, so each such layer
+    exposes the qubit to crosstalk once."""
+    n = timeline.num_qubits
+    layers = {EventKind.PULSE_1Q: 0, EventKind.PULSE_2Q: 0}
+    driven = {kind: [0] * n for kind in layers}
+    for e in timeline.events:
+        if e.kind in layers:
+            layers[e.kind] += 1
+            on = driven[e.kind]
+            for q in e.qubits:
+                on[q] += 1
+    return tuple([layers[kind] - d for d in on] for kind, on in driven.items())
+
+
 def fidelity(
     timeline: Timeline, circuit: Circuit, config: MachineConfig
 ) -> FidelityReport:
@@ -145,10 +161,12 @@ def fidelity(
             n1q[g.qubits[0]] += 1
         else:
             n2q[min(g.qubits)] += 1
+    type3 = config.policy is Policy.TYPE3
+    if type3:
+        x1q, xcz = crosstalk_exposures(timeline)
     measured = set(timeline.measured)
     per_qubit = {}
     decoherence = 1.0
-    xt1 = xtc = 0
     for q in range(n):
         t_in_s = timeline.t_in_us.get(q, 0.0) * 1e-6
         t_out_s = timeline.t_out_us.get(q, 0.0) * 1e-6
@@ -164,12 +182,8 @@ def fidelity(
         )
         if q in measured:
             f *= config.f_readout
-        if config.policy is Policy.TYPE3:
-            e1 = timeline.xtalk_1q_exposures.get(q, 0)
-            ec = timeline.xtalk_cz_exposures.get(q, 0)
-            f *= (1.0 - config.xtalk_1q) ** e1 * (1.0 - config.xtalk_cz) ** ec
-            xt1 += e1
-            xtc += ec
+        if type3:
+            f *= (1.0 - config.xtalk_1q) ** x1q[q] * (1.0 - config.xtalk_cz) ** xcz[q]
         per_qubit[q] = f
     total_1q = sum(n1q.values())
     total_2q = sum(n2q.values())
@@ -181,10 +195,10 @@ def fidelity(
         "f_readout": config.f_readout ** len(measured),
         "f_decoherence": decoherence,
     }
-    if config.policy is Policy.TYPE3:
-        factors["f_crosstalk"] = (1.0 - config.xtalk_1q) ** xt1 * (
+    if type3:
+        factors["f_crosstalk"] = (1.0 - config.xtalk_1q) ** sum(x1q) * (
             1.0 - config.xtalk_cz
-        ) ** xtc
+        ) ** sum(xcz)
     total = 1.0
     for v in factors.values():
         total *= v
@@ -209,26 +223,18 @@ REPORT_KEYS = (
 
 def report_record(bd: Breakdown, fr: FidelityReport, loads: int, stores: int) -> dict:
     """One run's report, keyed in ``REPORT_KEYS`` order."""
-    return {
-        **bd.categories,
-        "makespan_us": bd.makespan_us,
-        "loads": loads,
-        "stores": stores,
-        "n_1q": fr.n_1q,
-        "n_2q": fr.n_2q,
-        "n_transfer": fr.n_transfer,
-        "fidelity": fr.total,
-    }
+    values = (*bd.categories.values(), bd.makespan_us, loads, stores,
+              fr.n_1q, fr.n_2q, fr.n_transfer, fr.total)
+    return dict(zip(REPORT_KEYS, values, strict=True))
+
+
+def format_value(v) -> str:
+    """A report value as printed: a float to six places, a count as is."""
+    return f"{v:.6f}" if isinstance(v, float) else str(v)
 
 
 def format_record(rec: dict) -> str:
-    lines = []
-    for k, v in rec.items():
-        if isinstance(v, float):
-            lines.append(f"{k} = {v:.6f}")
-        else:
-            lines.append(f"{k} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k} = {format_value(v)}\n" for k, v in rec.items())
 
 
 def csv_header(extra: tuple[str, ...] = ()) -> str:
@@ -236,11 +242,7 @@ def csv_header(extra: tuple[str, ...] = ()) -> str:
 
 
 def csv_row(rec: dict, extra: tuple = ()) -> str:
-    vals = [str(x) for x in extra]
-    for k in REPORT_KEYS:
-        v = rec[k]
-        vals.append(f"{v:.6f}" if isinstance(v, float) else str(v))
-    return ",".join(vals)
+    return ",".join([*map(str, extra), *(format_value(rec[k]) for k in REPORT_KEYS)])
 
 
 # ---------------------------------------------------------------------------

@@ -207,13 +207,11 @@ class GateCounts:
     n_1q: int  # 1-qubit pulsed gates (the UNPULSED kinds excluded)
     n_rz: int
     n_2q: int
-    n_measure: int
 
 
 def count_gates(circuit: Circuit) -> GateCounts:
     by_kind = Counter(g.kind for g in circuit.gates)
     n_rz = by_kind.get(GateKind.RZ, 0)
-    n_measure = by_kind.get(GateKind.MEASURE, 0)
     n_1q = sum(n for k, n in by_kind.items() if ARITY[k] == 1 and k not in UNPULSED)
     n_2q = sum(n for k, n in by_kind.items() if ARITY[k] == 2)
-    return GateCounts(n_1q, n_rz, n_2q, n_measure)
+    return GateCounts(n_1q, n_rz, n_2q)

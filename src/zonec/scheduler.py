@@ -67,8 +67,6 @@ class Timeline:
     t_out_us: dict  # qubit -> time spent outside it
     transfers: dict  # qubit -> trap-transfer count
     measured: tuple[int, ...]
-    xtalk_1q_exposures: dict = field(default_factory=dict)
-    xtalk_cz_exposures: dict = field(default_factory=dict)
 
     def to_lines(self) -> str:
         lines = []
@@ -142,8 +140,6 @@ class _Sim:
     t_in: dict = field(default_factory=dict)
     t_out: dict = field(default_factory=dict)
     transfers: dict = field(default_factory=dict)
-    x1q: dict = field(default_factory=dict)
-    xcz: dict = field(default_factory=dict)
 
     def emit(self, kind, qubits, start, dur):
         """``qubits`` must be sorted."""
@@ -230,7 +226,10 @@ def schedule(
 ) -> Timeline:
     """Deterministic schedule of a zone-step program under the configured
     operation policy, starting from ``layout``'s sites; ``layout`` itself is
-    left unchanged."""
+    left unchanged. ``layout`` must have been built for ``config``: the
+    geometry comes from one and the timings from the other."""
+    if layout.config != config:
+        raise ScheduleError("layout was built for another machine config")
     n = program.num_qubits
     if n > len(layout.qubits):
         raise ScheduleError(
@@ -262,8 +261,6 @@ def schedule(
         t_out_us=sim.t_out,
         transfers=dict(sorted(sim.transfers.items())),
         measured=measured,
-        xtalk_1q_exposures=dict(sorted(sim.x1q.items())),
-        xtalk_cz_exposures=dict(sorted(sim.xcz.items())),
     )
 
 
@@ -284,10 +281,15 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
             sim.layout.qubits[q].zone = Zone.ENTANGLING
 
 
-def _pulse_storage_layers(sim: _Sim, gates):
+def _pulse_layers(sim: _Sim, gates, two_q):
+    """One global 2Q (``two_q``) or 1Q pulse per pulsed layer, fired on the
+    atoms where they stand."""
+    cfg = sim.config
+    kind, dur = ((EventKind.PULSE_2Q, cfg.pulse_2q_us) if two_q
+                 else (EventKind.PULSE_1Q, cfg.pulse_1q_us))
     for qubits in _pulsed_layers(gates):
-        sim.emit(EventKind.PULSE_1Q, qubits, sim.clock, sim.config.pulse_1q_us)
-        sim.clock += sim.config.pulse_1q_us
+        sim.emit(kind, qubits, sim.clock, dur)
+        sim.clock += dur
 
 
 def _pulse_in_place_layers(sim: _Sim, gates):
@@ -375,7 +377,7 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
             _pulse_in_place_layers(sim, step.gates)
         elif step.zone is Zone.STORAGE:
             _cross(sim, [q for q in used if sites[q].zone is Zone.ENTANGLING], Zone.STORAGE)
-            _pulse_storage_layers(sim, step.gates)
+            _pulse_layers(sim, step.gates, False)
         else:
             movers = _pick_movers(step.gates, sim.layout)
             mover_set = set(movers)
@@ -399,22 +401,12 @@ def _schedule_readout(sim: _Sim, qubits):
 
 
 def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
-    """Non-zoned in-place execution; crosstalk exposures tracked per pulse
-    layer over all non-target atoms."""
-    cfg = sim.config
-    all_qubits = set(range(program.num_qubits))
-    for q in all_qubits:  # single zone; all time decoheres at the fast rate
-        sim.layout.qubits[q].zone = Zone.ENTANGLING
+    """Non-zoned in-place execution: every step pulses its layers where the
+    atoms stand, and all time decoheres at the fast rate."""
+    for site in sim.layout.qubits[: program.num_qubits]:
+        site.zone = Zone.ENTANGLING
     for step in program.steps:
         if step.zone is Zone.READOUT:
             _schedule_readout(sim, sorted({q for g in step.gates for q in g.qubits}))
-            continue
-        two_q = step.zone is Zone.ENTANGLING
-        kind = EventKind.PULSE_2Q if two_q else EventKind.PULSE_1Q
-        dur = cfg.pulse_2q_us if two_q else cfg.pulse_1q_us
-        for qubits in _pulsed_layers(step.gates):
-            sim.emit(kind, qubits, sim.clock, dur)
-            sim.clock += dur
-            bucket = sim.xcz if two_q else sim.x1q
-            for q in all_qubits - set(qubits):
-                bucket[q] = bucket.get(q, 0) + 1
+        else:
+            _pulse_layers(sim, step.gates, step.zone is Zone.ENTANGLING)

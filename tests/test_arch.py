@@ -70,9 +70,10 @@ class TestConfig:
 
     def test_config_file_partial_override(self, tmp_path):
         path = tmp_path / "machine.cfg"
-        path.write_text("aod_speed_um_per_us = 1.1\npolicy: type3\n# comment\n")
+        path.write_text("aod_speed_um_per_us = 1.1\npolicy: type3\n# comment\nxtalk_1q = 0\n")
         cfg = load_config(path)
         assert cfg.aod_speed_um_per_us == 1.1
+        assert cfg.xtalk_1q == 0.0
         assert cfg.policy is Policy.TYPE3
         assert cfg.pulse_1q_us == 0.625
 
@@ -103,6 +104,9 @@ class TestConfig:
         ("# c\narray_rows = 0\n", "line 2: array_rows must be at least 1"),
         ("pulse_1q_us = 0.5\nf_2q: 1.5\n", "line 2: f_2q must be in (0, 1]"),
         ("physical_per_logical = 1\n", "line 1: physical_per_logical must be at least 2"),
+        ("xtalk_1q = 1.5\n", "line 1: xtalk_1q must be in [0, 1)"),
+        ("# c\nxtalk_cz = -3\n", "line 2: xtalk_cz must be in [0, 1)"),
+        ("xtalk_cz = 1\n", "line 1: xtalk_cz must be in [0, 1)"),
     ])
     def test_out_of_range_names_line(self, tmp_path, text, message):
         path = tmp_path / "machine.cfg"

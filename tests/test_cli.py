@@ -83,6 +83,7 @@ class TestSimulate:
     @pytest.mark.parametrize("line", [
         "pulse_2q_us = nan", "readout_time_us = inf", "xtalk_cz = nan",
         "array_rows = 0", "physical_per_logical = 1", "x_basis_allowed = true",
+        "xtalk_1q = 1.5",
     ])
     def test_bad_config_exit_code(self, runner, tmp_path, line):
         cfg = tmp_path / "m.cfg"
@@ -254,6 +255,20 @@ class TestExitCodeMap:
         r = runner.invoke(cli, ["sweep", *self.SWEEP, "--modes", "mantra,fast"])
         assert (r.exit_code, r.stdout) == (1, "")
         assert "unknown mode 'fast'" in r.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        # Each would give a CSV that says nothing: one spec repeated for
+        # every point, a column of failed points, or no rows at all.
+        (["--bench", "ghz:4", "--axis", "n=4,8"], "--bench template has no {n} placeholder"),
+        (["--bench", "ghz:{n}", "--axis", "=4"], "axis '=4' must look like name=v1,v2,..."),
+        (["--bench", "ghz:{n}", "--axis", "n=,"], "axis 'n=,' must look like name=v1,v2,..."),
+        (["--bench", "ghz:{n}", "--axis", "n"], "axis 'n' must look like name=v1,v2,..."),
+        ([*SWEEP, "--modes", ","], "--modes names no mode"),
+    ])
+    def test_sweep_usage_error(self, runner, args, message):
+        r = runner.invoke(cli, ["sweep", *args])
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert r.stderr == f"error: {message}\n"
 
 
 class TestSweep:

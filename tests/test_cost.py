@@ -15,6 +15,7 @@ from zonec.cost import (
     Breakdown,
     breakdown,
     csv_header,
+    crosstalk_exposures,
     csv_row,
     fidelity,
     format_record,
@@ -23,7 +24,7 @@ from zonec.cost import (
     run,
 )
 from zonec.frontend import gen_ghz, gen_ucc_random, parse_benchmark
-from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, Zone
+from zonec.ir import ARITY, NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
 from zonec.rewrite import PipelineOptions, _lower, lower_cx_to_cz, mantra_pipeline
 from zonec.scheduler import Event, EventKind, Timeline, _Sim, count_ld_st
 
@@ -385,6 +386,24 @@ def _per_qubit(circuit):
     return on
 
 
+def _exposures_reference(program):
+    """``crosstalk_exposures`` by the rule as first written: each pulse layer
+    of each step charges every qubit of the register it does not drive."""
+    register = set(range(program.num_qubits))
+    x1q, xcz = [0] * len(register), [0] * len(register)
+    for step in program.steps:
+        if step.zone is Zone.READOUT:
+            continue
+        bucket = xcz if step.zone is Zone.ENTANGLING else x1q
+        for layer in layer_indices(step.gates):
+            driven = {q for i in layer if step.gates[i].kind not in UNPULSED
+                      for q in step.gates[i].qubits}
+            if driven:
+                for q in register - driven:
+                    bucket[q] += 1
+    return x1q, xcz
+
+
 class TestRunInvariants:
     @given(_sources())
     @example(Circuit(4, (Gate(GateKind.CX, (0, 3)),)))
@@ -429,6 +448,14 @@ class TestRunInvariants:
             travel = sorted((e.start_us, e.end_us) for e in tl.events if e.kind in _HIDING)
             assert all(b[0] >= a[1] for a, b in zip(travel, travel[1:]))
             assert breakdown(tl).categories == _breakdown_reference(tl)
+
+    @given(_sources())
+    @settings(max_examples=60, deadline=None)
+    def test_crosstalk_exposures_match_per_layer_reference(self, source):
+        for cfg, options in _COMBOS:
+            if cfg.policy is Policy.TYPE3:
+                r = run(source, options, cfg)
+                assert crosstalk_exposures(r.timeline) == _exposures_reference(r.program)
 
     @pytest.mark.parametrize("mode", ["mantra", "standard"])
     def test_type2_load_waits_for_its_trap_transfer(self, mode):

@@ -125,7 +125,7 @@ class TestCircuit:
             ),
         )
         counts = count_gates(c)
-        assert (counts.n_1q, counts.n_rz, counts.n_2q, counts.n_measure) == (1, 1, 1, 1)
+        assert (counts.n_1q, counts.n_rz, counts.n_2q) == (1, 1, 1)
 
 
 def _reference_layers(gates):

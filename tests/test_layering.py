@@ -109,6 +109,12 @@ def test_scheduler_places_no_atom():
     assert not writes, sorted(writes)
 
 
+# Crosstalk is a cost of the pulse events, so cost alone counts it: the
+# scheduler records what happened and keeps no tally derived from it.
+def test_scheduler_keeps_no_crosstalk_tally():
+    assert "xtalk" not in (SRC / "scheduler.py").read_text().lower()
+
+
 # Every zone crossing follows ``scheduler._cross``: no other emit or event
 # names a crossing's kind, or the table that picks it by destination.
 CROSSING_NAMES = {"LOAD", "STORE", "READOUT_MOVE", "_CROSSING"}

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from zonec.arch import MachineConfig, Policy, build_layout, land_movers, plan_swap_in_entangling
+from zonec.cost import run
 from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import Circuit, Gate, GateKind, Zone
 from zonec.rewrite import (
@@ -127,6 +128,18 @@ class TestTimelineInvariants:
         with pytest.raises(ScheduleError):
             schedule(prog, build_layout(cfg, 4), cfg)
 
+    @pytest.mark.parametrize("other", [
+        replace(MachineConfig(), zone_gap_um=40.0),
+        replace(MachineConfig(), policy=Policy.TYPE3),
+    ])
+    def test_layout_of_another_machine_raises(self, other):
+        # Geometry would come from the layout's config and timings from the
+        # scheduler's: a zone gap of 20 um in one and 40 um in the other gave
+        # a makespan that matched neither machine.
+        prog = mantra_pipeline(gen_ghz(4), PipelineOptions())
+        with pytest.raises(ScheduleError, match="another machine config"):
+            schedule(prog, build_layout(MachineConfig(), prog.num_qubits), other)
+
     def test_readout_imaged_once(self):
         tl, cfg = compile_and_schedule(gen_ghz(10, chain="path"), mode="standard")
         images = [e for e in tl.events if e.kind is EventKind.READOUT_IMAGE]
@@ -166,8 +179,9 @@ class TestPolicies:
 
     def test_type3_tracks_crosstalk(self):
         src = parse_benchmark("ucc:6:5", seed=3).materialize()
-        tl, _ = compile_and_schedule(src, mode="standard", policy=Policy.TYPE3)
-        assert sum(tl.xtalk_cz_exposures.values()) > 0
+        cfg = replace(MachineConfig(), policy=Policy.TYPE3)
+        r = run(src, PipelineOptions(mode="standard"), cfg)
+        assert r.fidelity.factors["f_crosstalk"] < 1.0
 
     def test_type3_all_time_out_of_storage(self):
         src = parse_benchmark("ghz:5:path", seed=0).materialize()
