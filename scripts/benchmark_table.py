@@ -38,6 +38,8 @@ def compare(bench, mode, seed, cfg):
 
 
 def _change(before, after):
+    if before == 0:  # Type 3 never loads or stores: no percentage to give
+        return f"{before}->{after}"
     return f"{before}->{after} ({100 * (after - before) / before:+.1f}%)"
 
 

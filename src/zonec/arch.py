@@ -1,5 +1,5 @@
 """Parameterized machine model: zones, atom-grid geometry, every distance
-the scheduler charges, mover landing, traps, and AOD movement constraints.
+the scheduler charges, mover landing, traps, and the AOD order rule.
 
 Defaults model a representative zoned Rydberg array; every knob is
 overridable through a key/value config file.
@@ -168,26 +168,9 @@ class AtomLayout:
 
 
 @dataclass(frozen=True)
-class AodMove:
-    """Simultaneous AOD translation of a set of logical qubits.
-
-    displacement maps qubit -> (d_row, d_col) in grid units of its zone.
-    """
-
-    displacements: dict
-
-    @property
-    def qubits(self):
-        return tuple(sorted(self.displacements))
-
-
-@dataclass(frozen=True)
 class MoveViolation:
     reason: str
     qubits: tuple[int, ...]
-
-    def __bool__(self):
-        return False
 
 
 def build_layout(config: MachineConfig, n_logical: int) -> AtomLayout:
@@ -218,22 +201,28 @@ def build_layout(config: MachineConfig, n_logical: int) -> AtomLayout:
     return AtomLayout(config, qubits)
 
 
-def validate_move(layout: AtomLayout, move: AodMove):
-    """Check AOD order preservation and destination occupancy.
+def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | None:
+    """Check one simultaneous AOD move, given as qubit -> (d_row, d_col) in
+    grid units of its zone; return None if it is legal.
 
-    Atoms moved simultaneously must keep their relative row order and
-    relative column order (AOD tones cannot cross), and no destination may
-    collide with a parked atom or another mover.
+    Every destination must lie on the grid. Atoms moved simultaneously must
+    keep their relative row order and relative column order (AOD tones
+    cannot cross), and no destination may collide with a parked atom or
+    another mover.
     """
-    movers = move.qubits
+    movers = sorted(displacements)
     for q in movers:
         if layout.qubits[q].trap is not Trap.AOD:
             raise LayoutError(f"qubit {q} is not in an AOD trap")
     start = {q: (layout.qubits[q].row, layout.qubits[q].col) for q in movers}
     end = {
-        q: (start[q][0] + move.displacements[q][0], start[q][1] + move.displacements[q][1])
+        q: (start[q][0] + displacements[q][0], start[q][1] + displacements[q][1])
         for q in movers
     }
+    cfg = layout.config
+    for q, (row, col) in end.items():
+        if not (0 <= row < cfg.array_rows and 0 <= col < cfg.array_cols):
+            return MoveViolation(f"destination {end[q]} of qubit {q} is off the grid", (q,))
     for i, a in enumerate(movers):
         for b in movers[i + 1 :]:
             for axis in (0, 1):
@@ -255,55 +244,7 @@ def validate_move(layout: AtomLayout, move: AodMove):
         if dest in occupied or dest in seen:
             return MoveViolation(f"destination {end[q]} of qubit {q} occupied", (q,))
         seen.add(dest)
-    return True
-
-
-def move_duration_us(layout: AtomLayout, move: AodMove, config: MachineConfig) -> float:
-    """Straight-line travel time: max over movers of path length / AOD speed."""
-    worst = 0.0
-    for q, (dr, dc) in move.displacements.items():
-        pitch = config.pitch_um(layout.qubits[q].zone)
-        worst = max(worst, math.hypot(dr * pitch, dc * pitch))
-    return worst / config.aod_speed_um_per_us
-
-
-def apply_move(layout: AtomLayout, move: AodMove) -> None:
-    for q, (dr, dc) in move.displacements.items():
-        s = layout.qubits[q]
-        s.row += dr
-        s.col += dc
-
-
-def plan_swap_in_entangling(
-    layout: AtomLayout, a: int, b: int
-) -> list[tuple[AodMove, float]]:
-    """Exchange two entangling-zone block positions in at most three AOD legs
-    through a vacant waypoint row; zero loads/stores."""
-    if a == b:
-        return []
-    sa, sb = layout.qubits[a], layout.qubits[b]
-    for q, s in ((a, sa), (b, sb)):
-        if s.zone is not Zone.ENTANGLING:
-            raise LayoutError(f"qubit {q} is not in the entangling zone")
-        s.trap = Trap.AOD
-    waypoint_row = max(s.row for s in layout.qubits if s.zone is Zone.ENTANGLING) + 1
-    if waypoint_row >= layout.config.array_rows:
-        raise LayoutError("no vacant waypoint row; SLM handoff required")
-    plan: list[tuple[AodMove, float]] = []
-    orig_a, orig_b = (sa.row, sa.col), (sb.row, sb.col)
-    moves = [
-        AodMove({a: (waypoint_row - orig_a[0], 0)}),
-        AodMove({b: (orig_a[0] - orig_b[0], orig_a[1] - orig_b[1])}),
-        AodMove({a: (orig_b[0] - waypoint_row, orig_b[1] - orig_a[1])}),
-    ]
-    for mv in moves:
-        ok = validate_move(layout, mv)
-        if ok is not True:
-            raise LayoutError(f"swap leg invalid: {ok.reason}")
-        dur = move_duration_us(layout, mv, layout.config)
-        apply_move(layout, mv)
-        plan.append((mv, dur))
-    return plan
+    return None
 
 
 # Every distance the scheduler charges. Zone order is storage | entangling |

@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zonec.arch import (
-    AodMove,
     ConfigError,
     LayoutError,
     MachineConfig,
     MoveViolation,
     Policy,
     Trap,
-    apply_move,
     build_layout,
     crossing_distance_um,
     isolation_hop_um,
     land_movers,
     load_config,
-    move_duration_us,
     validate_move,
 )
 from zonec.ir import Zone
@@ -157,42 +154,35 @@ class TestMoves:
     def test_requires_aod(self):
         lay = build_layout(MachineConfig(), 2)
         with pytest.raises(LayoutError):
-            validate_move(lay, AodMove({0: (1, 0)}))
+            validate_move(lay, {0: (1, 0)})
 
     def test_parallel_translation_ok(self):
         lay = self._layout()
-        mv = AodMove({0: (1, 0), 1: (1, 0)})
-        assert validate_move(lay, mv) is True
+        assert validate_move(lay, {0: (1, 0), 1: (1, 0)}) is None
 
     def test_order_violation_detected(self):
         lay = self._layout()
         a, b = lay.qubits[0], lay.qubits[1]
         # Force columns to cross.
         delta = b.col - a.col
-        mv = AodMove({0: (0, delta + 1), 1: (0, 0)})
-        v = validate_move(lay, mv)
-        assert isinstance(v, MoveViolation) and not v
+        v = validate_move(lay, {0: (0, delta + 1), 1: (0, 0)})
+        assert isinstance(v, MoveViolation) and v.qubits == (0, 1)
 
     def test_occupied_destination_detected(self):
         lay = self._layout()
         a, b = lay.qubits[0], lay.qubits[1]
-        mv = AodMove({0: (b.row - a.row, b.col - a.col)})
-        v = validate_move(lay, mv)
-        assert isinstance(v, MoveViolation)
+        v = validate_move(lay, {0: (b.row - a.row, b.col - a.col)})
+        assert isinstance(v, MoveViolation) and v.qubits == (0,)
 
-    def test_duration_uses_slowest_member(self):
-        lay = self._layout()
-        cfg = lay.config
-        mv = AodMove({0: (0, 1), 1: (0, 3)})
-        expected = 3 * cfg.pitch_storage_um / cfg.aod_speed_um_per_us
-        assert move_duration_us(lay, mv, cfg) == pytest.approx(expected)
-
-    def test_apply_move_updates_positions(self):
-        lay = self._layout()
-        s = lay.qubits[0]
-        before = (s.row, s.col)
-        apply_move(lay, AodMove({0: (2, 1)}))
-        assert (s.row, s.col) == (before[0] + 2, before[1] + 1)
+    @pytest.mark.parametrize(
+        "displacements, mover",
+        [({0: (-3, 0)}, 0), ({3: (0, 100)}, 3), ({0: (50, -1), 1: (50, -1)}, 0)],
+        ids=["row-3", "col101", "row50"],
+    )
+    def test_off_grid_destination_detected(self, displacements, mover):
+        v = validate_move(self._layout(), displacements)
+        assert isinstance(v, MoveViolation) and v.qubits == (mover,)
+        assert "off the grid" in v.reason
 
     @given(st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)

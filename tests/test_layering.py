@@ -74,7 +74,7 @@ def test_imports_follow_the_order(path):
 # arch's distance functions and plans no AOD legs of its own, so a change to
 # where atoms sit or how far they travel touches arch alone.
 GEOMETRY_FIELDS = {"zone_gap_um", "array_rows", "pitch_entangling_um", "pitch_storage_um"}
-AOD_MOVE_HELPERS = {"AodMove", "validate_move", "move_duration_us", "apply_move"}
+AOD_MOVE_HELPERS = {"validate_move"}
 
 
 def test_scheduler_leaves_geometry_to_arch():

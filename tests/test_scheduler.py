@@ -2,14 +2,12 @@ from dataclasses import replace
 
 import pytest
 
-from zonec.arch import MachineConfig, Policy, build_layout, land_movers, plan_swap_in_entangling
-from zonec.cost import run
+from zonec.arch import MachineConfig, Policy, build_layout, land_movers
 from zonec.frontend import gen_ghz, parse_benchmark
-from zonec.ir import Circuit, Gate, GateKind, Zone
+from zonec.ir import Circuit, Gate, GateKind
 from zonec.rewrite import (
     PipelineOptions,
     ZoneStepProgram,
-    gate_based_swap_reference,
     mantra_pipeline,
 )
 from zonec.scheduler import (
@@ -177,12 +175,6 @@ class TestPolicies:
                   EventKind.READOUT_MOVE, EventKind.TRAP_TRANSFER)
         assert not any(e.kind in moving for e in tl.events)
 
-    def test_type3_tracks_crosstalk(self):
-        src = parse_benchmark("ucc:6:5", seed=3).materialize()
-        cfg = replace(MachineConfig(), policy=Policy.TYPE3)
-        r = run(src, PipelineOptions(mode="standard"), cfg)
-        assert r.fidelity.factors["f_crosstalk"] < 1.0
-
     def test_type3_all_time_out_of_storage(self):
         src = parse_benchmark("ghz:5:path", seed=0).materialize()
         tl, _ = compile_and_schedule(src, mode="standard", policy=Policy.TYPE3)
@@ -234,36 +226,6 @@ class TestEcPrep:
             if kinds & {GateKind.H, GateKind.X, GateKind.RX}:
                 total += pulse_1q
         assert steane_prep_duration_us(cfg) == total
-
-
-class TestMovementSwap:
-    def _entangled_layout(self, n=4):
-        lay = build_layout(MachineConfig(), n)
-        for q in range(n):
-            lay.qubits[q].zone = Zone.ENTANGLING
-        return lay
-
-    def test_three_validated_legs(self):
-        lay = self._entangled_layout()
-        a, b = lay.qubits[0], lay.qubits[1]
-        a0, b0 = (a.row, a.col), (b.row, b.col)
-        plan = plan_swap_in_entangling(lay, 0, 1)
-        assert len(plan) == 3
-        assert (a.row, a.col) == b0
-        assert (b.row, b.col) == a0
-
-    def test_identity_swap_empty(self):
-        lay = self._entangled_layout()
-        assert plan_swap_in_entangling(lay, 2, 2) == []
-
-    def test_strictly_faster_than_gate_based(self):
-        lay = self._entangled_layout()
-        plan = plan_swap_in_entangling(lay, 0, 1)
-        move_time = sum(d for _, d in plan)
-        ref = gate_based_swap_reference(4, 0, 1)
-        tl, _ = compile_and_schedule(ref, mode="standard")
-        assert sum(count_ld_st(tl)) == 6
-        assert move_time < tl.makespan_us
 
 
 class TestStepShuttlesWhatItHandedOver:

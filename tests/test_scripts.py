@@ -10,7 +10,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
 
 
-@pytest.mark.parametrize("policy", ["type1", "type2"])
+@pytest.mark.parametrize("policy", ["type1", "type2", "type3"])
 def test_benchmark_table_matches_golden(policy):
     """The headline table moves only with a change meant to move it; such a
     change regenerates the golden file, and its diff is the old -> new record:
