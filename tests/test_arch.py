@@ -184,6 +184,19 @@ class TestMoves:
         assert isinstance(v, MoveViolation) and v.qubits == (mover,)
         assert "off the grid" in v.reason
 
+    def test_move_to_grid_edge_ok(self):
+        # The last row and column are on the grid: the bound is exclusive.
+        lay = self._layout(1)
+        cfg, s = lay.config, lay.qubits[0]
+        move = {0: (cfg.array_rows - 1 - s.row, cfg.array_cols - 1 - s.col)}
+        assert validate_move(lay, move) is None
+
+    def test_violation_is_truthy(self):
+        # A plain record: callers test `if validate_move(...)` for a fault.
+        lay = self._layout()
+        v = validate_move(lay, {0: (-1, 0)})
+        assert v and v == MoveViolation(v.reason, (0,))
+
     @given(st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_crossing_distance_at_least_gap(self, r, c):

@@ -8,6 +8,7 @@ from zonec.ir import Circuit, Gate, GateKind
 from zonec.rewrite import (
     PipelineOptions,
     ZoneStepProgram,
+    gate_based_swap_reference,
     mantra_pipeline,
 )
 from zonec.scheduler import (
@@ -226,6 +227,17 @@ class TestEcPrep:
             if kinds & {GateKind.H, GateKind.X, GateKind.RX}:
                 total += pulse_1q
         assert steane_prep_duration_us(cfg) == total
+
+
+class TestRelabelledSwap:
+    @pytest.mark.parametrize("mode", ["standard", "mantra"])
+    def test_no_ld_st_and_faster_than_gate_based(self, mode):
+        # A SWAP is a relabelling in both modes: no atom leaves storage for
+        # it, so it beats the 3-CX lowering and its 6 loads and stores.
+        swap, _ = compile_and_schedule(Circuit(4, (Gate(GateKind.SWAP, (0, 1)),)), mode=mode)
+        ref, _ = compile_and_schedule(gate_based_swap_reference(4, 0, 1), mode="standard")
+        assert sum(count_ld_st(swap)) == 0 and sum(count_ld_st(ref)) == 6
+        assert swap.makespan_us < ref.makespan_us
 
 
 class TestStepShuttlesWhatItHandedOver:
