@@ -43,6 +43,12 @@ def _change(before, after):
     return f"{before}->{after} ({100 * (after - before) / before:+.1f}%)"
 
 
+def _fidelity(f):
+    """Three places, or one significant digit below 0.0005, which three
+    places would print as 0.000."""
+    return f"{f:.3f}" if f >= 0.0005 else f"{f:.1e}"
+
+
 @click.command()
 @click.option("--seed", type=int, default=10, show_default=True)
 @click.option("--policy", type=click.Choice(["type1", "type2", "type3"]),
@@ -60,7 +66,7 @@ def main(seed, policy):
         click.echo(
             f"{bench:14s} {ls_s:5d}->{ls_m:<5d} {ph_s:5d}->{ph_m:<5d} "
             f"{bd_s.makespan_us / 1000:8.1f}->{bd_m.makespan_us / 1000:<8.1f} "
-            f"{fr_s.total:7.3f}->{fr_m.total:<7.3f}"
+            f"{_fidelity(fr_s.total):>7s}->{_fidelity(fr_m.total):<7s}"
         )
         ldst[0] += ls_s
         ldst[1] += ls_m

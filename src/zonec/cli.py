@@ -14,7 +14,7 @@ import click
 from .arch import LayoutError, MachineConfig, Policy, build_layout, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, format_value, run
 from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
-from .ir import CircuitError, count_gates
+from .ir import CircuitError, GateKind
 from .rewrite import PipelineOptions
 from .scheduler import ScheduleError
 
@@ -122,7 +122,6 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
     """Compile to a zone-step program and report gate/movement counts."""
     result = _result(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                      protocol)
-    counts = count_gates(result.flat)
     if fmt == "steps":
         for i, step in enumerate(result.program.steps):
             click.echo(f"step {i} {step.zone.value} {len(step.gates)}")
@@ -132,9 +131,9 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                 f"{g.kind.value}({','.join(map(str, g.qubits))})" for g in step.gates
             )
             click.echo(f"step {i} [{step.zone.value}] {names}")
-    click.echo(f"n_1q = {counts.n_1q}")
-    click.echo(f"n_rz = {counts.n_rz}")
-    click.echo(f"n_2q = {counts.n_2q}")
+    click.echo(f"n_1q = {result.fidelity.n_1q}")
+    click.echo(f"n_rz = {sum(g.kind is GateKind.RZ for g in result.flat.gates)}")
+    click.echo(f"n_2q = {result.fidelity.n_2q}")
     click.echo(f"n_physical = {result.phys_gates}")
     click.echo(f"ld_st = {result.loads + result.stores}")
 

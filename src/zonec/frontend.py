@@ -377,11 +377,12 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, edges)
 
 
-def power_law_graph(n: int, seed: int, m: int = 2) -> Graph:
-    """Preferential-attachment graph (Barabasi-Albert style, m edges per new
-    node), deterministic per seed."""
+def power_law_graph(n: int, seed: int) -> Graph:
+    """Preferential-attachment graph (Barabasi-Albert style, two edges per
+    new node), deterministic per seed."""
     import numpy as np
 
+    m = 2
     if n < m + 1:
         raise ValueError(f"need at least {m + 1} nodes")
     rng = np.random.default_rng(seed)
@@ -401,13 +402,7 @@ def power_law_graph(n: int, seed: int, m: int = 2) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def gen_qaoa(
-    graph: Graph,
-    p: int,
-    gammas,
-    betas,
-    measure: bool = True,
-) -> Circuit:
+def gen_qaoa(graph: Graph, p: int, gammas, betas) -> Circuit:
     """QAOA circuit: H layer, then per layer RZZ(gamma_k) per edge and
     RX(2*beta_k) per node, terminal MEASURE."""
     if p < 1:
@@ -424,8 +419,7 @@ def gen_qaoa(
             for (a, b), w in zip(graph.edges, weights)
         ]
         gates += [Gate(GateKind.RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
-    if measure:
-        gates += [Gate(GateKind.MEASURE, (q,)) for q in nodes]
+    gates += [Gate(GateKind.MEASURE, (q,)) for q in nodes]
     return Circuit(graph.num_nodes, tuple(gates))
 
 
@@ -452,7 +446,8 @@ STEANE_Z_STABILIZERS = ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
 
 
 def gen_steane_prep() -> Circuit:
-    """7-qubit Steane-code |+>_L preparation circuit."""
+    """7-qubit Steane-code |+>_L preparation circuit; the scheduler times
+    every run's error-correction prefix by its pulse layers."""
     gates = [Gate(GateKind.H, (pivot,)) for pivot, _ in _STEANE_PREP_ROWS]
     gates += [
         Gate(GateKind.CX, (pivot, t)) for pivot, rest in _STEANE_PREP_ROWS for t in rest

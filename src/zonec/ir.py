@@ -7,7 +7,6 @@ implicitly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -201,17 +200,3 @@ def layer_indices(gates) -> list[list[int]]:
             layers[layer].append(i)
     return layers
 
-
-@dataclass(frozen=True)
-class GateCounts:
-    n_1q: int  # 1-qubit pulsed gates (the UNPULSED kinds excluded)
-    n_rz: int
-    n_2q: int
-
-
-def count_gates(circuit: Circuit) -> GateCounts:
-    by_kind = Counter(g.kind for g in circuit.gates)
-    n_rz = by_kind.get(GateKind.RZ, 0)
-    n_1q = sum(n for k, n in by_kind.items() if ARITY[k] == 1 and k not in UNPULSED)
-    n_2q = sum(n for k, n in by_kind.items() if ARITY[k] == 2)
-    return GateCounts(n_1q, n_rz, n_2q)

@@ -1,15 +1,18 @@
-"""Dense reference simulator used to verify every rewrite on small instances.
+"""Dense reference simulator used to verify every rewrite on small instances,
+and the matrix of every gate kind, the Rydberg-mediated diagonal entanglers
+among them.
 
 Qubit ordering is little-endian: qubit 0 is the least significant bit of the
-basis-state index. Two-qubit matrices follow the protocols-module basis
-|00>,|01>,|10>,|11> with the first-listed operand as the left bit.
+basis-state index. Two-qubit matrices use the basis |00>,|01>,|10>,|11> with
+the first-listed operand as the left bit. The four parametrised entangler
+constructors return fresh arrays; ``gate_matrix`` shares its fixed ones, so
+callers must not write to them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import protocols
 from .ir import Circuit, Gate, GateKind
 
 MAX_UNITARY_QUBITS = 10
@@ -24,6 +27,57 @@ _CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def rzz_matrix(gamma: float) -> np.ndarray:
+    """ZZ rotation target: applies phase gamma to |01> and |10>."""
+    return np.diag([1.0, np.exp(1j * gamma), np.exp(1j * gamma), 1.0])
+
+
+def lp_matrix(gamma: float) -> np.ndarray:
+    """Levine-Pichler gate: phase gamma on |01>,|10> and 2*gamma+pi on |11>."""
+    e = np.exp(1j * gamma)
+    return np.diag([1.0, e, e, np.exp(1j * (2.0 * gamma + np.pi))])
+
+
+def cphase_matrix(phi: float) -> np.ndarray:
+    """Controlled phase: phi on |11> only."""
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
+
+
+def adiabatic_matrix(phi1: float, phi2: float) -> np.ndarray:
+    """Adiabatic gate: phase phi2 - 2*phi1 on |11> only.
+
+    phi1 is set by the single-atom light shift, phi2 by the two-atom light
+    shift; both exponents are imaginary (the phase-cancellation condition is
+    meaningless otherwise).
+    """
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * (phi2 - 2.0 * phi1))])
+
+
+def equiv_up_to_global_phase(u, v, tol: float = 1e-9) -> bool:
+    """True iff u = exp(i*alpha) * v for some alpha, within tol elementwise.
+
+    alpha is extracted from the largest-magnitude element of v, which avoids
+    dividing by near-zero entries.
+    """
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    if abs(v[idx]) == 0.0:
+        return bool(np.max(np.abs(u)) <= tol)
+    phase = u[idx] / v[idx]
+    if abs(phase) == 0.0:
+        return False
+    phase /= abs(phase)
+    return bool(np.max(np.abs(u - phase * v)) <= tol)
+
+
+def is_unitary(u, tol: float = 1e-12) -> bool:
+    u = np.asarray(u, dtype=complex)
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= tol)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -46,13 +100,13 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if k is GateKind.SWAP:
         return _SWAP
     if k is GateKind.RZZ:
-        return protocols.rzz_matrix(p[0])
+        return rzz_matrix(p[0])
     if k is GateKind.CPHASE:
-        return protocols.cphase_matrix(p[0])
+        return cphase_matrix(p[0])
     if k is GateKind.LP:
-        return protocols.lp_matrix(p[0])
+        return lp_matrix(p[0])
     if k is GateKind.AD:
-        return protocols.adiabatic_matrix(p[0], p[1])
+        return adiabatic_matrix(p[0], p[1])
     raise ValueError(f"no matrix for {k}")
 
 

@@ -7,9 +7,9 @@ Every pass preserves the circuit unitary up to global phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from . import protocols
 from .ir import (
     GATE_ZONE,
     Circuit,
@@ -300,6 +300,22 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     return [g for g, d in zip(gates, dead) if not d]
 
 
+def cphase_phi(gamma: float) -> float:
+    """CPHASE angle after LP(gamma): -2*gamma - pi, so the total |11> phase
+    cancels to zero."""
+    return -2.0 * gamma - math.pi
+
+
+def adiabatic_phases(gamma: float, phi2: float = 0.0) -> tuple[float, float]:
+    """Ad gate phases (phi1, phi2) before LP(gamma), with
+    phi1 = (pi + 2*gamma + phi2) / 2.
+
+    The Ad gate contributes exp(i*(phi2 - 2*phi1)) = exp(-i*(pi + 2*gamma)) on
+    |11>, cancelling the LP gate's exp(i*(2*gamma + pi)).
+    """
+    return (math.pi + 2.0 * gamma + phi2) / 2.0, phi2
+
+
 def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     """Replace RZZ gates and ZZ idioms with the two-pulse native protocol:
     Ad+LP or LP+CPHASE. No storage-zone gate is introduced.
@@ -319,11 +335,11 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
             continue
         gamma = g.params[0]
         if protocol == "adiabatic":
-            out.append(Gate(GateKind.AD, g.qubits, protocols.adiabatic_phases(gamma)))
+            out.append(Gate(GateKind.AD, g.qubits, adiabatic_phases(gamma)))
             out.append(Gate(GateKind.LP, g.qubits, (gamma,)))
         else:
             out.append(Gate(GateKind.LP, g.qubits, (gamma,)))
-            out.append(Gate(GateKind.CPHASE, g.qubits, (protocols.cphase_phi(gamma),)))
+            out.append(Gate(GateKind.CPHASE, g.qubits, (cphase_phi(gamma),)))
     return Circuit(circuit.num_qubits, tuple(out))
 
 
@@ -441,7 +457,8 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     """Unaligned (standard-execution) zone stepping: one zone segment per
     dependency layer of the input circuit, CX gates expanded in place, and
     only adjacent same-zone segments merged. No cross-layer hoisting.
-    MEASUREs form a final readout step, as in ``align_zone_steps``."""
+    MEASUREs form a final readout step, as in ``align_zone_steps``. A SWAP
+    raises ``ValueError``: ``lower_swap`` removes it first."""
     _check_readout(circuit)
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit)))
 
@@ -467,6 +484,8 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
                 post.append(h)
             elif g.zone is Zone.STORAGE:
                 pre.append(g)
+            elif g.kind is GateKind.SWAP:
+                raise ValueError("layer_zone_steps requires a SWAP-free circuit")
             else:
                 two.append(g)
         raw.append((Zone.STORAGE, pre))

@@ -29,8 +29,9 @@ from .arch import (
     isolation_hop_um,
     land_movers,
 )
+from .frontend import gen_steane_prep
 from .ir import UNPULSED, Gate, Zone, layer_indices
-from .rewrite import ZoneStepProgram
+from .rewrite import ZoneStepProgram, cancel_hadamard_pairs, lower_cx_to_cz
 
 
 class EventKind(Enum):
@@ -94,40 +95,39 @@ class ScheduleError(RuntimeError):
     pass
 
 
-# Per dependency layer of the Steane |+>_L preparation circuit
-# (frontend.gen_steane_prep lowered by rewrite.lower_cx_to_cz and
-# cancel_hadamard_pairs): whether it holds a CZ and whether it holds a pulsed
-# 1Q gate. tests/test_scheduler.py derives the same pattern from the circuit.
-_STEANE_PREP_LAYERS = (
-    (False, True),
-    (True, False),
-    (True, False),
-    (True, False),
-    (True, True),
-    (True, True),
-    (False, True),
+def _pulse_pattern(gates) -> tuple[tuple[bool, bool], ...]:
+    """Per dependency layer of ``gates``: whether it holds a 2Q gate and
+    whether it holds a pulsed 1Q gate."""
+    arities = ({len(gates[i].qubits) for i in layer if gates[i].kind not in UNPULSED}
+               for layer in layer_indices(gates))
+    return tuple((2 in a, 1 in a) for a in arities)
+
+
+# The Steane |+>_L preparation circuit, its CXs lowered as a program's are.
+_STEANE_PREP_LAYERS = _pulse_pattern(
+    cancel_hadamard_pairs(lower_cx_to_cz(gen_steane_prep())).gates
 )
 
 
 def steane_prep_duration_us(config: MachineConfig) -> float:
     """Pulse time of the Steane |+>_L preparation circuit, layer by layer."""
     total = 0.0
-    for has_cz, has_1q in _STEANE_PREP_LAYERS:
-        if has_cz:
+    for has_2q, has_1q in _STEANE_PREP_LAYERS:
+        if has_2q:
             total += config.pulse_2q_us
         if has_1q:
             total += config.pulse_1q_us
     return total
 
 
-def ec_prep_events(config: MachineConfig, n_logical: int) -> tuple[Event, ...]:
+def ec_prep_event(config: MachineConfig, n_logical: int) -> Event:
     """Fixed per-run logical-qubit preparation prefix: Steane prep pulses,
     one transversal entangling layer, and (except under Type 3) the ancilla
     travel to the storage zone. Fully parallel across logical qubits."""
     dur = steane_prep_duration_us(config) + config.pulse_2q_us
     if config.policy is not Policy.TYPE3:
         dur += config.min_ld_st_us
-    return (Event(EventKind.EC_PREP, tuple(range(n_logical)), 0.0, dur),)
+    return Event(EventKind.EC_PREP, tuple(range(n_logical)), 0.0, dur)
 
 
 @dataclass
@@ -239,10 +239,9 @@ def schedule(
     sim = _Sim(config, layout, t_in=dict.fromkeys(range(n), 0.0),
                t_out=dict.fromkeys(range(n), 0.0))
 
-    # Error-correction prefix.
-    for e in ec_prep_events(config, n):
-        sim.events.append(e)
-        sim.clock = max(sim.clock, e.end_us)
+    prep = ec_prep_event(config, n)
+    sim.events.append(prep)
+    sim.clock = prep.end_us
 
     if config.policy is Policy.TYPE3:
         _schedule_type3(sim, program)

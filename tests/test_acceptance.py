@@ -22,19 +22,21 @@ from zonec.frontend import (
     parse_benchmark,
 )
 from zonec.ir import Circuit, Gate, GateKind, PauliTerm
-from zonec.oracle import pauli_expectation, statevector_of, unitary_of
-from zonec.protocols import (
+from zonec.oracle import (
     adiabatic_matrix,
-    adiabatic_phases,
     cphase_matrix,
-    cphase_phi,
     equiv_up_to_global_phase,
     lp_matrix,
+    pauli_expectation,
     rzz_matrix,
+    statevector_of,
+    unitary_of,
 )
 from zonec.rewrite import (
     PipelineOptions,
+    adiabatic_phases,
     cancel_hadamard_pairs,
+    cphase_phi,
     gate_based_swap_reference,
     lower_cx_to_cz,
     lower_rzz_to_cx,

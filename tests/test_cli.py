@@ -369,7 +369,8 @@ class TestCapacityBeforeBuild:
 
 class TestColdStart:
     """The compile->schedule->cost path never loads numpy: only the seeded
-    generators and the unitary helpers import it, inside the function."""
+    generators import it, inside the function, and the reference simulator
+    ``oracle``, which that path never imports."""
 
     @pytest.mark.parametrize("code", [
         "import zonec",

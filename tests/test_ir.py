@@ -2,15 +2,16 @@ import copy
 import pickle
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
+from zonec.cli import cli
 from zonec.ir import (
     Circuit,
     CircuitError,
     Gate,
     GateKind,
     Zone,
-    count_gates,
     layer_indices,
 )
 
@@ -114,19 +115,15 @@ class TestCircuit:
         g = (cx(0, 1), cx(2, 3), h(0), h(2))
         assert layer_indices(g) == [[0, 1], [2, 3]]
 
-    def test_counts_exclude_rz_and_measure(self):
-        c = Circuit(
-            2,
-            (
-                h(0),
-                Gate(GateKind.RZ, (0,), (0.1,)),
-                cx(0, 1),
-                Gate(GateKind.MEASURE, (1,)),
-            ),
-        )
-        counts = count_gates(c)
-        assert (counts.n_1q, counts.n_rz, counts.n_2q) == (1, 1, 1)
-
+    def test_counts_exclude_rz_and_measure(self, tmp_path):
+        # h; rz; cx; measure, as compile prints the counts of the compiled
+        # program: the CX lowers to H CZ H, and RZ and MEASURE take no pulse.
+        qasm = tmp_path / "c.qasm"
+        qasm.write_text("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n"
+                        "rz(0.1) q[0];\ncx q[0],q[1];\nmeasure q[1] -> c[1];\n")
+        r = CliRunner().invoke(cli, ["compile", "--qasm", str(qasm)])
+        assert r.exit_code == 0
+        assert "n_1q = 3\nn_rz = 1\nn_2q = 1\n" in r.stdout
 
 def _reference_layers(gates):
     """The layering rule as first written, a ``max`` over every gate's

@@ -1,7 +1,7 @@
 """zonec's modules form one import order: each imports only modules before
 it, and only at import time. A zonec import inside a function body hides a
-back edge (a dependency cycle), so none is allowed; a function-local
-``import numpy`` keeps cold start light and stays allowed."""
+back edge (a dependency cycle), so none is allowed. numpy has one home, so
+that the compile path never loads it."""
 
 import ast
 from pathlib import Path
@@ -16,7 +16,6 @@ SRC = Path(zonec.__file__).parent
 # The package's ``__init__`` re-exports from every module and is exempt.
 RANK = {
     "ir": 0,
-    "protocols": 1,
     "frontend": 1,
     "rewrite": 2,
     "oracle": 2,
@@ -68,6 +67,38 @@ def test_imports_follow_the_order(path):
         if RANK.get(name, len(RANK)) >= RANK[path.stem]
     }
     assert not later, sorted(later)
+
+
+# Only the reference simulator imports numpy at import time; the compile path
+# never imports oracle. The seeded generators draw from numpy's random
+# streams, so they alone import it, inside the function.
+NUMPY_AT_IMPORT = {"oracle"}
+NUMPY_IN_FUNCTION = {"frontend": {"gen_ucc_random", "power_law_graph", "qaoa_angles"}}
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_has_one_home(path):
+    tree = ast.parse(path.read_text())
+    enclosing = {}  # id(import node) -> innermost function around it
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing.update((id(n), fn.name) for n in ast.walk(fn) if n is not fn)
+    stray = set()
+    for node in ast.walk(tree):
+        if not _imports_numpy(node):
+            continue
+        fn = enclosing.get(id(node))
+        if fn is None and path.stem not in NUMPY_AT_IMPORT:
+            stray.add(f"{path.name}:{node.lineno} imports numpy at import time")
+        elif fn is not None and fn not in NUMPY_IN_FUNCTION.get(path.stem, ()):
+            stray.add(f"{path.name}:{node.lineno} imports numpy in {fn}")
+    assert not stray, sorted(stray)
 
 
 # Only arch knows the machine's geometry: the scheduler charges travel through

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zonec.protocols import (
+from zonec.oracle import (
     adiabatic_matrix,
-    adiabatic_phases,
     cphase_matrix,
-    cphase_phi,
     equiv_up_to_global_phase,
     is_unitary,
     lp_matrix,
     rzz_matrix,
 )
+from zonec.rewrite import adiabatic_phases, cphase_phi
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
 

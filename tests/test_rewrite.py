@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zonec.frontend import gen_ghz
 from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, PauliTerm, Zone
-from zonec.oracle import unitary_of
-from zonec.protocols import equiv_up_to_global_phase
+from zonec.oracle import equiv_up_to_global_phase, unitary_of
 from zonec.rewrite import (
     PipelineOptions,
     ZoneStep,
@@ -564,6 +563,15 @@ class TestZoneSteps:
             with pytest.raises(ValueError, match="after its MEASURE; readout is terminal") as err:
                 steps(circuit)
             assert str(err.value).partition(" after")[0] in late
+
+    @pytest.mark.parametrize("steps", [align_zone_steps, layer_zone_steps],
+                             ids=["align", "layer"])
+    def test_swap_raises_in_both_modes(self, steps):
+        # A SWAP is no entangling pulse: lower_swap relabels it away first.
+        c = Circuit(3, (Gate(GateKind.H, (0,)), Gate(GateKind.SWAP, (0, 1)),
+                        Gate(GateKind.CZ, (1, 2))))
+        with pytest.raises(ValueError, match="requires a SWAP-free circuit"):
+            steps(c)
 
     def test_adjacent_steps_differ(self):
         with pytest.raises(Exception):

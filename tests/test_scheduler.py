@@ -15,8 +15,9 @@ from zonec.scheduler import (
     Event,
     EventKind,
     ScheduleError,
+    _STEANE_PREP_LAYERS,
     count_ld_st,
-    ec_prep_events,
+    ec_prep_event,
     schedule,
     steane_prep_duration_us,
 )
@@ -185,8 +186,8 @@ class TestPolicies:
 class TestEcPrep:
     def test_duration_workload_independent(self):
         cfg = MachineConfig()
-        (e1,) = ec_prep_events(cfg, 5)
-        (e2,) = ec_prep_events(cfg, 100)
+        e1 = ec_prep_event(cfg, 5)
+        e2 = ec_prep_event(cfg, 100)
         assert e1.duration_us == e2.duration_us
 
     def test_type3_skips_ancilla_travel(self):
@@ -194,8 +195,8 @@ class TestEcPrep:
 
         cfg = MachineConfig()
         cfg3 = replace(cfg, policy=Policy.TYPE3)
-        (e1,) = ec_prep_events(cfg, 5)
-        (e3,) = ec_prep_events(cfg3, 5)
+        e1 = ec_prep_event(cfg, 5)
+        e3 = ec_prep_event(cfg3, 5)
         assert e1.duration_us > e3.duration_us
 
     def test_prefix_present_in_schedule(self):
@@ -206,26 +207,20 @@ class TestEcPrep:
     def test_prep_duration_positive(self):
         assert steane_prep_duration_us(MachineConfig()) > 0.0
 
+    def test_prep_pattern_derived_from_circuit(self):
+        # Per dependency layer of the lowered Steane prep circuit: whether it
+        # holds a 2Q gate, and whether it holds a pulsed 1Q gate.
+        F, T = False, True
+        assert _STEANE_PREP_LAYERS == ((F, T), (T, F), (T, F), (T, F), (T, T), (T, T), (F, T))
+
     @pytest.mark.parametrize("pulse_1q, pulse_2q", [(0.625, 0.380), (0.37, 0.113)])
-    def test_prep_duration_matches_layered_circuit(self, pulse_1q, pulse_2q):
-        # The constant per-layer pattern (scheduler._STEANE_PREP_LAYERS)
-        # sums, bit for bit and in layer order, to what layering the lowered
-        # prep circuit afresh gives.
-        from dataclasses import replace
-
-        from zonec.frontend import gen_steane_prep
-        from zonec.ir import layer_indices
-        from zonec.rewrite import cancel_hadamard_pairs, lower_cx_to_cz
-
+    def test_prep_duration_sums_layers_in_order(self, pulse_1q, pulse_2q):
+        # Bit for bit the sum in layer order, 2Q before 1Q within a layer.
         cfg = replace(MachineConfig(), pulse_1q_us=pulse_1q, pulse_2q_us=pulse_2q)
-        prep = cancel_hadamard_pairs(lower_cx_to_cz(gen_steane_prep()))
         total = 0.0
-        for layer in layer_indices(prep.gates):
-            kinds = {prep.gates[i].kind for i in layer}
-            if GateKind.CZ in kinds:
-                total += pulse_2q
-            if kinds & {GateKind.H, GateKind.X, GateKind.RX}:
-                total += pulse_1q
+        for dur in (pulse_1q, pulse_2q, pulse_2q, pulse_2q, pulse_2q, pulse_1q,
+                    pulse_2q, pulse_1q, pulse_1q):
+            total += dur
         assert steane_prep_duration_us(cfg) == total
 
 
