@@ -234,23 +234,6 @@ def _check_measure_target(target: str, creg_sizes: dict[str, int], line: int) ->
         )
 
 
-def dump_qasm(circuit: Circuit) -> str:
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
-    if any(g.kind is GateKind.MEASURE for g in circuit.gates):
-        lines.append(f"creg c[{circuit.num_qubits}];")
-    for g in circuit.gates:
-        name = g.kind.value.lower()
-        ops = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.kind is GateKind.MEASURE:
-            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.qubits[0]}];")
-        elif g.params:
-            args = ",".join(repr(p) for p in g.params)
-            lines.append(f"{name}({args}) {ops};")
-        else:
-            lines.append(f"{name} {ops};")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Pauli-term files:  header `qubits <n>`, then `<label> <theta>` per line
 # ---------------------------------------------------------------------------
@@ -295,12 +278,6 @@ def parse_pauli_file(text: str) -> PauliTermFile:
     if num_qubits is None:
         raise ParseError("missing `qubits <n>` header", 1)
     return PauliTermFile(num_qubits, tuple(terms))
-
-
-def dump_pauli_file(pf: PauliTermFile) -> str:
-    lines = [f"qubits {pf.num_qubits}"]
-    lines += [f"{t.label} {t.theta!r}" for t in pf.terms]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,17 @@ def _merge_steps(raw: list[tuple[Zone, list[Gate]]]) -> tuple[ZoneStep, ...]:
 
 
 def lower_cx_to_cz(circuit: Circuit) -> Circuit:
-    """Replace every CX(c,t) by H(t); CZ(c,t); H(t)."""
+    """Fold every ZZ idiom into an RZZ gate, then replace each remaining
+    CX(c,t) by H(t); CZ(c,t); H(t). A circuit with no CX comes back as is.
+
+    The fold comes first because H-pair cancellation would break lowered
+    idioms apart: back-to-back idioms on one target share an H(t) H(t) seam,
+    and once it is cancelled the lowered pattern no longer matches.
+    """
+    if not any(g.kind is GateKind.CX for g in circuit.gates):
+        return circuit
     gates: list[Gate] = []
-    for g in circuit.gates:
+    for g in _fold_zz_idioms(circuit):
         if g.kind is GateKind.CX:
             c, t = g.qubits
             h = Gate(GateKind.H, (t,))  # gates are immutable, so one serves twice
@@ -540,9 +548,9 @@ class PipelineOptions:
 def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> ZoneStepProgram:
     """Full rewriting pipeline to a zone-step program.
 
-    mantra:   fountain synthesis (Pauli inputs), CX lowering, H-pair
-              cancellation, native ZZ substitution, SWAP relabelling,
-              preemptive alignment.
+    mantra:   fountain synthesis (Pauli inputs), ZZ-idiom folding and CX
+              lowering, H-pair cancellation, native ZZ substitution, SWAP
+              relabelling, preemptive alignment.
     standard: path synthesis, RZZ->CX RZ CX, SWAP relabelling, CX lowering,
               per-dependency-layer zone stepping with no hoisting.
 

@@ -12,8 +12,6 @@ from zonec.frontend import (
     ParseError,
     PauliTermFile,
     complete_graph,
-    dump_pauli_file,
-    dump_qasm,
     gen_ghz,
     gen_qaoa,
     gen_steane_prep,
@@ -35,6 +33,31 @@ from zonec.ir import (
     PauliTerm,
     layer_indices,
 )
+
+
+def dump_qasm(circuit: Circuit) -> str:
+    """QASM text that ``parse_qasm`` reads back as ``circuit``."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.num_qubits}];"]
+    if any(g.kind is GateKind.MEASURE for g in circuit.gates):
+        lines.append(f"creg c[{circuit.num_qubits}];")
+    for g in circuit.gates:
+        name = g.kind.value.lower()
+        ops = ",".join(f"q[{q}]" for q in g.qubits)
+        if g.kind is GateKind.MEASURE:
+            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.qubits[0]}];")
+        elif g.params:
+            args = ",".join(repr(p) for p in g.params)
+            lines.append(f"{name}({args}) {ops};")
+        else:
+            lines.append(f"{name} {ops};")
+    return "\n".join(lines) + "\n"
+
+
+def dump_pauli_file(pf: PauliTermFile) -> str:
+    """Pauli-term file text that ``parse_pauli_file`` reads back as ``pf``."""
+    lines = [f"qubits {pf.num_qubits}"]
+    lines += [f"{t.label} {t.theta!r}" for t in pf.terms]
+    return "\n".join(lines) + "\n"
 
 
 class TestQasm:

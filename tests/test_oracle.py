@@ -8,10 +8,20 @@ from zonec.ir import Circuit, Gate, GateKind
 from zonec.oracle import (
     MAX_STATE_QUBITS,
     MAX_UNITARY_QUBITS,
+    adiabatic_matrix,
+    cphase_matrix,
+    equiv_up_to_global_phase,
+    is_unitary,
+    lp_matrix,
     pauli_expectation,
+    rzz_matrix,
     statevector_of,
     unitary_of,
 )
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def random_circuit(rng, n, depth):
@@ -132,3 +142,34 @@ class TestPauliExpectation:
         psi = statevector_of(c)
         assert pauli_expectation(psi, "ZZ") == pytest.approx(1.0)
         assert pauli_expectation(psi, "XX") == pytest.approx(1.0)
+
+
+class TestConstructors:
+    def test_rzz_zero_is_identity(self):
+        assert np.allclose(rzz_matrix(0.0), np.eye(4), atol=1e-12)
+
+    def test_cphase_pi_is_cz(self):
+        assert np.allclose(cphase_matrix(np.pi), CZ, atol=1e-12)
+
+    def test_lp_zero_is_cz(self):
+        assert np.allclose(lp_matrix(0.0), CZ, atol=1e-12)
+
+    @given(angles)
+    def test_all_diagonal_unitary(self, g):
+        for m in (rzz_matrix(g), lp_matrix(g), cphase_matrix(g), adiabatic_matrix(g, 0.3)):
+            assert is_unitary(m)
+            assert np.allclose(m, np.diag(np.diag(m)), atol=1e-12)
+
+
+class TestEquivalence:
+    @given(angles)
+    def test_global_phase_invariance(self, g):
+        u = rzz_matrix(g)
+        assert equiv_up_to_global_phase(u, np.exp(0.321j) * u, 1e-12)
+
+    def test_inequivalent_detected(self):
+        assert not equiv_up_to_global_phase(rzz_matrix(0.3), rzz_matrix(0.9), 1e-9)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            equiv_up_to_global_phase(np.eye(2), np.eye(4), 1e-9)

@@ -1,19 +1,30 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zonec.frontend import gen_ghz
+from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, PauliTerm, Zone
-from zonec.oracle import equiv_up_to_global_phase, unitary_of
+from zonec.oracle import (
+    adiabatic_matrix,
+    cphase_matrix,
+    equiv_up_to_global_phase,
+    lp_matrix,
+    rzz_matrix,
+    unitary_of,
+)
 from zonec.rewrite import (
     PipelineOptions,
     ZoneStep,
     ZoneStepProgram,
     absorb_x_basis,
+    adiabatic_phases,
     align_zone_steps,
     cancel_hadamard_pairs,
+    cphase_phi,
     gate_based_swap_reference,
     layer_zone_steps,
     lower_cx_to_cz,
@@ -159,6 +170,43 @@ class TestLoweringPasses:
         c = Circuit(3, (Gate(GateKind.RZZ, (0, 2), (1.1,)),))
         out = substitute_rzz(c)
         assert all(g.zone is Zone.ENTANGLING for g in out.gates)
+
+
+_wide_angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+class TestRecipes:
+    @given(_wide_angles)
+    def test_cphase_recipe(self, g):
+        u = lp_matrix(g) @ cphase_matrix(cphase_phi(g))
+        assert equiv_up_to_global_phase(u, rzz_matrix(g), 1e-12)
+
+    @given(_wide_angles, _wide_angles)
+    def test_adiabatic_recipe(self, g, phi2):
+        u = adiabatic_matrix(*adiabatic_phases(g, phi2)) @ lp_matrix(g)
+        assert equiv_up_to_global_phase(u, rzz_matrix(g), 1e-12)
+
+    def test_cphase_angle_formula(self):
+        assert cphase_phi(0.7) == pytest.approx(-2 * 0.7 - np.pi)
+
+    def test_adiabatic_angle_formula(self):
+        assert adiabatic_phases(0.7, 0.2) == pytest.approx(
+            ((np.pi + 2 * 0.7 + 0.2) / 2, 0.2))
+
+
+class TestAnglesWithoutNumpy:
+    """The phase formulas use math.pi so the compile path never loads numpy;
+    every angle must stay the same double the numpy.pi formulas gave."""
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    @given(finite)
+    def test_cphase_phi_is_bit_identical(self, g):
+        assert cphase_phi(g) == -2.0 * g - np.pi
+
+    @given(finite, finite)
+    def test_adiabatic_phi1_is_bit_identical(self, g, phi2):
+        assert adiabatic_phases(g, phi2)[0] == (np.pi + 2.0 * g + phi2) / 2.0
 
 
 def _fold_restart_reference(gates):
@@ -347,6 +395,71 @@ class TestZZIdiomFold:
         assert folded == _fold_restart_reference(c.gates)
         if c.num_qubits <= 6:
             assert_equiv(c, substitute_rzz(c))
+
+
+_NO_CX_FILLER = (GateKind.H, GateKind.RZ, GateKind.RX, GateKind.X, GateKind.CZ)
+
+
+@st.composite
+def planted_idiom_circuits(draw):
+    """CX-form ZZ idioms planted among random gates that hold no CX: runs of
+    back-to-back idioms that share a target or a control, each idiom with
+    gates on other qubits interleaved. Returns the circuit and the RZZ each
+    planted idiom equals."""
+    n = draw(st.integers(2, 5))
+
+    def filler(free):
+        kind = draw(st.sampled_from([k for k in _NO_CX_FILLER if ARITY[k] <= len(free)]))
+        qubits = tuple(draw(st.permutations(free))[: ARITY[kind]])
+        return Gate(kind, qubits, tuple(draw(_angles) for _ in range(NUM_PARAMS[kind])))
+
+    gates: list[Gate] = []
+    planted: list[Gate] = []
+    while len(gates) < 40:
+        shape = draw(st.sampled_from(("target", "control", "gate", "stop")))
+        if shape == "stop":
+            break
+        if shape == "gate":
+            gates.append(filler(list(range(n))))
+            continue
+        shared = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            other = draw(st.sampled_from([q for q in range(n) if q != shared]))
+            a, b = (other, shared) if shape == "target" else (shared, other)
+            theta = draw(_angles)
+            rest = [q for q in range(n) if q not in (a, b)]
+            cx = Gate(GateKind.CX, (a, b))
+            gates.append(cx)
+            for g in (Gate(GateKind.RZ, (b,), (theta,)), cx):
+                if rest:
+                    gates += [filler(rest) for _ in range(draw(st.integers(0, 2)))]
+                gates.append(g)
+            planted.append(Gate(GateKind.RZZ, (a, b), (theta,)))
+    return Circuit(n, tuple(gates)), planted
+
+
+class TestFoldBeforeLowering:
+    @given(planted_idiom_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_lowering_folds_every_planted_idiom(self, case):
+        c, planted = case
+        out = lower_cx_to_cz(c)
+        assert_equiv(c, out)
+        assert all(g.kind is not GateKind.CX for g in out.gates)
+        assert not Counter(planted) - Counter(g for g in out.gates if g.kind is GateKind.RZZ)
+
+    def test_cx_free_circuit_comes_back_as_is(self):
+        for c in (parse_benchmark("qaoa-sk:6:2").materialize(),
+                  synth_pauli_fountain(PauliTerm("XZYZ", 0.3))):
+            assert lower_cx_to_cz(c) is c
+
+    @pytest.mark.parametrize("protocol", ["adiabatic", "cphase"])
+    @pytest.mark.parametrize("spec", ["qaoa-sk:8:2", "qaoa-pl:12:2", "po:12:3", "qaoa-sk:24:2"])
+    def test_written_idioms_compile_as_native_rzz(self, spec, protocol):
+        # Each RZZ written as CX RZ CX; back-to-back idioms share targets.
+        native = parse_benchmark(spec, seed=10).materialize()
+        options = PipelineOptions(mode="mantra", protocol=protocol)
+        assert mantra_pipeline(lower_rzz_to_cx(native), options) == mantra_pipeline(native, options)
 
 
 class TestPauliSynthesis:
