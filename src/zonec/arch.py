@@ -252,21 +252,34 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
 
 
 def crossing_distance_um(layout: AtomLayout, q: int, dest_zone: Zone) -> float:
-    """Travel of q from its site to ``dest_zone``. Storage and entangling
-    cross one gap to the same (row, col), Euclidean over the two pitches.
-    The readout zone lies straight along y past the entangling zone: one gap
-    from there, two gaps plus the entangling zone's span from storage."""
+    """Travel of q from its site to ``dest_zone`` (see
+    ``max_crossing_distance_um``)."""
+    return max_crossing_distance_um(layout, (q,), dest_zone)
+
+
+def max_crossing_distance_um(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
+    """The longest travel of ``qubits`` from their sites to ``dest_zone``;
+    0.0 for none. Storage and entangling cross one gap to the same
+    (row, col), Euclidean over the two pitches. The readout zone lies
+    straight along y past the entangling zone: one gap from there, two gaps
+    plus the entangling zone's span from storage."""
     cfg = layout.config
-    s = layout.qubits[q]
-    pitch = cfg.pitch_um(s.zone)
-    x0, y0 = s.col * pitch, s.row * pitch
-    if dest_zone is Zone.READOUT:
-        dist = y0 + cfg.zone_gap_um
-        if s.zone is Zone.STORAGE:
-            dist += cfg.array_rows * cfg.pitch_entangling_um + cfg.zone_gap_um
-        return dist
+    gap, storage, to_readout = cfg.zone_gap_um, Zone.STORAGE, dest_zone is Zone.READOUT
+    p_storage, p_entangling = cfg.pitch_storage_um, cfg.pitch_entangling_um
+    far = cfg.array_rows * p_entangling + gap  # storage's extra way to readout
     dest_pitch = cfg.pitch_um(dest_zone)
-    return math.hypot(s.col * dest_pitch - x0, y0 + cfg.zone_gap_um + s.row * dest_pitch)
+    worst = 0.0
+    for q in qubits:
+        s = layout.qubits[q]
+        pitch = p_storage if s.zone is storage else p_entangling
+        if to_readout:
+            dist = s.row * pitch + gap + (far if s.zone is storage else 0.0)
+        else:
+            dist = math.hypot(s.col * dest_pitch - s.col * pitch,
+                              s.row * pitch + gap + s.row * dest_pitch)
+        if dist > worst:
+            worst = dist
+    return worst
 
 
 def land_movers(layout: AtomLayout, pairs) -> float:

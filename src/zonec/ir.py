@@ -7,7 +7,7 @@ implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -85,15 +85,15 @@ class Gate(_GateFields):
     __slots__ = ()
 
     def __new__(cls, kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...] = ()):
-        if len(qubits) != ARITY[kind]:
+        arity, n_params = _SIGNATURES[kind]
+        if len(qubits) != arity:
+            raise CircuitError(f"{kind.value} takes {arity} operand(s), got {len(qubits)}")
+        if len(params) != n_params:
             raise CircuitError(
-                f"{kind.value} takes {ARITY[kind]} operand(s), got {len(qubits)}"
+                f"{kind.value} takes {n_params} parameter(s), got {len(params)}"
             )
-        if len(params) != NUM_PARAMS[kind]:
-            raise CircuitError(
-                f"{kind.value} takes {NUM_PARAMS[kind]} parameter(s), got {len(params)}"
-            )
-        if len(set(qubits)) != len(qubits):
+        # Every kind takes one or two operands, so only a pair can repeat one.
+        if arity == 2 and qubits[0] == qubits[1]:
             raise CircuitError(f"{kind.value} has duplicate operands {qubits}")
         return tuple.__new__(cls, (kind, qubits, params))
 
@@ -131,6 +131,8 @@ class PauliTerm:
 
     label: str
     theta: float
+    # The non-I positions, ascending; set once from the label.
+    support: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = set(self.label) - set("IXYZ")
@@ -138,14 +140,12 @@ class PauliTerm:
             raise CircuitError(f"invalid Pauli characters {sorted(bad)} in {self.label!r}")
         if not self.label:
             raise CircuitError("empty Pauli label")
+        support = tuple(i for i, c in enumerate(self.label) if c != "I")
+        object.__setattr__(self, "support", support)
 
     @property
     def num_qubits(self) -> int:
         return len(self.label)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.label) if c != "I")
 
     @property
     def weight(self) -> int:

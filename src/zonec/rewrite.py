@@ -2,7 +2,9 @@
 Pauli-exponential synthesis, native ZZ-protocol substitution, SWAP
 elimination by relabelling, and zone-step alignment.
 
-Every pass preserves the circuit unitary up to global phase.
+Every pass preserves the circuit unitary up to global phase. A pass that
+would leave the gates as they are returns its input circuit itself, so an
+unchanged circuit is neither rebuilt nor checked again.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _merge_steps(raw: list[tuple[Zone, list[Gate]]]) -> tuple[ZoneStep, ...]:
 
 def lower_cx_to_cz(circuit: Circuit) -> Circuit:
     """Fold every ZZ idiom into an RZZ gate, then replace each remaining
-    CX(c,t) by H(t); CZ(c,t); H(t). A circuit with no CX comes back as is.
+    CX(c,t) by H(t); CZ(c,t); H(t).
 
     The fold comes first because H-pair cancellation would break lowered
     idioms apart: back-to-back idioms on one target share an H(t) H(t) seam,
@@ -105,6 +107,8 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
 
 def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
     """Replace every RZZ(g) by CX; RZ(g); CX (standard-execution template)."""
+    if not any(g.kind is GateKind.RZZ for g in circuit.gates):
+        return circuit
     gates: list[Gate] = []
     for g in circuit.gates:
         if g.kind is GateKind.RZZ:
@@ -136,6 +140,8 @@ def cancel_hadamard_pairs(circuit: Circuit) -> Circuit:
         else:
             for q in g.qubits:
                 pending.pop(q, None)
+    if not kill:
+        return circuit
     gates = tuple(g for i, g in enumerate(circuit.gates) if i not in kill)
     return Circuit(circuit.num_qubits, gates)
 
@@ -336,8 +342,11 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     """
     if protocol not in ("adiabatic", "cphase"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    folded = _fold_zz_idioms(circuit)
+    if not any(g.kind is GateKind.RZZ for g in folded):  # every fold makes one
+        return circuit
     out: list[Gate] = []
-    for g in _fold_zz_idioms(circuit):
+    for g in folded:
         if g.kind is not GateKind.RZZ:
             out.append(g)
             continue
@@ -361,10 +370,13 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
 
     Returns the SWAP-free circuit and each qubit's final slot: the input
     leaves on qubit q the state the result leaves on qubit slots[q]. The
-    slots are the identity when there is no SWAP or the SWAPs cancel. The
-    input equals the result followed by the input's SWAPs in program order,
-    so a SWAP costs no gate and no time.
+    slots are the identity when the SWAPs cancel, and when there is no SWAP,
+    where the result is the input itself. The input equals the result
+    followed by the input's SWAPs in program order, so a SWAP costs no gate
+    and no time.
     """
+    if not any(g.kind is GateKind.SWAP for g in circuit.gates):
+        return circuit, tuple(range(circuit.num_qubits))
     slots = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
     gates: list[Gate] = []
     swapped = False
@@ -496,9 +508,13 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
                 raise ValueError("layer_zone_steps requires a SWAP-free circuit")
             else:
                 two.append(g)
-        raw.append((Zone.STORAGE, pre))
-        raw.append((Zone.ENTANGLING, two))
-        raw.append((Zone.STORAGE, post))
+        # Basis-change and RZ layers fill one segment of the three.
+        if pre:
+            raw.append((Zone.STORAGE, pre))
+        if two:
+            raw.append((Zone.ENTANGLING, two))
+        if post:
+            raw.append((Zone.STORAGE, post))
     if measures:
         raw.append((Zone.READOUT, measures))
     return raw

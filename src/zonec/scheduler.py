@@ -25,9 +25,9 @@ from .arch import (
     MachineConfig,
     Policy,
     Trap,
-    crossing_distance_um,
     isolation_hop_um,
     land_movers,
+    max_crossing_distance_um,
 )
 from .frontend import gen_steane_prep
 from .ir import UNPULSED, Gate, Zone, layer_indices
@@ -174,10 +174,11 @@ class _Sim:
         return self.config.trap_transfer_time_us
 
 
-def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout) -> list[int]:
+def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout):
     """The moving operand of each 2Q gate, by position in ``gates``: the one
     with more gates in the step (the fountain's shared qubit rides the AOD);
-    ties prefer the qubit already in an AOD trap, then the lower index."""
+    ties prefer the qubit already in an AOD trap, then the lower index.
+    Returns the movers, the step's sorted qubits and its dependency layers."""
     count: dict[int, int] = {}
     for g in gates:
         a, b = g.qubits
@@ -196,7 +197,17 @@ def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout) -> list[int]:
             movers.append(a if a < b else b)
         else:
             movers.append(a if aod_a else b)
-    return movers
+    used = sorted(count)
+    return movers, used, _step_layers(gates, len(used))
+
+
+def _step_layers(gates, n_qubits):
+    """The dependency layers of one step's ``gates``, which share one arity
+    and act on ``n_qubits`` distinct qubits: a single layer when no qubit
+    repeats, else ``layer_indices``."""
+    if gates and n_qubits == len(gates) * len(gates[0].qubits):
+        return (range(len(gates)),)
+    return layer_indices(gates)
 
 
 def _handover(sim: _Sim, movers, candidates):
@@ -209,10 +220,11 @@ def _handover(sim: _Sim, movers, candidates):
     ]
 
 
-def _pulsed_layers(gates):
-    """Sorted qubits of each dependency layer's pulsed gates; layers holding
-    only unpulsed gates are skipped."""
-    for layer in layer_indices(gates):
+def _pulsed_layers(gates, layers):
+    """Sorted qubits of the pulsed gates in each of ``layers`` (the
+    dependency layers of ``gates``); layers holding only unpulsed gates are
+    skipped."""
+    for layer in layers:
         # The gates of one layer share no qubit.
         qubits = [q for i in layer if gates[i].kind not in UNPULSED
                   for q in gates[i].qubits]
@@ -280,24 +292,24 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
             sim.layout.qubits[q].zone = Zone.ENTANGLING
 
 
-def _pulse_layers(sim: _Sim, gates, two_q):
+def _pulse_layers(sim: _Sim, gates, layers, two_q):
     """One global 2Q (``two_q``) or 1Q pulse per pulsed layer, fired on the
     atoms where they stand."""
     cfg = sim.config
     kind, dur = ((EventKind.PULSE_2Q, cfg.pulse_2q_us) if two_q
                  else (EventKind.PULSE_1Q, cfg.pulse_1q_us))
-    for qubits in _pulsed_layers(gates):
+    for qubits in _pulsed_layers(gates, layers):
         sim.emit(kind, qubits, sim.clock, dur)
         sim.clock += dur
 
 
-def _pulse_in_place_layers(sim: _Sim, gates):
+def _pulse_in_place_layers(sim: _Sim, gates, layers):
     """Type 2's 1Q layers in the entangling zone: targets shuttle >12 um
     clear of every other atom, pulse, and shuttle back."""
     cfg = sim.config
     sites = sim.layout.qubits
     hop = isolation_hop_um(cfg) / cfg.aod_speed_um_per_us
-    for qubits in _pulsed_layers(gates):
+    for qubits in _pulsed_layers(gates, layers):
         sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is Trap.SLM])
         sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
         sim.clock += hop
@@ -307,11 +319,12 @@ def _pulse_in_place_layers(sim: _Sim, gates):
         sim.clock += hop
 
 
-def _entangling_gates(sim: _Sim, gates, movers):
-    """Per parallel layer, shuttle the ``movers`` (one per gate, by position)
-    onto their partners in one ``land_movers`` call, then fire one 2Q pulse."""
+def _entangling_gates(sim: _Sim, gates, movers, layers):
+    """Per dependency layer, shuttle the ``movers`` (one per gate, by
+    position) onto their partners in one ``land_movers`` call, then fire one
+    2Q pulse."""
     cfg = sim.config
-    for layer in layer_indices(gates):
+    for layer in layers:
         pairs, layer_movers, qubits = [], [], []  # the gates of one layer share no qubit
         for i in layer:
             a, b = gates[i].qubits
@@ -349,9 +362,10 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     if not qubits:
         sim.clock += window
         return
-    travel = cfg.min_ld_st_us
-    for q in qubits:
-        travel = max(travel, crossing_distance_um(layout, q, dest) / cfg.aod_speed_um_per_us)
+    # Dividing by the positive speed keeps the order, so the slowest
+    # member's time is the longest distance's, to the bit.
+    travel = max(cfg.min_ld_st_us,
+                 max_crossing_distance_um(layout, qubits, dest) / cfg.aod_speed_um_per_us)
     sim.emit(_CROSSING[dest], qubits, sim.clock, travel)
     sim.clock += max(window, travel)
     sim.settle_zones(qubits, dest, sim.clock)
@@ -368,20 +382,24 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
     program_qubits = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
     loaded = False  # type 2's one load has happened
     for step in program.steps:
-        used = sorted({q for g in step.gates for q in g.qubits})
+        gates = step.gates
+        if step.zone is Zone.ENTANGLING:
+            movers, used, layers = _pick_movers(gates, sim.layout)
+        else:
+            used = sorted({q for g in gates for q in g.qubits})
         if step.zone is Zone.READOUT:
             _cross(sim, used, Zone.READOUT)
             _schedule_readout(sim, used)
         elif step.zone is Zone.STORAGE and loaded:
-            _pulse_in_place_layers(sim, step.gates)
+            _pulse_in_place_layers(sim, gates, _step_layers(gates, len(used)))
         elif step.zone is Zone.STORAGE:
             _cross(sim, [q for q in used if sites[q].zone is Zone.ENTANGLING], Zone.STORAGE)
-            _pulse_layers(sim, step.gates, False)
+            _pulse_layers(sim, gates, _step_layers(gates, len(used)), False)
         else:
-            movers = _pick_movers(step.gates, sim.layout)
             mover_set = set(movers)
-            arriving = [q for q in used if sites[q].zone is Zone.STORAGE]
-            resident = [q for q in used if sites[q].zone is not Zone.STORAGE]
+            arriving, resident = [], []
+            for q in used:
+                (arriving if sites[q].zone is Zone.STORAGE else resident).append(q)
             incoming = ([q for q in program_qubits if sites[q].zone is Zone.STORAGE]
                         if type2 else arriving)
             # Residents hand over and incoming qubits are picked up by the
@@ -389,7 +407,7 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
             _cross(sim, incoming, Zone.ENTANGLING, _handover(sim, mover_set, resident))
             # Freshly arrived stationary partners still hand over to SLM.
             sim.clock += sim.transfer_batch(_handover(sim, mover_set, arriving))
-            _entangling_gates(sim, step.gates, movers)
+            _entangling_gates(sim, gates, movers, layers)
             loaded = type2
 
 
@@ -408,4 +426,5 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
         if step.zone is Zone.READOUT:
             _schedule_readout(sim, sorted({q for g in step.gates for q in g.qubits}))
         else:
-            _pulse_layers(sim, step.gates, step.zone is Zone.ENTANGLING)
+            _pulse_layers(sim, step.gates, layer_indices(step.gates),
+                          step.zone is Zone.ENTANGLING)

@@ -99,6 +99,37 @@ class TestGate:
         assert cx(0, 1).zone is Zone.ENTANGLING
         assert Gate(GateKind.MEASURE, (0,)).zone is Zone.READOUT
 
+    @given(
+        st.sampled_from(GateKind),
+        st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        st.lists(st.floats(-4.0, 4.0), max_size=3).map(tuple),
+    )
+    @example(GateKind.AD, (2, 2), (0.1,))  # two checks fail: the first one speaks
+    def test_checks_match_reference(self, kind, qubits, params):
+        def outcome(make):
+            try:
+                return tuple(make(kind, qubits, params))
+            except CircuitError as e:
+                return str(e)
+
+        assert outcome(Gate) == outcome(_reference_gate)
+
+
+def _reference_gate(kind, qubits, params=()):
+    """The gate checks as first written, one table lookup per check and a
+    set for duplicates; the reference for ``Gate``'s constructor."""
+    from zonec.ir import ARITY, NUM_PARAMS
+
+    if len(qubits) != ARITY[kind]:
+        raise CircuitError(f"{kind.value} takes {ARITY[kind]} operand(s), got {len(qubits)}")
+    if len(params) != NUM_PARAMS[kind]:
+        raise CircuitError(
+            f"{kind.value} takes {NUM_PARAMS[kind]} parameter(s), got {len(params)}"
+        )
+    if len(set(qubits)) != len(qubits):
+        raise CircuitError(f"{kind.value} has duplicate operands {qubits}")
+    return (kind, qubits, params)
+
 
 class TestCircuit:
     def test_operand_range_checked(self):

@@ -462,6 +462,45 @@ class TestFoldBeforeLowering:
         assert mantra_pipeline(lower_rzz_to_cx(native), options) == mantra_pipeline(native, options)
 
 
+@st.composite
+def pass_input_circuits(draw):
+    """``idiom_circuits`` with SWAPs, RZZs and adjacent H pairs inserted."""
+    c = draw(idiom_circuits())
+    n = c.num_qubits
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    gates = list(c.gates)
+    for shape in draw(st.lists(st.sampled_from(("swap", "rzz", "hh")), max_size=4)):
+        if shape == "swap":
+            extra = [Gate(GateKind.SWAP, tuple(draw(pair)))]
+        elif shape == "rzz":
+            extra = [Gate(GateKind.RZZ, tuple(draw(pair)), (draw(_angles),))]
+        else:
+            extra = [_h(draw(st.integers(0, n - 1)))] * 2
+        k = draw(st.integers(0, len(gates)))
+        gates[k:k] = extra
+    return Circuit(n, tuple(gates))
+
+
+class TestUnchangedPassThrough:
+    PASSES = {
+        "lower_cx_to_cz": lower_cx_to_cz,
+        "cancel_hadamard_pairs": cancel_hadamard_pairs,
+        "substitute_rzz": substitute_rzz,
+        "lower_swap": lambda c: lower_swap(c)[0],
+        "lower_rzz_to_cx": lower_rzz_to_cx,
+    }
+
+    @given(pass_input_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_pass_returns_its_input_exactly_when_gates_stay(self, c):
+        for name, run in self.PASSES.items():
+            out = run(c)
+            assert (out is c) == (out.gates == c.gates), name
+        lowered, slots = lower_swap(c)
+        if lowered is c:
+            assert slots == tuple(range(c.num_qubits))
+
+
 class TestPauliSynthesis:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)

@@ -1,10 +1,11 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zonec.arch import MachineConfig, Policy, build_layout, land_movers
 from zonec.frontend import gen_ghz, parse_benchmark
-from zonec.ir import Circuit, Gate, GateKind
+from zonec.ir import ARITY, NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, layer_indices
 from zonec.rewrite import (
     PipelineOptions,
     ZoneStepProgram,
@@ -16,6 +17,9 @@ from zonec.scheduler import (
     EventKind,
     ScheduleError,
     _STEANE_PREP_LAYERS,
+    _pick_movers,
+    _pulsed_layers,
+    _step_layers,
     count_ld_st,
     ec_prep_event,
     schedule,
@@ -156,6 +160,49 @@ def test_one_landing_per_entangling_layer(monkeypatch, bench, policy):
                         lambda layout, pairs: calls.append(pairs) or land_movers(layout, pairs))
     tl, _ = compile_and_schedule(parse_benchmark(bench).materialize(), policy=policy)
     assert len(calls) == sum(e.kind is EventKind.PULSE_2Q for e in tl.events) > 0
+
+
+_STEP_KINDS = {
+    1: (GateKind.H, GateKind.X, GateKind.RX, GateKind.RZ),
+    2: (GateKind.CZ, GateKind.RZZ, GateKind.CPHASE, GateKind.LP, GateKind.AD),
+}
+
+
+@st.composite
+def zone_step_gates(draw):
+    """The gates of one storage (1Q) or entangling (2Q) step on up to 8
+    qubits; half the steps repeat no qubit."""
+    arity = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(arity, 8))
+    k = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        pool = draw(st.permutations(range(n)))
+        operands = [tuple(pool[arity * i: arity * (i + 1)]) for i in range(min(k, n // arity))]
+    else:
+        operands = [tuple(draw(st.permutations(range(n)))[:arity]) for _ in range(k)]
+    gates = []
+    for qubits in operands:
+        kind = draw(st.sampled_from(_STEP_KINDS[arity]))
+        gates.append(Gate(kind, qubits, (0.5,) * NUM_PARAMS[kind]))
+    return n, tuple(gates)
+
+
+class TestStepLayers:
+    @given(zone_step_gates())
+    @settings(max_examples=300, deadline=None)
+    def test_layers_and_pulsed_qubits_match_layer_indices(self, case):
+        n, gates = case
+        used = sorted({q for g in gates for q in g.qubits})
+        if gates and ARITY[gates[0].kind] == 2:
+            _, picked_used, layers = _pick_movers(gates, build_layout(MachineConfig(), n))
+            assert picked_used == used
+        else:
+            layers = _step_layers(gates, len(used))
+        reference = layer_indices(gates)
+        assert [list(layer) for layer in layers] == reference
+        pulsed = ([q for i in layer if gates[i].kind not in UNPULSED for q in gates[i].qubits]
+                  for layer in reference)
+        assert list(_pulsed_layers(gates, layers)) == [sorted(qs) for qs in pulsed if qs]
 
 
 class TestPolicies:
