@@ -89,9 +89,11 @@ def parse_qasm(text: str) -> Circuit:
     gates {h, x, rx, rz, cx, cz, swap, rzz, measure}, no custom gate
     definitions, no classical control. Register names are unique, a barrier's
     operands are the qreg or indices inside it, and a measure's ``->`` target
-    must name a declared creg and an index inside it. Each distinct statement
-    text is parsed once per call; a repeat reuses the Gate its first
-    occurrence built.
+    must name a declared creg and an index inside it. Three memos, each
+    filled only with what passed every check, make a call parse each
+    distinct text once: a repeated statement reuses the Gate its first
+    occurrence built, a repeated angle argument its value, and a repeated
+    gate operand list its qubit indices.
     """
     qreg_name = None
     num_qubits = 0
@@ -104,8 +106,12 @@ def parse_qasm(text: str) -> Circuit:
     # is accepted only after the single qreg is declared, which cannot change
     # afterwards, and a measure only into a declared creg, which cannot be
     # redeclared. A failing statement is never stored, so each error keeps the
-    # line and column of its first occurrence.
+    # line and column of its first occurrence. The angle and operand memos
+    # follow the same rule; a barrier's operands may precede the qreg, so
+    # they stay outside.
     parsed: dict[str, Gate] = {}
+    angles: dict[str, tuple[float]] = {}
+    operand_lists: dict[str, tuple[int, ...]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         for stmt in raw.split("//", 1)[0].split(";"):
@@ -172,14 +178,19 @@ def parse_qasm(text: str) -> Circuit:
             if NUM_PARAMS[kind]:
                 if arg_text is None:
                     raise ParseError(f"{name} requires an angle argument", lineno)
-                params = (_eval_angle(arg_text, lineno),)
+                params = angles.get(arg_text)
+                if params is None:
+                    params = angles[arg_text] = (_eval_angle(arg_text, lineno),)
             elif arg_text is not None:
                 raise ParseError(f"{name} takes no arguments", lineno)
 
             arrow = target = ""
             if kind is GateKind.MEASURE:
                 operand_text, arrow, target = operand_text.partition("->")
-            operands = _qubit_operands(operand_text, qreg_name, num_qubits, lineno)
+            operands = operand_lists.get(operand_text)
+            if operands is None:
+                operands = operand_lists[operand_text] = _qubit_operands(
+                    operand_text, qreg_name, num_qubits, lineno)
             if len(operands) != arity:
                 raise ParseError(
                     f"{name} takes {arity} operand(s), got {len(operands)}", lineno
@@ -187,7 +198,7 @@ def parse_qasm(text: str) -> Circuit:
             if arrow:
                 _check_measure_target(target.strip(), creg_sizes, lineno)
             try:
-                gate = Gate(kind, tuple(operands), params)
+                gate = Gate(kind, operands, params)
             except CircuitError as e:
                 raise ParseError(str(e), lineno) from None
             parsed[stmt] = gate
@@ -200,7 +211,9 @@ def parse_qasm(text: str) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-def _qubit_operands(text: str, qreg_name, num_qubits: int, line: int, whole=False) -> list[int]:
+def _qubit_operands(
+    text: str, qreg_name, num_qubits: int, line: int, whole=False
+) -> tuple[int, ...]:
     """Indices of the checked ``q[i]`` operands in ``text``; an error's column
     is the operand's position. ``whole`` skips a bare qreg name (a barrier's)."""
     operands = []
@@ -216,7 +229,7 @@ def _qubit_operands(text: str, qreg_name, num_qubits: int, line: int, whole=Fals
         if idx >= num_qubits:
             raise ParseError(f"operand {reg}[{idx}] out of range (size {num_qubits})", line, col)
         operands.append(idx)
-    return operands
+    return tuple(operands)
 
 
 def _check_measure_target(target: str, creg_sizes: dict[str, int], line: int) -> None:

@@ -169,7 +169,9 @@ def synth_pauli_fountain(term: PauliTerm) -> Circuit:
 
     All CZs share the lowest-index non-I qubit as target, so the inner
     Hadamards between CZs cancel and each half-tree runs in a single
-    entangling-zone visit. CZs are applied in ascending qubit order.
+    entangling-zone visit. CZs are applied in ascending qubit order. The
+    circuit holds no adjacent H pair, so ``cancel_hadamard_pairs`` returns
+    it as is.
     """
     n = term.num_qubits
     if term.weight == 0:
@@ -177,19 +179,20 @@ def synth_pauli_fountain(term: PauliTerm) -> Circuit:
     target = term.support[0]
     others = term.support[1:]
     gates: list[Gate] = _basis_change(term, invert=False)
-    if others:
-        gates.append(Gate(GateKind.H, (target,)))
-        for q in others:
-            gates.append(Gate(GateKind.CZ, (q, target)))
-        gates.append(Gate(GateKind.H, (target,)))
-    gates.append(Gate(GateKind.RZ, (target,), (term.theta,)))
-    if others:
-        gates.append(Gate(GateKind.H, (target,)))
-        for q in reversed(others):
-            gates.append(Gate(GateKind.CZ, (q, target)))
-        gates.append(Gate(GateKind.H, (target,)))
-    gates += _basis_change(term, invert=True)
-    return cancel_hadamard_pairs(Circuit(n, tuple(gates)))
+    closing = _basis_change(term, invert=True)
+    rz = Gate(GateKind.RZ, (target,), (term.theta,))
+    if not others:
+        return Circuit(n, tuple(gates + [rz] + closing))
+    h = Gate(GateKind.H, (target,))  # gates are immutable, so one serves often
+    fan_in = [Gate(GateKind.CZ, (q, target)) for q in others]
+    middle = fan_in + [h, rz, h] + fan_in[::-1]
+    if term.label[target] == "X":
+        # The target leads each basis change with an H that would cancel
+        # against the fountain's outer H, so neither is emitted.
+        del gates[0], closing[0]
+    else:
+        middle = [h] + middle + [h]
+    return Circuit(n, tuple(gates + middle + closing))
 
 
 def synth_pauli_path(term: PauliTerm) -> Circuit:
@@ -247,60 +250,66 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     seen = [0] * num_qubits  # gates on q at positions up to the current one
     end = len(gates)
     dead = [False] * end
-
-    def next_live(q: int, r: int) -> int:
-        """The first rank at or after r in q's list that holds a live gate."""
-        positions = on[q]
-        while r < len(positions) and dead[positions[r]]:
-            r += 1
-        return r
+    CX, CZ, H, RZ = GateKind.CX, GateKind.CZ, GateKind.H, GateKind.RZ
 
     for i, first in enumerate(gates):
         for q in first.qubits:
             seen[q] += 1
         kind = first.kind
-        if dead[i] or (kind is not GateKind.CX and kind is not GateKind.H):
+        if (kind is not CX and kind is not H) or dead[i]:
             continue
-        if kind is GateKind.CX:
+        if kind is CX:
             a, b = first.qubits
+            on_a, on_b = on[a], on[b]
             ra, rb = seen[a], seen[b]
             tail = _CX_TAIL
             matched = [i]
         else:
             (b,) = first.qubits
-            rb = next_live(b, seen[b])
-            if rb == len(on[b]):
+            on_b = on[b]
+            nb = len(on_b)
+            rb = seen[b]
+            while rb < nb and dead[on_b[rb]]:
+                rb += 1
+            if rb == nb:
                 continue
-            j = on[b][rb]
+            j = on_b[rb]
             g = gates[j]
-            if g.kind is not GateKind.CZ:
+            if g.kind is not CZ:
                 continue
             a = g.qubits[0] if g.qubits[1] == b else g.qubits[1]
-            ra = next_live(a, seen[a])
-            if on[a][ra] != j:  # a gate on a comes before the CZ
+            on_a = on[a]
+            ra = seen[a]
+            while dead[on_a[ra]]:  # stops at the live CZ at the latest
+                ra += 1
+            if on_a[ra] != j:  # a gate on a comes before the CZ
                 continue
             ra, rb = ra + 1, rb + 1
             tail = _H_TAIL
             matched = [i, j]
+        na, nb = len(on_a), len(on_b)
         for want in tail:
-            ra, rb = next_live(a, ra), next_live(b, rb)
-            ja = on[a][ra] if ra < len(on[a]) else end
-            jb = on[b][rb] if rb < len(on[b]) else end
-            j = min(ja, jb)
+            while ra < na and dead[on_a[ra]]:
+                ra += 1
+            while rb < nb and dead[on_b[rb]]:
+                rb += 1
+            ja = on_a[ra] if ra < na else end
+            jb = on_b[rb] if rb < nb else end
+            j = ja if ja < jb else jb
             if j == end:
                 break
             g = gates[j]
             if g.kind is not want:
                 break
-            if want is GateKind.CX:
+            if want is CX:
                 if g.qubits != (a, b):  # CX is not symmetric
                     break
-            elif want is GateKind.CZ:
+            elif want is CZ:
                 if g.qubits != (a, b) and g.qubits != (b, a):
                     break
             elif g.qubits[0] != b:
                 break
-            if want is GateKind.RZ:
+            if want is RZ:
                 theta = g.params[0]
             matched.append(j)
             if j == ja:
@@ -338,15 +347,18 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     H(b) CZ(a,b) H(b) RZ(t,b) H(b) CZ(a,b) H(b). Gates on other qubits may
     interleave with an idiom; in the lowered form, no gate on the control a
     may lie between the opening H(b) and the first CZ. The fold is one
-    linear left-to-right pass (see ``_fold_zz_idioms``).
+    linear left-to-right pass (see ``_fold_zz_idioms``). Every idiom holds a
+    CX or a CZ, so the fold runs only on a circuit that holds one.
     """
     if protocol not in ("adiabatic", "cphase"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    folded = _fold_zz_idioms(circuit)
-    if not any(g.kind is GateKind.RZZ for g in folded):  # every fold makes one
+    gates = circuit.gates
+    if any(g.kind is GateKind.CX or g.kind is GateKind.CZ for g in gates):
+        gates = _fold_zz_idioms(circuit)
+    if not any(g.kind is GateKind.RZZ for g in gates):  # every fold makes one
         return circuit
     out: list[Gate] = []
-    for g in folded:
+    for g in gates:
         if g.kind is not GateKind.RZZ:
             out.append(g)
             continue

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zonec import rewrite
 from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, PauliTerm, Zone
 from zonec.oracle import (
@@ -438,6 +439,128 @@ def planted_idiom_circuits(draw):
     return Circuit(n, tuple(gates)), planted
 
 
+def _reference_fold(circuit):
+    """``_fold_zz_idioms`` before its loop was tightened: the same one-pass
+    algorithm, with a closure to find each qubit's next live gate."""
+    gates = list(circuit.gates)
+    num_qubits = circuit.num_qubits
+    on: list[list[int]] = [[] for _ in range(num_qubits)]
+    for i, g in enumerate(gates):
+        for q in g.qubits:
+            on[q].append(i)
+    seen = [0] * num_qubits
+    end = len(gates)
+    dead = [False] * end
+
+    def next_live(q, r):
+        positions = on[q]
+        while r < len(positions) and dead[positions[r]]:
+            r += 1
+        return r
+
+    for i, first in enumerate(gates):
+        for q in first.qubits:
+            seen[q] += 1
+        kind = first.kind
+        if dead[i] or (kind is not GateKind.CX and kind is not GateKind.H):
+            continue
+        if kind is GateKind.CX:
+            a, b = first.qubits
+            ra, rb = seen[a], seen[b]
+            tail = rewrite._CX_TAIL
+            matched = [i]
+        else:
+            (b,) = first.qubits
+            rb = next_live(b, seen[b])
+            if rb == len(on[b]):
+                continue
+            j = on[b][rb]
+            g = gates[j]
+            if g.kind is not GateKind.CZ:
+                continue
+            a = g.qubits[0] if g.qubits[1] == b else g.qubits[1]
+            ra = next_live(a, seen[a])
+            if on[a][ra] != j:
+                continue
+            ra, rb = ra + 1, rb + 1
+            tail = rewrite._H_TAIL
+            matched = [i, j]
+        for want in tail:
+            ra, rb = next_live(a, ra), next_live(b, rb)
+            ja = on[a][ra] if ra < len(on[a]) else end
+            jb = on[b][rb] if rb < len(on[b]) else end
+            j = min(ja, jb)
+            if j == end:
+                break
+            g = gates[j]
+            if g.kind is not want:
+                break
+            if want is GateKind.CX:
+                if g.qubits != (a, b):
+                    break
+            elif want is GateKind.CZ:
+                if g.qubits != (a, b) and g.qubits != (b, a):
+                    break
+            elif g.qubits[0] != b:
+                break
+            if want is GateKind.RZ:
+                theta = g.params[0]
+            matched.append(j)
+            if j == ja:
+                ra += 1
+            if j == jb:
+                rb += 1
+        else:
+            gates[i] = Gate(GateKind.RZZ, (a, b), (theta,))
+            for j in matched[1:]:
+                dead[j] = True
+    return [g for g, d in zip(gates, dead) if not d]
+
+
+@st.composite
+def planted_both_form_circuits(draw):
+    """``planted_idiom_circuits``' recipe with both idiom forms and any gate
+    in between: runs of back-to-back idioms that share a target or a
+    control, gates on other qubits interleaved, and in the H form sometimes
+    a gate on the control between the opening H and the first CZ, which
+    blocks that fold."""
+    n = draw(st.integers(2, 5))
+
+    def filler(free):
+        kind = draw(st.sampled_from([k for k in _FILLER_KINDS if ARITY[k] <= len(free)]))
+        qubits = tuple(draw(st.permutations(free))[: ARITY[kind]])
+        return Gate(kind, qubits, tuple(draw(_angles) for _ in range(NUM_PARAMS[kind])))
+
+    gates: list[Gate] = []
+    while len(gates) < 60:
+        shape = draw(st.sampled_from(("target", "control", "gate", "stop")))
+        if shape == "stop":
+            break
+        if shape == "gate":
+            gates.append(filler(list(range(n))))
+            continue
+        shared = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            other = draw(st.sampled_from([q for q in range(n) if q != shared]))
+            a, b = (other, shared) if shape == "target" else (shared, other)
+            rz = _rz(b, draw(_angles))
+            if draw(st.booleans()):
+                cx = Gate(GateKind.CX, (a, b))
+                opening, rest_of_idiom = cx, (rz, cx)
+            else:
+                cz = _cz(*draw(st.sampled_from([(a, b), (b, a)])))
+                opening, rest_of_idiom = _h(b), (cz, _h(b), rz, _h(b), cz, _h(b))
+            gates.append(opening)
+            if opening.kind is GateKind.H and draw(st.booleans()):
+                gates.append(filler([a]))
+            rest = [q for q in range(n) if q not in (a, b)]
+            for g in rest_of_idiom:
+                if rest:
+                    gates += [filler(rest) for _ in range(draw(st.integers(0, 2)))]
+                gates.append(g)
+    return Circuit(n, tuple(gates))
+
+
 class TestFoldBeforeLowering:
     @given(planted_idiom_circuits())
     @settings(max_examples=200, deadline=None)
@@ -452,6 +575,29 @@ class TestFoldBeforeLowering:
         for c in (parse_benchmark("qaoa-sk:6:2").materialize(),
                   synth_pauli_fountain(PauliTerm("XZYZ", 0.3))):
             assert lower_cx_to_cz(c) is c
+
+    @given(planted_both_form_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_fold_equals_reference(self, c):
+        assert _fold_zz_idioms(c) == _reference_fold(c)
+
+    def test_cx_and_cz_free_circuit_is_not_folded(self, monkeypatch):
+        def fold(circuit):
+            raise AssertionError("folded a circuit with no CX and no CZ")
+
+        monkeypatch.setattr(rewrite, "_fold_zz_idioms", fold)
+        native = parse_benchmark("qaoa-sk:6:2").materialize()
+        out = substitute_rzz(native)
+        expected = []
+        for g in native.gates:
+            if g.kind is GateKind.RZZ:
+                expected += (Gate(GateKind.AD, g.qubits, adiabatic_phases(g.params[0])),
+                             Gate(GateKind.LP, g.qubits, g.params))
+            else:
+                expected.append(g)
+        assert list(out.gates) == expected
+        rzz_free = Circuit(2, (_h(0), Gate(GateKind.RX, (1,), (0.2,)), _rz(0, 0.3)))
+        assert substitute_rzz(rzz_free) is rzz_free
 
     @pytest.mark.parametrize("protocol", ["adiabatic", "cphase"])
     @pytest.mark.parametrize("spec", ["qaoa-sk:8:2", "qaoa-pl:12:2", "po:12:3", "qaoa-sk:24:2"])
@@ -501,7 +647,32 @@ class TestUnchangedPassThrough:
             assert slots == tuple(range(c.num_qubits))
 
 
+def _fountain_reference(term):
+    """``synth_pauli_fountain`` as first written: the full fountain with its
+    basis changes, then H-pair cancellation."""
+    n = term.num_qubits
+    if term.weight == 0:
+        return Circuit(n)
+    target, others = term.support[0], term.support[1:]
+    gates = rewrite._basis_change(term, invert=False)
+    if others:
+        gates += [_h(target)] + [_cz(q, target) for q in others] + [_h(target)]
+    gates.append(_rz(target, term.theta))
+    if others:
+        gates += [_h(target)] + [_cz(q, target) for q in reversed(others)] + [_h(target)]
+    gates += rewrite._basis_change(term, invert=True)
+    return cancel_hadamard_pairs(Circuit(n, tuple(gates)))
+
+
 class TestPauliSynthesis:
+    @given(st.text("IXYZ", min_size=1, max_size=7), _angles)
+    @settings(max_examples=300, deadline=None)
+    def test_fountain_equals_reference_and_has_no_h_pair(self, label, theta):
+        term = PauliTerm(label, theta)
+        fountain = synth_pauli_fountain(term)
+        assert fountain == _fountain_reference(term)
+        assert cancel_hadamard_pairs(fountain) is fountain
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_fountain_matches_path(self, seed):
