@@ -150,7 +150,7 @@ class LayoutError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class LogicalSite:
     """Mutable per-logical-qubit placement state; the scheduler moves its
     own copy."""

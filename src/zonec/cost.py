@@ -62,7 +62,8 @@ def _travel_union(events) -> tuple[list[float], list[float]]:
     piece is one event's interval, and the ends ascend."""
     starts: list[float] = []
     ends: list[float] = []
-    for lo, hi in sorted((e.start_us, e.end_us) for e in events if e.kind in _TRAVEL_KINDS):
+    travel = sorted((start, start + dur) for kind, _, start, dur in events if kind in _TRAVEL_KINDS)
+    for lo, hi in travel:
         if ends and lo < ends[-1]:
             if hi > ends[-1]:
                 ends[-1] = hi
@@ -72,23 +73,10 @@ def _travel_union(events) -> tuple[list[float], list[float]]:
     return starts, ends
 
 
-def _covered(start: float, end: float, starts: list[float], ends: list[float]) -> float:
-    """Time of [start, end] covered by the union pieces: before the first
-    piece ending after ``start`` none can meet it, and the walk stops at
-    the first piece starting at or after ``end``."""
-    covered = 0.0
-    for i in range(bisect_right(ends, start), len(starts)):
-        if starts[i] >= end:
-            break
-        lo, hi = max(starts[i], start), min(ends[i], end)
-        if hi > lo:
-            covered += hi - lo
-    return covered
-
-
-# Breakdown field each event kind is charged to; any other kind counts as
-# gate execution. A TRAP_TRANSFER is charged only its uncovered time.
+# Breakdown field each event kind is charged to. A TRAP_TRANSFER is charged
+# only its uncovered time.
 _CATEGORY = {
+    **dict.fromkeys(EventKind, "gate_execution_us"),
     EventKind.LOAD: "load_store_us",
     EventKind.STORE: "load_store_us",
     EventKind.READOUT_MOVE: "load_store_us",
@@ -100,14 +88,26 @@ _CATEGORY = {
 
 
 def breakdown(timeline: Timeline) -> Breakdown:
+    """Each event's time added to its category, in event order."""
     cat = dict.fromkeys(CATEGORIES, 0.0)
     starts, ends = _travel_union(timeline.events)
-    for e in timeline.events:
-        name = _CATEGORY.get(e.kind, "gate_execution_us")
-        if e.kind is EventKind.TRAP_TRANSFER:
-            cat[name] += e.duration_us - _covered(e.start_us, e.end_us, starts, ends)
-        else:
-            cat[name] += e.duration_us
+    transfer, n_pieces = EventKind.TRAP_TRANSFER, len(starts)
+    for kind, _, start, dur in timeline.events:
+        if kind is not transfer:
+            cat[_CATEGORY[kind]] += dur
+            continue
+        # Subtract the time the union pieces cover: before the first piece
+        # ending after ``start`` none can meet the transfer, and the walk
+        # stops at the first piece starting at or after its end.
+        end = start + dur
+        covered = 0.0
+        for i in range(bisect_right(ends, start), n_pieces):
+            if starts[i] >= end:
+                break
+            lo, hi = max(starts[i], start), min(ends[i], end)
+            if hi > lo:
+                covered += hi - lo
+        cat["trap_transfer_us"] += dur - covered
     return Breakdown(**cat, makespan_us=timeline.makespan_us)
 
 

@@ -360,6 +360,8 @@ class Graph:
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop edge ({a},{b})")
+        if self.weights and len(self.weights) != len(self.edges):
+            raise ValueError(f"{len(self.weights)} weights for {len(self.edges)} edges")
 
 
 def complete_graph(n: int) -> Graph:
@@ -406,7 +408,7 @@ def gen_qaoa(graph: Graph, p: int, gammas, betas) -> Circuit:
     for k in range(p):
         gates += [
             Gate(GateKind.RZZ, (a, b), (float(gammas[k] * w),))
-            for (a, b), w in zip(graph.edges, weights)
+            for (a, b), w in zip(graph.edges, weights, strict=True)
         ]
         gates += [Gate(GateKind.RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
     gates += [Gate(GateKind.MEASURE, (q,)) for q in nodes]

@@ -12,6 +12,11 @@ hand-over and the shuttles both follow that pick. Every travel event
 advances the clock past its own end before the next one starts, so travel
 events never overlap. ``schedule`` moves a copy of the layout's sites, so
 its caller's layout is never changed.
+
+Each zone step is scheduled in one pass: its qubits and dependency layers
+come from one walk over its gates (``_step_layers``), and a step in which
+no qubit repeats is one layer, found without layering. Every event is built
+in ``_Sim.emit``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .arch import (
     max_crossing_distance_um,
 )
 from .frontend import gen_steane_prep
-from .ir import UNPULSED, Gate, Zone, layer_indices
+from .ir import UNPULSED, Zone, layer_indices
 from .rewrite import ZoneStepProgram, cancel_hadamard_pairs, lower_cx_to_cz
 
 
@@ -130,7 +135,7 @@ def ec_prep_event(config: MachineConfig, n_logical: int) -> Event:
     return Event(EventKind.EC_PREP, tuple(range(n_logical)), 0.0, dur)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Sim:
     config: MachineConfig
     layout: AtomLayout
@@ -142,20 +147,10 @@ class _Sim:
     transfers: dict = field(default_factory=dict)
 
     def emit(self, kind, qubits, start, dur):
-        """``qubits`` must be sorted."""
-        self.events.append(Event(kind, tuple(qubits), start, dur))
-
-    def settle_zones(self, qubits, new_zone, at):
-        """Charge each qubit's time since its last move to its old zone's
-        bucket, then place it in ``new_zone`` as of ``at``."""
-        sites, since = self.layout.qubits, self.zone_since
-        t_in, t_out, storage = self.t_in, self.t_out, Zone.STORAGE
-        for q in qubits:
-            site = sites[q]
-            bucket = t_in if site.zone is storage else t_out
-            bucket[q] += at - since.get(q, 0.0)
-            site.zone = new_zone
-            since[q] = at
+        """Record one event over the sorted ``qubits``. Every event of a
+        timeline is built here, by ``tuple.__new__``: the NamedTuple's own
+        constructor runs Python code per event."""
+        self.events.append(tuple.__new__(Event, (kind, tuple(qubits), start, dur)))
 
     def transfer_batch(self, qubits):
         """One batched trap-transfer event over the sorted ``qubits``;
@@ -163,74 +158,71 @@ class _Sim:
         concurrency window."""
         if not qubits:
             return 0.0
-        sites = self.layout.qubits
+        sites, transfers, slm, aod = self.layout.qubits, self.transfers, Trap.SLM, Trap.AOD
         for q in qubits:
-            s = sites[q]
-            s.trap = Trap.AOD if s.trap is Trap.SLM else Trap.SLM
-            self.transfers[q] = self.transfers.get(q, 0) + 1
-        self.emit(
-            EventKind.TRAP_TRANSFER, qubits, self.clock, self.config.trap_transfer_time_us
-        )
-        return self.config.trap_transfer_time_us
+            site = sites[q]
+            site.trap = aod if site.trap is slm else slm
+            transfers[q] = transfers.get(q, 0) + 1
+        dur = self.config.trap_transfer_time_us
+        self.emit(EventKind.TRAP_TRANSFER, qubits, self.clock, dur)
+        return dur
 
 
-def _pick_movers(gates: tuple[Gate, ...], layout: AtomLayout):
-    """The moving operand of each 2Q gate, by position in ``gates``: the one
-    with more gates in the step (the fountain's shared qubit rides the AOD);
-    ties prefer the qubit already in an AOD trap, then the lower index.
-    Returns the movers, the step's sorted qubits and its dependency layers."""
-    count: dict[int, int] = {}
-    for g in gates:
-        a, b = g.qubits
-        count[a] = count.get(a, 0) + 1
-        count[b] = count.get(b, 0) + 1
-    sites = layout.qubits
-    movers = []
-    for g in gates:
-        a, b = g.qubits
-        ca, cb = count[a], count[b]
-        if ca != cb:
-            movers.append(a if ca > cb else b)
-            continue
-        aod_a = sites[a].trap is Trap.AOD
-        if aod_a == (sites[b].trap is Trap.AOD):
-            movers.append(a if a < b else b)
-        else:
-            movers.append(a if aod_a else b)
-    used = sorted(count)
-    return movers, used, _step_layers(gates, len(used))
+_ONE_GATE_LAYERS = ((0,),)
 
 
-def _step_layers(gates, n_qubits):
-    """The dependency layers of one step's ``gates``, which share one arity
-    and act on ``n_qubits`` distinct qubits: a single layer when no qubit
-    repeats, else ``layer_indices``."""
-    if gates and n_qubits == len(gates) * len(gates[0].qubits):
-        return (range(len(gates)),)
-    return layer_indices(gates)
-
-
-def _handover(sim: _Sim, movers, candidates):
-    """The candidates whose trap is wrong for their role: movers ride the
-    AOD, every other qubit sits in an SLM trap."""
-    sites = sim.layout.qubits
-    return [
-        q for q in candidates
-        if (sites[q].trap is Trap.AOD) is (q not in movers)
-    ]
+def _step_layers(gates):
+    """One pass over a zone step's ``gates``, which share one arity: the
+    sorted qubits they use, and their dependency layers as positions into
+    ``gates``. A step in which no qubit repeats is a single layer."""
+    if len(gates) == 1:
+        return sorted(gates[0].qubits), _ONE_GATE_LAYERS
+    qubits = [q for g in gates for q in g.qubits]
+    used = sorted(set(qubits))
+    if not gates or len(used) < len(qubits):
+        return used, layer_indices(gates)
+    return used, (range(len(gates)),)
 
 
 def _pulsed_layers(gates, layers):
     """Sorted qubits of the pulsed gates in each of ``layers`` (the
     dependency layers of ``gates``); layers holding only unpulsed gates are
-    skipped."""
+    left out."""
+    pulsed = []
     for layer in layers:
         # The gates of one layer share no qubit.
-        qubits = [q for i in layer if gates[i].kind not in UNPULSED
-                  for q in gates[i].qubits]
+        qubits = [q for i in layer if gates[i].kind not in UNPULSED for q in gates[i].qubits]
         if qubits:
             qubits.sort()
-            yield qubits
+            pulsed.append(qubits)
+    return pulsed
+
+
+def _pick_movers(gates, one_layer: bool, sites):
+    """The moving operand of each 2Q gate, by position in ``gates``: the one
+    with more gates in the step (the fountain's shared qubit rides the AOD);
+    ties prefer the qubit already in an AOD trap, then the lower index. In a
+    step that is ``one_layer`` every operand has one gate, so every gate
+    ties."""
+    count: dict[int, int] = {}
+    if not one_layer:
+        for g in gates:
+            a, b = g.qubits
+            count[a] = count.get(a, 0) + 1
+            count[b] = count.get(b, 0) + 1
+    aod = Trap.AOD
+    movers = []
+    for g in gates:
+        a, b = g.qubits
+        if count and count[a] != count[b]:
+            movers.append(a if count[a] > count[b] else b)
+            continue
+        aod_a = sites[a].trap is aod
+        if aod_a == (sites[b].trap is aod):
+            movers.append(a if a < b else b)
+        else:
+            movers.append(a if aod_a else b)
+    return movers
 
 
 def schedule(
@@ -251,23 +243,24 @@ def schedule(
     sim = _Sim(config, layout, t_in=dict.fromkeys(range(n), 0.0),
                t_out=dict.fromkeys(range(n), 0.0))
 
-    prep = ec_prep_event(config, n)
-    sim.events.append(prep)
-    sim.clock = prep.end_us
+    sim.emit(*ec_prep_event(config, n))
+    sim.clock = sim.events[0].end_us
 
     if config.policy is Policy.TYPE3:
         _schedule_type3(sim, program)
     else:
         _schedule_zoned(sim, program)
 
+    clock, since = sim.clock, sim.zone_since
     for q in range(n):  # charge each qubit's time since its last move
-        sim.settle_zones((q,), layout.qubits[q].zone, sim.clock)
+        bucket = sim.t_in if layout.qubits[q].zone is Zone.STORAGE else sim.t_out
+        bucket[q] += clock - since.get(q, 0.0)
     measured = tuple(sorted({g.qubits[0] for step in program.steps
                              if step.zone is Zone.READOUT for g in step.gates}))
     return Timeline(
         num_qubits=n,
         events=tuple(sim.events),
-        makespan_us=sim.clock,
+        makespan_us=clock,
         t_in_us=sim.t_in,
         t_out_us=sim.t_out,
         transfers=dict(sorted(sim.transfers.items())),
@@ -292,24 +285,26 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
             sim.layout.qubits[q].zone = Zone.ENTANGLING
 
 
-def _pulse_layers(sim: _Sim, gates, layers, two_q):
-    """One global 2Q (``two_q``) or 1Q pulse per pulsed layer, fired on the
-    atoms where they stand."""
+def _pulse_layers(sim: _Sim, pulsed, two_q: bool):
+    """One global 2Q (``two_q``) or 1Q pulse per layer of ``pulsed`` qubits,
+    fired on the atoms where they stand."""
     cfg = sim.config
     kind, dur = ((EventKind.PULSE_2Q, cfg.pulse_2q_us) if two_q
                  else (EventKind.PULSE_1Q, cfg.pulse_1q_us))
-    for qubits in _pulsed_layers(gates, layers):
-        sim.emit(kind, qubits, sim.clock, dur)
-        sim.clock += dur
+    emit, clock = sim.emit, sim.clock
+    for qubits in pulsed:
+        emit(kind, qubits, clock, dur)
+        clock += dur
+    sim.clock = clock
 
 
-def _pulse_in_place_layers(sim: _Sim, gates, layers):
+def _pulse_in_place_layers(sim: _Sim, pulsed):
     """Type 2's 1Q layers in the entangling zone: targets shuttle >12 um
     clear of every other atom, pulse, and shuttle back."""
     cfg = sim.config
     sites = sim.layout.qubits
     hop = isolation_hop_um(cfg) / cfg.aod_speed_um_per_us
-    for qubits in _pulsed_layers(gates, layers):
+    for qubits in pulsed:
         sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is Trap.SLM])
         sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
         sim.clock += hop
@@ -324,6 +319,8 @@ def _entangling_gates(sim: _Sim, gates, movers, layers):
     position) onto their partners in one ``land_movers`` call, then fire one
     2Q pulse."""
     cfg = sim.config
+    speed, dur = cfg.aod_speed_um_per_us, cfg.pulse_2q_us
+    emit, layout, clock = sim.emit, sim.layout, sim.clock
     for layer in layers:
         pairs, layer_movers, qubits = [], [], []  # the gates of one layer share no qubit
         for i in layer:
@@ -332,14 +329,15 @@ def _entangling_gates(sim: _Sim, gates, movers, layers):
             pairs.append((m, b if m == a else a))
             layer_movers.append(m)
             qubits += (a, b)
-        worst = land_movers(sim.layout, pairs) / cfg.aod_speed_um_per_us
+        worst = land_movers(layout, pairs) / speed
         if worst > 0.0:
             layer_movers.sort()
-            sim.emit(EventKind.SHUTTLE, layer_movers, sim.clock, worst)
-            sim.clock += worst
+            emit(EventKind.SHUTTLE, layer_movers, clock, worst)
+            clock += worst
         qubits.sort()
-        sim.emit(EventKind.PULSE_2Q, qubits, sim.clock, cfg.pulse_2q_us)
-        sim.clock += cfg.pulse_2q_us
+        emit(EventKind.PULSE_2Q, qubits, clock, dur)
+        clock += dur
+    sim.clock = clock
 
 
 # The travel event of a crossing, by destination zone.
@@ -357,7 +355,8 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     cfg = sim.config
     layout = sim.layout
     sites = layout.qubits
-    pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
+    slm = Trap.SLM
+    pickups = [q for q in qubits if sites[q].trap is slm]
     window = sim.transfer_batch(sorted([*handover, *pickups]) if handover else pickups)
     if not qubits:
         sim.clock += window
@@ -367,8 +366,14 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     travel = max(cfg.min_ld_st_us,
                  max_crossing_distance_um(layout, qubits, dest) / cfg.aod_speed_um_per_us)
     sim.emit(_CROSSING[dest], qubits, sim.clock, travel)
-    sim.clock += max(window, travel)
-    sim.settle_zones(qubits, dest, sim.clock)
+    at = sim.clock = sim.clock + max(window, travel)
+    # Charge each member's time since its last move to the zone it leaves.
+    since, t_in, t_out, storage = sim.zone_since, sim.t_in, sim.t_out, Zone.STORAGE
+    for q in qubits:
+        site = sites[q]
+        (t_in if site.zone is storage else t_out)[q] += at - since.get(q, 0.0)
+        site.zone = dest
+        since[q] = at
 
 
 def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
@@ -376,37 +381,44 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
     it skips the x-basis preplacement, its first entangling step loads every
     qubit the program uses, and from then on its 1Q layers run in place."""
     type2 = sim.config.policy is Policy.TYPE2
-    if not type2:
+    if type2:
+        program_qubits = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
+    else:
         _preplace(sim, program)
     sites = sim.layout.qubits
-    program_qubits = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
+    storage, entangling, aod = Zone.STORAGE, Zone.ENTANGLING, Trap.AOD
     loaded = False  # type 2's one load has happened
     for step in program.steps:
         gates = step.gates
-        if step.zone is Zone.ENTANGLING:
-            movers, used, layers = _pick_movers(gates, sim.layout)
-        else:
-            used = sorted({q for g in gates for q in g.qubits})
+        used, layers = _step_layers(gates)
         if step.zone is Zone.READOUT:
             _cross(sim, used, Zone.READOUT)
             _schedule_readout(sim, used)
-        elif step.zone is Zone.STORAGE and loaded:
-            _pulse_in_place_layers(sim, gates, _step_layers(gates, len(used)))
-        elif step.zone is Zone.STORAGE:
-            _cross(sim, [q for q in used if sites[q].zone is Zone.ENTANGLING], Zone.STORAGE)
-            _pulse_layers(sim, gates, _step_layers(gates, len(used)), False)
+        elif step.zone is storage and loaded:
+            _pulse_in_place_layers(sim, _pulsed_layers(gates, layers))
+        elif step.zone is storage:
+            _cross(sim, [q for q in used if sites[q].zone is entangling], storage)
+            _pulse_layers(sim, _pulsed_layers(gates, layers), False)
         else:
+            movers = _pick_movers(gates, len(layers) == 1, sites)
             mover_set = set(movers)
-            arriving, resident = [], []
+            # Residents whose trap is wrong for their role hand over: movers
+            # ride the AOD, every other qubit sits in an SLM trap.
+            arriving, handover = [], []
             for q in used:
-                (arriving if sites[q].zone is Zone.STORAGE else resident).append(q)
-            incoming = ([q for q in program_qubits if sites[q].zone is Zone.STORAGE]
+                site = sites[q]
+                if site.zone is storage:
+                    arriving.append(q)
+                elif (site.trap is aod) is (q not in mover_set):
+                    handover.append(q)
+            incoming = ([q for q in program_qubits if sites[q].zone is storage]
                         if type2 else arriving)
             # Residents hand over and incoming qubits are picked up by the
             # AOD in one transfer batch, which overlaps the load travel.
-            _cross(sim, incoming, Zone.ENTANGLING, _handover(sim, mover_set, resident))
+            _cross(sim, incoming, entangling, handover)
             # Freshly arrived stationary partners still hand over to SLM.
-            sim.clock += sim.transfer_batch(_handover(sim, mover_set, arriving))
+            sim.clock += sim.transfer_batch(
+                [q for q in arriving if (sites[q].trap is aod) is (q not in mover_set)])
             _entangling_gates(sim, gates, movers, layers)
             loaded = type2
 
@@ -423,8 +435,9 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
     for site in sim.layout.qubits[: program.num_qubits]:
         site.zone = Zone.ENTANGLING
     for step in program.steps:
+        used, layers = _step_layers(step.gates)
         if step.zone is Zone.READOUT:
-            _schedule_readout(sim, sorted({q for g in step.gates for q in g.qubits}))
+            _schedule_readout(sim, used)
         else:
-            _pulse_layers(sim, step.gates, layer_indices(step.gates),
+            _pulse_layers(sim, _pulsed_layers(step.gates, layers),
                           step.zone is Zone.ENTANGLING)

@@ -545,6 +545,13 @@ class TestQaoa:
         with pytest.raises(ValueError):
             gen_qaoa(complete_graph(3), 2, [0.1], [0.2, 0.3])
 
+    @pytest.mark.parametrize("weights", [(0.5,), (0.5, 1.0, 2.0)])
+    def test_weight_count_checked(self, weights):
+        # zip would pair the weights with the first edges and drop the rest:
+        # one weight for two edges gave RZZ(0, 1) alone.
+        with pytest.raises(ValueError, match=f"{len(weights)} weights for 2 edges"):
+            Graph(3, ((0, 1), (1, 2)), weights)
+
 
 class TestSteane:
     def test_stabilizers(self):

@@ -1,13 +1,23 @@
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zonec.arch import MachineConfig, Policy, build_layout, land_movers
+from zonec.arch import (
+    AtomLayout,
+    MachineConfig,
+    Policy,
+    Trap,
+    build_layout,
+    isolation_hop_um,
+    land_movers,
+    max_crossing_distance_um,
+)
 from zonec.frontend import gen_ghz, parse_benchmark
-from zonec.ir import ARITY, NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, layer_indices
+from zonec.ir import NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
 from zonec.rewrite import (
     PipelineOptions,
+    ZoneStep,
     ZoneStepProgram,
     gate_based_swap_reference,
     mantra_pipeline,
@@ -16,8 +26,8 @@ from zonec.scheduler import (
     Event,
     EventKind,
     ScheduleError,
+    Timeline,
     _STEANE_PREP_LAYERS,
-    _pick_movers,
     _pulsed_layers,
     _step_layers,
     count_ld_st,
@@ -191,18 +201,223 @@ class TestStepLayers:
     @given(zone_step_gates())
     @settings(max_examples=300, deadline=None)
     def test_layers_and_pulsed_qubits_match_layer_indices(self, case):
-        n, gates = case
-        used = sorted({q for g in gates for q in g.qubits})
-        if gates and ARITY[gates[0].kind] == 2:
-            _, picked_used, layers = _pick_movers(gates, build_layout(MachineConfig(), n))
-            assert picked_used == used
-        else:
-            layers = _step_layers(gates, len(used))
+        _, gates = case
+        used, layers = _step_layers(gates)
+        assert used == sorted({q for g in gates for q in g.qubits})
         reference = layer_indices(gates)
         assert [list(layer) for layer in layers] == reference
         pulsed = ([q for i in layer if gates[i].kind not in UNPULSED for q in gates[i].qubits]
                   for layer in reference)
-        assert list(_pulsed_layers(gates, layers)) == [sorted(qs) for qs in pulsed if qs]
+        assert _pulsed_layers(gates, layers) == [sorted(qs) for qs in pulsed if qs]
+
+
+@dataclass
+class _ReferenceSim:
+    """``scheduler._Sim`` and its crossing, pulse and readout helpers as they
+    were before the one-pass step loop."""
+
+    config: MachineConfig
+    layout: AtomLayout
+    clock: float = 0.0
+    events: list = field(default_factory=list)
+    zone_since: dict = field(default_factory=dict)
+    t_in: dict = field(default_factory=dict)
+    t_out: dict = field(default_factory=dict)
+    transfers: dict = field(default_factory=dict)
+
+    def emit(self, kind, qubits, start, dur):
+        self.events.append(Event(kind, tuple(qubits), start, dur))
+
+    def settle_zones(self, qubits, new_zone, at):
+        for q in qubits:
+            site = self.layout.qubits[q]
+            bucket = self.t_in if site.zone is Zone.STORAGE else self.t_out
+            bucket[q] += at - self.zone_since.get(q, 0.0)
+            site.zone = new_zone
+            self.zone_since[q] = at
+
+    def transfer_batch(self, qubits):
+        if not qubits:
+            return 0.0
+        for q in qubits:
+            s = self.layout.qubits[q]
+            s.trap = Trap.AOD if s.trap is Trap.SLM else Trap.SLM
+            self.transfers[q] = self.transfers.get(q, 0) + 1
+        self.emit(EventKind.TRAP_TRANSFER, qubits, self.clock, self.config.trap_transfer_time_us)
+        return self.config.trap_transfer_time_us
+
+    def pulse_layers(self, gates, layers, two_q):
+        kind, dur = ((EventKind.PULSE_2Q, self.config.pulse_2q_us) if two_q
+                     else (EventKind.PULSE_1Q, self.config.pulse_1q_us))
+        for qubits in _reference_pulsed_layers(gates, layers):
+            self.emit(kind, qubits, self.clock, dur)
+            self.clock += dur
+
+    def cross(self, qubits, dest, handover=()):
+        cfg, sites = self.config, self.layout.qubits
+        pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
+        window = self.transfer_batch(sorted([*handover, *pickups]) if handover else pickups)
+        if not qubits:
+            self.clock += window
+            return
+        travel = max(cfg.min_ld_st_us, max_crossing_distance_um(self.layout, qubits, dest)
+                     / cfg.aod_speed_um_per_us)
+        kind = {Zone.ENTANGLING: EventKind.LOAD, Zone.STORAGE: EventKind.STORE,
+                Zone.READOUT: EventKind.READOUT_MOVE}[dest]
+        self.emit(kind, qubits, self.clock, travel)
+        self.clock += max(window, travel)
+        self.settle_zones(qubits, dest, self.clock)
+
+    def readout(self, qubits):
+        self.emit(EventKind.READOUT_IMAGE, qubits, self.clock, self.config.readout_time_us)
+        self.clock += self.config.readout_time_us
+
+
+def _reference_pulsed_layers(gates, layers):
+    for layer in layers:
+        qubits = [q for i in layer if gates[i].kind not in UNPULSED for q in gates[i].qubits]
+        if qubits:
+            yield sorted(qubits)
+
+
+def _reference_schedule(program, layout, config):
+    """``schedule`` before each step was scheduled in one pass: a chain of
+    helpers, each re-walking the step, with every qubit's gate count taken
+    to pick the movers and the layers always from ``layer_indices``."""
+    n = program.num_qubits
+    layout = AtomLayout(layout.config, [replace(s) for s in layout.qubits])
+    sim = _ReferenceSim(config, layout, t_in=dict.fromkeys(range(n), 0.0),
+                        t_out=dict.fromkeys(range(n), 0.0))
+    prep = ec_prep_event(config, n)
+    sim.events.append(prep)
+    sim.clock = prep.end_us
+    sites = layout.qubits
+    if config.policy is Policy.TYPE3:
+        for site in sites[:n]:
+            site.zone = Zone.ENTANGLING
+        for step in program.steps:
+            if step.zone is Zone.READOUT:
+                sim.readout(sorted({q for g in step.gates for q in g.qubits}))
+            else:
+                sim.pulse_layers(step.gates, layer_indices(step.gates),
+                                 step.zone is Zone.ENTANGLING)
+    else:
+        type2 = config.policy is Policy.TYPE2
+        if program.x_basis and not type2:
+            first_zone = {}
+            for step in program.steps:
+                for g in step.gates:
+                    for q in g.qubits:
+                        first_zone.setdefault(q, step.zone)
+            for q, zone in first_zone.items():
+                if zone is Zone.ENTANGLING:
+                    sites[q].zone = Zone.ENTANGLING
+        program_qubits = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
+        loaded = False
+        for step in program.steps:
+            gates = step.gates
+            used = sorted({q for g in gates for q in g.qubits})
+            layers = layer_indices(gates)
+            if step.zone is Zone.READOUT:
+                sim.cross(used, Zone.READOUT)
+                sim.readout(used)
+            elif step.zone is Zone.STORAGE and loaded:
+                hop = isolation_hop_um(config) / config.aod_speed_um_per_us
+                for qubits in _reference_pulsed_layers(gates, layers):
+                    sim.clock += sim.transfer_batch(
+                        [q for q in qubits if sites[q].trap is Trap.SLM])
+                    for kind, dur in ((EventKind.SHUTTLE, hop),
+                                      (EventKind.PULSE_1Q, config.pulse_1q_us),
+                                      (EventKind.SHUTTLE, hop)):
+                        sim.emit(kind, qubits, sim.clock, dur)
+                        sim.clock += dur
+            elif step.zone is Zone.STORAGE:
+                sim.cross([q for q in used if sites[q].zone is Zone.ENTANGLING], Zone.STORAGE)
+                sim.pulse_layers(gates, layers, False)
+            else:
+                count = {}
+                for g in gates:
+                    for q in g.qubits:
+                        count[q] = count.get(q, 0) + 1
+                movers = []
+                for a, b in (g.qubits for g in gates):
+                    aod_a, aod_b = sites[a].trap is Trap.AOD, sites[b].trap is Trap.AOD
+                    if count[a] != count[b]:
+                        movers.append(a if count[a] > count[b] else b)
+                    elif aod_a == aod_b:
+                        movers.append(min(a, b))
+                    else:
+                        movers.append(a if aod_a else b)
+                arriving = [q for q in used if sites[q].zone is Zone.STORAGE]
+                resident = [q for q in used if sites[q].zone is not Zone.STORAGE]
+                incoming = ([q for q in program_qubits if sites[q].zone is Zone.STORAGE]
+                            if type2 else arriving)
+
+                def handover(candidates):
+                    return [q for q in candidates
+                            if (sites[q].trap is Trap.AOD) is (q not in movers)]
+
+                sim.cross(incoming, Zone.ENTANGLING, handover(resident))
+                sim.clock += sim.transfer_batch(handover(arriving))
+                for layer in layers:
+                    pairs = [(movers[i], sum(gates[i].qubits) - movers[i]) for i in layer]
+                    worst = land_movers(layout, pairs) / config.aod_speed_um_per_us
+                    if worst > 0.0:
+                        sim.emit(EventKind.SHUTTLE, sorted(movers[i] for i in layer),
+                                 sim.clock, worst)
+                        sim.clock += worst
+                    qubits = sorted(q for i in layer for q in gates[i].qubits)
+                    sim.emit(EventKind.PULSE_2Q, qubits, sim.clock, config.pulse_2q_us)
+                    sim.clock += config.pulse_2q_us
+                loaded = type2
+    for q in range(n):
+        sim.settle_zones((q,), sites[q].zone, sim.clock)
+    measured = tuple(sorted({g.qubits[0] for step in program.steps
+                             if step.zone is Zone.READOUT for g in step.gates}))
+    return Timeline(n, tuple(sim.events), sim.clock, sim.t_in, sim.t_out,
+                    dict(sorted(sim.transfers.items())), measured)
+
+
+_STEP_GATE_KINDS = {Zone.STORAGE: _STEP_KINDS[1], Zone.ENTANGLING: _STEP_KINDS[2],
+                    Zone.READOUT: (GateKind.MEASURE,)}
+
+
+@st.composite
+def zone_step_programs(draw):
+    """Zone-step programs on up to 8 qubits: one-gate and many-gate steps,
+    steps in which qubits repeat, a few empty steps, and readout steps
+    anywhere."""
+    n = draw(st.integers(2, 8))
+    steps = []
+    for zone in draw(st.lists(st.sampled_from(list(Zone)), max_size=12)):
+        if steps and steps[-1].zone is zone:
+            continue
+        arity = 2 if zone is Zone.ENTANGLING else 1
+        if draw(st.integers(0, 9)) == 0:
+            operands = []
+        elif draw(st.booleans()):
+            operands = [tuple(draw(st.permutations(range(n)))[:arity])]
+        elif draw(st.booleans()) or zone is Zone.READOUT:
+            pool = draw(st.permutations(range(n)))
+            k = draw(st.integers(1, n // arity))
+            operands = [tuple(pool[arity * i: arity * (i + 1)]) for i in range(k)]
+        else:
+            operands = [tuple(draw(st.permutations(range(n)))[:arity])
+                        for _ in range(draw(st.integers(2, 10)))]
+        gates = []
+        for qubits in operands:
+            kind = draw(st.sampled_from(_STEP_GATE_KINDS[zone]))
+            gates.append(Gate(kind, qubits, (0.5,) * NUM_PARAMS[kind]))
+        steps.append(ZoneStep(zone, tuple(gates)))
+    return ZoneStepProgram(n, tuple(steps), x_basis=draw(st.booleans()))
+
+
+@given(zone_step_programs(), st.sampled_from(list(Policy)))
+@settings(max_examples=400, deadline=None)
+def test_schedule_matches_reference(program, policy):
+    cfg = replace(MachineConfig(), policy=policy)
+    layout = build_layout(cfg, program.num_qubits)
+    assert schedule(program, layout, cfg) == _reference_schedule(program, layout, cfg)
 
 
 class TestPolicies:
