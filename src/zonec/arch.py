@@ -251,12 +251,6 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
 # readout, and row 0 of each zone faces the gap to the next zone.
 
 
-def crossing_distance_um(layout: AtomLayout, q: int, dest_zone: Zone) -> float:
-    """Travel of q from its site to ``dest_zone`` (see
-    ``max_crossing_distance_um``)."""
-    return max_crossing_distance_um(layout, (q,), dest_zone)
-
-
 def max_crossing_distance_um(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
     """The longest travel of ``qubits`` from their sites to ``dest_zone``;
     0.0 for none. Storage and entangling cross one gap to the same

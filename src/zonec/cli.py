@@ -15,7 +15,7 @@ from .arch import LayoutError, MachineConfig, Policy, build_layout, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, format_value, run
 from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import CircuitError, GateKind
-from .rewrite import PipelineOptions
+from .rewrite import MODES, PROTOCOLS, PipelineOptions
 from .scheduler import ScheduleError
 
 EXIT_USAGE = 1
@@ -80,7 +80,7 @@ _INPUT = [
                  "ucc:15:10, qaoa-sk:8:2, qaoa-pl:12:2, po:10:1"),
     click.option("--qasm", type=click.Path(), help="OpenQASM 2.0 input file"),
     click.option("--pauli", type=click.Path(), help="Pauli term input file"),
-    click.option("--mode", type=click.Choice(["mantra", "standard"]),
+    click.option("--mode", type=click.Choice(MODES),
                  default="mantra", show_default=True),
 ]
 _MACHINE = [
@@ -91,7 +91,7 @@ _MACHINE = [
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--x-basis", is_flag=True, help="absorb leading/trailing "
                  "basis changes into preparation and readout"),
-    click.option("--protocol", type=click.Choice(["adiabatic", "cphase"]),
+    click.option("--protocol", type=click.Choice(PROTOCOLS),
                  default="adiabatic", show_default=True),
 ]
 
@@ -183,7 +183,7 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
     if not mode_list:
         _fail(EXIT_USAGE, "--modes names no mode")
     for m in mode_list:
-        if m not in ("mantra", "standard"):
+        if m not in MODES:
             _fail(EXIT_USAGE, f"unknown mode {m!r}")
     cfg = _or_exit(_machine, config_path, policy)
     click.echo(csv_header(extra=(name, "mode")))

@@ -44,11 +44,6 @@ class Breakdown:
     def categories(self) -> dict:
         return {name: getattr(self, name) for name in CATEGORIES}
 
-    def share(self, name: str) -> float:
-        if self.makespan_us == 0.0:
-            return 0.0
-        return self.categories[name] / self.makespan_us
-
 
 # The time categories, in report order: every field but the makespan they
 # sum to.

@@ -23,6 +23,10 @@ from .ir import (
     layer_indices,
 )
 
+# The compile modes, and the two-pulse native ZZ protocols of mantra mode.
+MODES = ("mantra", "standard")
+PROTOCOLS = ("adiabatic", "cphase")
+
 # ---------------------------------------------------------------------------
 # Zone-step program
 # ---------------------------------------------------------------------------
@@ -350,7 +354,7 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     linear left-to-right pass (see ``_fold_zz_idioms``). Every idiom holds a
     CX or a CZ, so the fold runs only on a circuit that holds one.
     """
-    if protocol not in ("adiabatic", "cphase"):
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     gates = circuit.gates
     if any(g.kind is GateKind.CX or g.kind is GateKind.CZ for g in gates):
@@ -562,14 +566,14 @@ def absorb_x_basis(circuit: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    mode: str = "mantra"  # "mantra" | "standard"
-    protocol: str = "adiabatic"
+    mode: str = "mantra"  # one of MODES
+    protocol: str = "adiabatic"  # one of PROTOCOLS
     x_basis: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("mantra", "standard"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.protocol not in ("adiabatic", "cphase"):
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
@@ -587,6 +591,10 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     A circuit with a gate after its qubit's MEASURE raises ``ValueError``
     in either mode, before any pass runs.
     """
+    if options.mode == "mantra":
+        synth, raw_steps = synth_pauli_fountain, _aligned_raw
+    else:
+        synth, raw_steps = synth_pauli_path, _layered_raw
     if isinstance(source, PauliTermFile):
         # Basis absorption is only sound at program start; never per term.
         term_options = PipelineOptions(options.mode, options.protocol, x_basis=False)
@@ -596,34 +604,24 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         for term in source.terms:
             if term.weight == 0:
                 continue
-            c, raw_steps = _lower(_synth(term, term_options), term_options)
-            raw += raw_steps(c)
+            raw += raw_steps(_lower(synth(term), term_options))
         n = source.num_qubits
         raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
     _check_readout(source)
-    c, raw_steps = _lower(source, options)
+    c = _lower(source, options)
     return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis)
 
 
-def _synth(term: PauliTerm, options: PipelineOptions) -> Circuit:
-    if options.mode == "mantra":
-        return synth_pauli_fountain(term)
-    return synth_pauli_path(term)
-
-
-def _lower(circuit: Circuit, options: PipelineOptions):
-    """The passes before zone stepping: the lowered circuit and the raw
-    zone stepper that the mode applies to it."""
+def _lower(circuit: Circuit, options: PipelineOptions) -> Circuit:
+    """The passes before zone stepping."""
     if options.mode == "standard":
         c = lower_rzz_to_cx(circuit)
-        raw_steps = _layered_raw
     else:
         c = lower_cx_to_cz(circuit)
         c = cancel_hadamard_pairs(c)
         c = substitute_rzz(c, options.protocol)
-        raw_steps = _aligned_raw
     c, _ = lower_swap(c)
     if options.x_basis:
         c = absorb_x_basis(c)
-    return c, raw_steps
+    return c

@@ -33,6 +33,7 @@ from zonec.oracle import (
     unitary_of,
 )
 from zonec.rewrite import (
+    MODES,
     PipelineOptions,
     adiabatic_phases,
     cancel_hadamard_pairs,
@@ -123,7 +124,7 @@ def test_criterion_02_rewrite_soundness():
             unitary_of(Circuit(c.num_qubits, lowered.gates + tuple(swaps))), ref, 1e-9
         ):
             failures += 1
-        for mode in ("mantra", "standard"):
+        for mode in MODES:
             prog = mantra_pipeline(c, PipelineOptions(mode=mode))
             flat = Circuit(c.num_qubits, prog.flatten().gates + tuple(swaps))
             if not equiv_up_to_global_phase(unitary_of(flat), ref, 1e-9):
@@ -221,14 +222,14 @@ def test_criterion_08_swap_dominance():
         tl, _, _ = simulate(ref, "standard")
         gate_ld_st = sum(count_ld_st(tl))
         swap = Circuit(n, (Gate(GateKind.SWAP, (a, b)),))
-        runs = [simulate(swap, mode)[0] for mode in ("standard", "mantra")]
-        swap_ld_st = [sum(count_ld_st(t)) for t in runs]
-        ok &= gate_ld_st == 6 and swap_ld_st == [0, 0]
-        ok &= all(t.makespan_us < tl.makespan_us for t in runs)
+        runs = {mode: simulate(swap, mode)[0] for mode in MODES}
+        swap_ld_st = {mode: sum(count_ld_st(t)) for mode, t in runs.items()}
+        ok &= gate_ld_st == 6 and set(swap_ld_st.values()) == {0}
+        ok &= all(t.makespan_us < tl.makespan_us for t in runs.values())
         detail.append(
             f"n{n}: gate {gate_ld_st} LD/ST {tl.makespan_us:.0f}us vs relabelled "
-            f"{swap_ld_st[0]}/{swap_ld_st[1]} LD/ST "
-            f"{runs[0].makespan_us:.1f}/{runs[1].makespan_us:.1f}us"
+            f"{swap_ld_st['standard']}/{swap_ld_st['mantra']} LD/ST "
+            f"{runs['standard'].makespan_us:.1f}/{runs['mantra'].makespan_us:.1f}us"
         )
     report(8, ok, "relabelled SWAP (standard/mantra) dominates; " + "; ".join(detail))
 
@@ -240,9 +241,9 @@ def test_criterion_09_breakdown_plausibility():
     for bench in suite:
         t1, _, _ = simulate(bench, "standard", policy=Policy.TYPE1, seed=UCC_SEED)
         t2, _, _ = simulate(bench, "standard", policy=Policy.TYPE2, seed=UCC_SEED)
-        s1 = breakdown(t1).share("load_store_us")
-        b2 = breakdown(t2)
-        s2 = b2.share("load_store_us")
+        b1, b2 = breakdown(t1), breakdown(t2)
+        s1 = b1.load_store_us / b1.makespan_us
+        s2 = b2.load_store_us / b2.makespan_us
         dominated = (b2.trap_transfer_us + b2.shuttling_us) > b2.load_store_us
         ok &= s1 > 0.50 and s2 < 0.05 and dominated
         detail.append(f"{bench}: type1 {s1:.0%} type2 {s2:.1%}")

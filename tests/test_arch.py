@@ -11,10 +11,10 @@ from zonec.arch import (
     Policy,
     Trap,
     build_layout,
-    crossing_distance_um,
     isolation_hop_um,
     land_movers,
     load_config,
+    max_crossing_distance_um,
     validate_move,
 )
 from zonec.ir import Zone
@@ -202,7 +202,7 @@ class TestMoves:
     def test_crossing_distance_at_least_gap(self, r, c):
         lay = build_layout(MachineConfig(), 4)
         lay.qubits[0].row, lay.qubits[0].col = r, c
-        d = crossing_distance_um(lay, 0, Zone.ENTANGLING)
+        d = max_crossing_distance_um(lay, (0,), Zone.ENTANGLING)
         assert d >= lay.config.zone_gap_um
 
 
@@ -219,16 +219,17 @@ class TestDistances:
 
     @pytest.mark.parametrize("row", [0, 1, 7, 40])
     def test_readout_trip(self, row):
-        up = crossing_distance_um(self._at(Zone.STORAGE, row), 0, Zone.READOUT)
-        assert up == 6 * row + 20 + 41 * 12 + 20
-        assert crossing_distance_um(self._at(Zone.ENTANGLING, row), 0, Zone.READOUT) == 12 * row + 20
+        from_storage = max_crossing_distance_um(self._at(Zone.STORAGE, row), (0,), Zone.READOUT)
+        assert from_storage == 6 * row + 20 + 41 * 12 + 20
+        near = max_crossing_distance_um(self._at(Zone.ENTANGLING, row), (0,), Zone.READOUT)
+        assert near == 12 * row + 20
 
     @pytest.mark.parametrize("row, col", [(0, 0), (3, 0), (2, 5), (40, 40)])
     def test_crossing_keeps_row_and_column(self, row, col):
         # Storage (row, col) to entangling (row, col): the x offset is the
         # pitch difference, the y span both rows plus the gap.
-        up = crossing_distance_um(self._at(Zone.STORAGE, row, col), 0, Zone.ENTANGLING)
-        down = crossing_distance_um(self._at(Zone.ENTANGLING, row, col), 0, Zone.STORAGE)
+        up = max_crossing_distance_um(self._at(Zone.STORAGE, row, col), (0,), Zone.ENTANGLING)
+        down = max_crossing_distance_um(self._at(Zone.ENTANGLING, row, col), (0,), Zone.STORAGE)
         assert up == down == math.hypot(6 * col, 18 * row + 20)
 
     def _pair(self):

@@ -6,7 +6,9 @@ from click.testing import CliRunner
 
 import zonec.cli as cli_module
 from zonec.cli import cli
-from zonec.frontend import BenchmarkSpec
+from zonec.cost import format_value, run
+from zonec.frontend import CHAINS, BenchmarkSpec, gen_ghz
+from zonec.rewrite import MODES
 
 
 @pytest.fixture
@@ -104,7 +106,7 @@ class TestSimulate:
         assert f"line 1: bad value for '{key}'" in r.stderr
 
     @pytest.mark.parametrize("command", ["compile", "simulate"])
-    @pytest.mark.parametrize("mode", ["mantra", "standard"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_gate_after_measure_is_input_error(self, runner, tmp_path, command, mode):
         path = tmp_path / "late.qasm"
         path.write_text("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n"
@@ -115,7 +117,7 @@ class TestSimulate:
         assert "H on qubit 0 after its MEASURE" in r.stderr
 
     @pytest.mark.parametrize("command", ["compile", "simulate"])
-    @pytest.mark.parametrize("mode", ["mantra", "standard"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("body, late", [
         ("h q[0];\nmeasure q[0] -> c[0];\nh q[0];\nh q[0];\n", "H on qubit 0"),
         ("measure q[0] -> c[0];\ncx q[1],q[0];\nrz(0.3) q[0];\ncx q[1],q[0];\n",
@@ -294,6 +296,20 @@ class TestSweep:
         li, si = header.index("loads"), header.index("stores")
         for n in ("5", "10"):
             assert int(mantra[n].split(",")[li]) + int(mantra[n].split(",")[si]) == 40
+
+    def test_chain_axis_rows_equal_each_chains_run(self, runner):
+        # One sweep compares the GHZ chain shapes, each row as its own run.
+        r = runner.invoke(
+            cli, ["sweep", "--bench", "ghz:8:{chain}", "--axis", "chain=" + ",".join(CHAINS),
+                  "--modes", "mantra"]
+        )
+        assert r.exit_code == 0
+        header, *rows = (ln.split(",") for ln in r.stdout.splitlines())
+        assert [row[0] for row in rows] == list(CHAINS)
+        keys = ("loads", "stores", "makespan_us", "fidelity")
+        for chain, row in zip(CHAINS, rows):
+            rec = run(gen_ghz(8, chain)).record
+            assert [row[header.index(k)] for k in keys] == [format_value(rec[k]) for k in keys]
 
     def test_failed_point_row_is_header_wide(self):
         proc = subprocess.run(

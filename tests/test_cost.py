@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dataclasses import fields, replace
 
-from zonec.arch import AtomLayout, MachineConfig, Policy, crossing_distance_um
+from zonec.arch import AtomLayout, MachineConfig, Policy, max_crossing_distance_um
 from zonec.cost import (
     CATEGORIES,
     REPORT_KEYS,
@@ -25,7 +25,7 @@ from zonec.cost import (
 )
 from zonec.frontend import gen_ghz, gen_ucc_random, parse_benchmark
 from zonec.ir import ARITY, NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
-from zonec.rewrite import PipelineOptions, _lower, mantra_pipeline
+from zonec.rewrite import MODES, PipelineOptions, _lower, mantra_pipeline
 from zonec.scheduler import Event, EventKind, Timeline, _Sim, count_ld_st
 
 
@@ -306,7 +306,7 @@ def _sources(draw):
 _COMBOS = [
     (replace(MachineConfig(), policy=p), PipelineOptions(mode=m, x_basis=x))
     for p in Policy
-    for m in ("mantra", "standard")
+    for m in MODES
     for x in (False, True)
 ]
 
@@ -434,11 +434,12 @@ class TestRunInvariants:
             for kind, qubits, dur, sites in crossings:
                 dest = _CROSSING_DEST[kind]
                 assert dur == max(cfg.min_ld_st_us,
-                                  *(crossing_distance_um(sites, q, dest) / speed for q in qubits))
+                                  *(max_crossing_distance_um(sites, (q,), dest) / speed
+                                    for q in qubits))
             # The zone steppers keep each qubit's gates, MEASURE included, in
             # the order of the circuit they step (CX written as H CZ H).
             if isinstance(source, Circuit):
-                lowered = _expand_cx(_lower(source, options)[0])
+                lowered = _expand_cx(_lower(source, options))
                 assert _per_qubit(r.flat) == _per_qubit(lowered)
             for q in range(tl.num_qubits):
                 assert tl.t_in_us[q] + tl.t_out_us[q] == pytest.approx(makespan, rel=1e-9)
@@ -470,7 +471,7 @@ class TestRunInvariants:
                 r = run(source, options, cfg)
                 assert crosstalk_exposures(r.timeline) == _exposures_reference(r.program)
 
-    @pytest.mark.parametrize("mode", ["mantra", "standard"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_type2_load_waits_for_its_trap_transfer(self, mode):
         # The transfer that picks up type 2's one load outlasts the load's
         # travel here, so the clock must wait for it.

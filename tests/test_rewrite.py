@@ -18,6 +18,8 @@ from zonec.oracle import (
     unitary_of,
 )
 from zonec.rewrite import (
+    MODES,
+    PROTOCOLS,
     PipelineOptions,
     ZoneStep,
     ZoneStepProgram,
@@ -599,7 +601,7 @@ class TestFoldBeforeLowering:
         rzz_free = Circuit(2, (_h(0), Gate(GateKind.RX, (1,), (0.2,)), _rz(0, 0.3)))
         assert substitute_rzz(rzz_free) is rzz_free
 
-    @pytest.mark.parametrize("protocol", ["adiabatic", "cphase"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("spec", ["qaoa-sk:8:2", "qaoa-pl:12:2", "po:12:3", "qaoa-sk:24:2"])
     def test_written_idioms_compile_as_native_rzz(self, spec, protocol):
         # Each RZZ written as CX RZ CX; back-to-back idioms share targets.
@@ -922,7 +924,7 @@ class TestZoneSteps:
     def test_flatten_preserves_unitary(self, seed):
         rng = random.Random(seed)
         c = random_gate_circuit(rng, rng.randint(2, 5), 8)
-        for mode in ("mantra", "standard"):
+        for mode in MODES:
             prog = mantra_pipeline(c, PipelineOptions(mode=mode))
             assert_equiv(c, Circuit(c.num_qubits, prog.flatten().gates + swaps_of(c)))
 
@@ -967,7 +969,7 @@ class TestPipeline:
         # idiom that folds and a SWAP that relabels neither hide nor rename
         # a gate after its qubit's MEASURE.
         late = _gates_after_measure(circuit)
-        for mode in ("mantra", "standard"):
+        for mode in MODES:
             if not late:
                 mantra_pipeline(circuit, PipelineOptions(mode=mode))
                 continue
@@ -980,7 +982,7 @@ class TestPipeline:
         monkeypatch.setattr("zonec.rewrite._check_readout",
                             lambda c: seen.append(c) or _check_readout(c))
         c = gen_ghz(6, chain="parallel")
-        for mode in ("mantra", "standard"):
+        for mode in MODES:
             seen.clear()
             mantra_pipeline(c, PipelineOptions(mode=mode))
             assert seen == [c]

@@ -23,7 +23,7 @@ import pytest
 from zonec.arch import MachineConfig, Policy
 from zonec.cost import run
 from zonec.frontend import parse_benchmark, parse_qasm
-from zonec.rewrite import PipelineOptions
+from zonec.rewrite import MODES, PipelineOptions
 
 DIGEST_FILE = Path(__file__).parent / "data" / "schedule_digest.txt"
 
@@ -70,7 +70,7 @@ def _source(name: str):
 
 def configurations():
     for name in BENCHES + ("qasm:swap",):
-        for mode in ("mantra", "standard"):
+        for mode in MODES:
             for policy in Policy:
                 for x_basis in (False, True):
                     yield f"{name}/{mode}/{policy.value}/x{int(x_basis)}", (

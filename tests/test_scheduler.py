@@ -16,6 +16,7 @@ from zonec.arch import (
 from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
 from zonec.rewrite import (
+    MODES,
     PipelineOptions,
     ZoneStep,
     ZoneStepProgram,
@@ -487,7 +488,7 @@ class TestEcPrep:
 
 
 class TestRelabelledSwap:
-    @pytest.mark.parametrize("mode", ["standard", "mantra"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_no_ld_st_and_faster_than_gate_based(self, mode):
         # A SWAP is a relabelling in both modes: no atom leaves storage for
         # it, so it beats the 3-CX lowering and its 6 loads and stores.

@@ -23,15 +23,3 @@ def test_benchmark_table_matches_golden(policy):
     ).stdout
     assert out == (DATA / f"golden_table_{policy}.txt").read_text()
 
-
-@pytest.mark.parametrize("args", [["--sizes", "8,x"], ["--sizes", "1"], ["--sizes", "8,200"],
-                                  ["--chains", "nope"]])
-def test_chain_shape_sweep_rejects_bad_input_before_any_row(args):
-    """Bad sizes or chains end in a usage error, with no partial CSV."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "chain_shape_sweep.py"), *args],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert f"Invalid value for '{args[0]}'" in proc.stderr
