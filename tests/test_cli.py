@@ -311,6 +311,28 @@ class TestSweep:
             rec = run(gen_ghz(8, chain)).record
             assert [row[header.index(k)] for k in keys] == [format_value(rec[k]) for k in keys]
 
+    @pytest.mark.parametrize("bench, axis, bad, cause", [
+        ("ghz:{n}:path", "n=8,x", "x", "qubit count 'x' is not an integer"),
+        ("ghz:{n}:path", "n=1,8", "1", "GHZ needs at least 2 qubits"),
+        ("ghz:{n}:path", "n=8,200", "200", "capacity exceeded: 200 logical qubits"),
+        ("ghz:8:{chain}", "chain=nope,path", "nope", "unknown chain 'nope'"),
+    ])
+    def test_chain_sweep_bad_point_fails_alone(self, runner, bench, axis, bad, cause):
+        # A bad size or chain fails its own row and names why; the good
+        # point beside it still gets its figures.
+        r = runner.invoke(cli, ["sweep", "--bench", bench, "--axis", axis])
+        assert r.exit_code == 0
+        name = axis.partition("=")[0]
+        header, *rows = (ln.split(",") for ln in r.stdout.splitlines())
+        assert [row[0] for row in rows] == axis.partition("=")[2].split(",")
+        assert all(len(row) == len(header) for row in rows)
+        for row in rows:
+            assert (set(row[2:]) == {"failed"}) == (row[0] == bad)
+        failed = [ln for ln in r.stderr.splitlines() if ln.startswith("# point")]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"# point {name}={bad} mode=mantra failed: ")
+        assert cause in failed[0]
+
     def test_failed_point_row_is_header_wide(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zonec.cli", "sweep", "--bench", "ghz:{n}:path",
