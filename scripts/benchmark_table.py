@@ -51,7 +51,7 @@ def _fidelity(f):
 
 @click.command()
 @click.option("--seed", type=int, default=10, show_default=True)
-@click.option("--policy", type=click.Choice(["type1", "type2", "type3"]),
+@click.option("--policy", type=click.Choice([p.value for p in Policy]),
               default="type1", show_default=True)
 def main(seed, policy):
     cfg = replace(MachineConfig(), policy=Policy(policy))

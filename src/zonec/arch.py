@@ -1,5 +1,5 @@
-"""Parameterized machine model: zones, atom-grid geometry, every distance
-the scheduler charges, mover landing, traps, and the AOD order rule.
+"""Parameterized machine model: zones, atom-grid geometry, every travel
+time the scheduler charges, mover landing, traps, and the AOD order rule.
 
 Defaults model a representative zoned Rydberg array; every knob is
 overridable through a key/value config file.
@@ -83,10 +83,6 @@ class MachineConfig:
         for name in ("xtalk_1q", "xtalk_cz"):  # so 1 - xtalk is in (0, 1] too
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-
-    def pitch_um(self, zone: Zone) -> float:
-        """Site pitch in ``zone``: the storage grid is denser than the others."""
-        return self.pitch_storage_um if zone is Zone.STORAGE else self.pitch_entangling_um
 
     @property
     def min_ld_st_us(self) -> float:
@@ -247,22 +243,26 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
     return None
 
 
-# Every distance the scheduler charges. Zone order is storage | entangling |
-# readout, and row 0 of each zone faces the gap to the next zone.
+# Every travel time the scheduler charges. Zone order is storage | entangling |
+# readout, row 0 of each zone faces the gap to the next zone, and every zone's
+# slots mirror the storage block grid, so a crossing keeps (row, col). Each
+# function divides by the AOD speed once, at its end: that keeps the order of
+# distances, so the slowest member's time is the longest distance's, to the bit.
 
 
-def max_crossing_distance_um(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
-    """The longest travel of ``qubits`` from their sites to ``dest_zone``;
-    0.0 for none. Storage and entangling cross one gap to the same
-    (row, col), Euclidean over the two pitches. The readout zone lies
-    straight along y past the entangling zone: one gap from there, two gaps
-    plus the entangling zone's span from storage."""
+def crossing_time_us(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
+    """The slowest of ``qubits``' travel times from their sites to
+    ``dest_zone``, floored at ``min_ld_st_us`` (the floor alone for none).
+    Storage and entangling cross one gap to the same (row, col), Euclidean
+    over the two pitches; the storage grid is denser than the others. The
+    readout zone lies straight along y past the entangling zone: one gap
+    from there, two gaps plus the entangling zone's span from storage."""
     cfg = layout.config
     gap, storage, to_readout = cfg.zone_gap_um, Zone.STORAGE, dest_zone is Zone.READOUT
     p_storage, p_entangling = cfg.pitch_storage_um, cfg.pitch_entangling_um
     far = cfg.array_rows * p_entangling + gap  # storage's extra way to readout
-    dest_pitch = cfg.pitch_um(dest_zone)
-    worst = 0.0
+    dest_pitch = p_storage if dest_zone is storage else p_entangling
+    worst = gap  # the floor: min_ld_st_us is one gap's travel
     for q in qubits:
         s = layout.qubits[q]
         pitch = p_storage if s.zone is storage else p_entangling
@@ -273,22 +273,23 @@ def max_crossing_distance_um(layout: AtomLayout, qubits, dest_zone: Zone) -> flo
                               s.row * pitch + gap + s.row * dest_pitch)
         if dist > worst:
             worst = dist
-    return worst
+    return worst / cfg.aod_speed_um_per_us
 
 
 def land_movers(layout: AtomLayout, pairs) -> float:
     """Move each ``(mover, partner)`` pair's mover onto the partner's site for
-    the 2Q pulse; return the longest in-zone travel. Pairs share no qubit."""
+    the 2Q pulse; return the layer's shuttle time, the longest in-zone
+    travel's, and 0.0 when no mover moves. Pairs share no qubit."""
     pitch = layout.config.pitch_entangling_um
     worst = 0.0
     for q, partner in pairs:
         s, p = layout.qubits[q], layout.qubits[partner]
         worst = max(worst, math.hypot((s.row - p.row) * pitch, (s.col - p.col) * pitch))
         s.row, s.col = p.row, p.col
-    return worst
+    return worst / layout.config.aod_speed_um_per_us
 
 
-def isolation_hop_um(config: MachineConfig) -> float:
-    """Type 2's shuttle that takes a 1Q target more than one entangling
-    pitch clear of every other atom before its local pulse."""
-    return 2.0 * config.pitch_entangling_um
+def isolation_hop_us(config: MachineConfig) -> float:
+    """Type 2's shuttle time taking a 1Q target two entangling pitches, more
+    than one (12 um by default) clear of every other atom, for its pulse."""
+    return 2.0 * config.pitch_entangling_um / config.aod_speed_um_per_us

@@ -84,7 +84,7 @@ _INPUT = [
                  default="mantra", show_default=True),
 ]
 _MACHINE = [
-    click.option("--policy", type=click.Choice(["type1", "type2", "type3"]),
+    click.option("--policy", type=click.Choice([p.value for p in Policy]),
                  default=None, help="operation policy (default: config file or type1)"),
     click.option("--config", "config_path", type=click.Path(),
                  envvar="ZONEC_CONFIG", help="machine config file"),
@@ -131,6 +131,9 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
                 f"{g.kind.value}({','.join(map(str, g.qubits))})" for g in step.gates
             )
             click.echo(f"step {i} [{step.zone.value}] {names}")
+        slots = result.program.slots
+        if slots != tuple(range(len(slots))):
+            click.echo(f"slots = {','.join(map(str, slots))}")
     click.echo(f"n_1q = {result.fidelity.n_1q}")
     click.echo(f"n_rz = {sum(g.kind is GateKind.RZ for g in result.flat.gates)}")
     click.echo(f"n_2q = {result.fidelity.n_2q}")

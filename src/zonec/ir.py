@@ -121,9 +121,6 @@ class Circuit:
                         f"operand q[{q}] out of range for {self.num_qubits} qubits"
                     )
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(frozen=True)
 class PauliTerm:

@@ -51,6 +51,10 @@ class ZoneStepProgram:
     num_qubits: int
     steps: tuple[ZoneStep, ...]
     x_basis: bool = False
+    # lower_swap's slots: the written circuit leaves on qubit q the state
+    # the program leaves on qubit slots[q]. Empty, like the identity, for
+    # Pauli-term sources, whose terms hold no SWAP.
+    slots: tuple[int, ...] = ()
 
     def __post_init__(self):
         for a, b in zip(self.steps, self.steps[1:]):
@@ -604,24 +608,24 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         for term in source.terms:
             if term.weight == 0:
                 continue
-            raw += raw_steps(_lower(synth(term), term_options))
+            raw += raw_steps(_lower(synth(term), term_options)[0])
         n = source.num_qubits
         raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
     _check_readout(source)
-    c = _lower(source, options)
-    return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis)
+    c, slots = _lower(source, options)
+    return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis, slots)
 
 
-def _lower(circuit: Circuit, options: PipelineOptions) -> Circuit:
-    """The passes before zone stepping."""
+def _lower(circuit: Circuit, options: PipelineOptions) -> tuple[Circuit, tuple[int, ...]]:
+    """The passes before zone stepping, and ``lower_swap``'s slots."""
     if options.mode == "standard":
         c = lower_rzz_to_cx(circuit)
     else:
         c = lower_cx_to_cz(circuit)
         c = cancel_hadamard_pairs(c)
         c = substitute_rzz(c, options.protocol)
-    c, _ = lower_swap(c)
+    c, slots = lower_swap(c)
     if options.x_basis:
         c = absorb_x_basis(c)
-    return c
+    return c, slots

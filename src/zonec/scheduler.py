@@ -30,9 +30,9 @@ from .arch import (
     MachineConfig,
     Policy,
     Trap,
-    isolation_hop_um,
+    crossing_time_us,
+    isolation_hop_us,
     land_movers,
-    max_crossing_distance_um,
 )
 from .frontend import gen_steane_prep
 from .ir import UNPULSED, Zone, layer_indices
@@ -231,7 +231,9 @@ def schedule(
     """Deterministic schedule of a zone-step program under the configured
     operation policy, starting from ``layout``'s sites; ``layout`` itself is
     left unchanged. ``layout`` must have been built for ``config``: the
-    geometry comes from one and the timings from the other."""
+    geometry comes from one and the timings from the other. A config whose
+    times overflow a float raises ``ValueError``: the makespan would be
+    infinite and the per-zone times NaN."""
     if layout.config != config:
         raise ScheduleError("layout was built for another machine config")
     n = program.num_qubits
@@ -252,6 +254,9 @@ def schedule(
         _schedule_zoned(sim, program)
 
     clock, since = sim.clock, sim.zone_since
+    if not clock < float("inf"):
+        raise ValueError(f"makespan is not finite ({clock} us): the machine config's "
+                         "times overflow")
     for q in range(n):  # charge each qubit's time since its last move
         bucket = sim.t_in if layout.qubits[q].zone is Zone.STORAGE else sim.t_out
         bucket[q] += clock - since.get(q, 0.0)
@@ -299,11 +304,11 @@ def _pulse_layers(sim: _Sim, pulsed, two_q: bool):
 
 
 def _pulse_in_place_layers(sim: _Sim, pulsed):
-    """Type 2's 1Q layers in the entangling zone: targets shuttle >12 um
-    clear of every other atom, pulse, and shuttle back."""
+    """Type 2's 1Q layers in the entangling zone: targets shuttle clear of
+    every other atom (``isolation_hop_us``), pulse, and shuttle back."""
     cfg = sim.config
     sites = sim.layout.qubits
-    hop = isolation_hop_um(cfg) / cfg.aod_speed_um_per_us
+    hop = isolation_hop_us(cfg)
     for qubits in pulsed:
         sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is Trap.SLM])
         sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
@@ -318,8 +323,7 @@ def _entangling_gates(sim: _Sim, gates, movers, layers):
     """Per dependency layer, shuttle the ``movers`` (one per gate, by
     position) onto their partners in one ``land_movers`` call, then fire one
     2Q pulse."""
-    cfg = sim.config
-    speed, dur = cfg.aod_speed_um_per_us, cfg.pulse_2q_us
+    dur = sim.config.pulse_2q_us
     emit, layout, clock = sim.emit, sim.layout, sim.clock
     for layer in layers:
         pairs, layer_movers, qubits = [], [], []  # the gates of one layer share no qubit
@@ -329,7 +333,7 @@ def _entangling_gates(sim: _Sim, gates, movers, layers):
             pairs.append((m, b if m == a else a))
             layer_movers.append(m)
             qubits += (a, b)
-        worst = land_movers(layout, pairs) / speed
+        worst = land_movers(layout, pairs)
         if worst > 0.0:
             layer_movers.sort()
             emit(EventKind.SHUTTLE, layer_movers, clock, worst)
@@ -350,9 +354,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     trap-transfer batch over ``handover`` and the qubits the AOD picks up
     from SLM traps overlaps one LOAD, STORE or READOUT_MOVE batch (by
     ``dest``) lasting the slowest member's travel; the clock advances by the
-    longer of the two. Every zone's slots mirror the storage block grid
-    one-to-one, so every qubit keeps its (row, col)."""
-    cfg = sim.config
+    longer of the two."""
     layout = sim.layout
     sites = layout.qubits
     slm = Trap.SLM
@@ -361,10 +363,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     if not qubits:
         sim.clock += window
         return
-    # Dividing by the positive speed keeps the order, so the slowest
-    # member's time is the longest distance's, to the bit.
-    travel = max(cfg.min_ld_st_us,
-                 max_crossing_distance_um(layout, qubits, dest) / cfg.aod_speed_um_per_us)
+    travel = crossing_time_us(layout, qubits, dest)
     sim.emit(_CROSSING[dest], qubits, sim.clock, travel)
     at = sim.clock = sim.clock + max(window, travel)
     # Charge each member's time since its last move to the zone it leaves.

@@ -11,10 +11,10 @@ from zonec.arch import (
     Policy,
     Trap,
     build_layout,
-    isolation_hop_um,
+    crossing_time_us,
+    isolation_hop_us,
     land_movers,
     load_config,
-    max_crossing_distance_um,
     validate_move,
 )
 from zonec.ir import Zone
@@ -197,18 +197,51 @@ class TestMoves:
         v = validate_move(lay, {0: (-1, 0)})
         assert v and v == MoveViolation(v.reason, (0,))
 
-    @given(st.integers(0, 6), st.integers(0, 6))
-    @settings(max_examples=30, deadline=None)
-    def test_crossing_distance_at_least_gap(self, r, c):
-        lay = build_layout(MachineConfig(), 4)
-        lay.qubits[0].row, lay.qubits[0].col = r, c
-        d = max_crossing_distance_um(lay, (0,), Zone.ENTANGLING)
-        assert d >= lay.config.zone_gap_um
+
+_SITES = st.lists(st.tuples(st.sampled_from([Zone.STORAGE, Zone.ENTANGLING]),
+                            st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=6)
+
+
+def _placed(sites):
+    """A default-machine layout with each qubit at its ``(zone, row, col)``."""
+    lay = build_layout(MachineConfig(), len(sites))
+    for s, (zone, row, col) in zip(lay.qubits, sites):
+        s.zone, s.row, s.col = zone, row, col
+    return lay
+
+
+class TestTravelTimeProperties:
+    @given(_SITES, st.sampled_from(list(Zone)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_crossing_is_its_slowest_member_floored(self, sites, dest, data):
+        # No qubit (an empty draw) gives the floor alone.
+        lay = _placed(sites)
+        qs = data.draw(st.lists(st.integers(0, len(sites) - 1), unique=True))
+        t = crossing_time_us(lay, qs, dest)
+        assert t >= lay.config.min_ld_st_us
+        assert t == max([crossing_time_us(lay, (q,), dest) for q in qs],
+                        default=lay.config.min_ld_st_us)
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.booleans(),
+                              st.integers(0, 40), st.integers(0, 40)), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_landing_is_free_exactly_when_no_mover_moves(self, pairs):
+        # Pair i is mover 2i at its own site (or on its partner's, if the
+        # flag is set) and partner 2i + 1.
+        sites = []
+        for prow, pcol, on_partner, mrow, mcol in pairs:
+            mover = (prow, pcol) if on_partner else (mrow, mcol)
+            sites += [(Zone.ENTANGLING, *mover), (Zone.ENTANGLING, prow, pcol)]
+        lay = _placed(sites or [(Zone.ENTANGLING, 0, 0)])
+        home = [(s.row, s.col) for s in lay.qubits]
+        t = land_movers(lay, [(2 * i, 2 * i + 1) for i in range(len(pairs))])
+        assert (t == 0.0) == all(home[2 * i] == home[2 * i + 1] for i in range(len(pairs)))
 
 
 class TestDistances:
     """Closed forms at the default geometry: 6 um storage pitch, 12 um
-    entangling pitch, a 20 um zone gap and 41 rows per zone."""
+    entangling pitch, a 20 um zone gap and 41 rows per zone, travelled at
+    0.55 um/us."""
 
     @staticmethod
     def _at(zone, row, col=0):
@@ -219,18 +252,18 @@ class TestDistances:
 
     @pytest.mark.parametrize("row", [0, 1, 7, 40])
     def test_readout_trip(self, row):
-        from_storage = max_crossing_distance_um(self._at(Zone.STORAGE, row), (0,), Zone.READOUT)
-        assert from_storage == 6 * row + 20 + 41 * 12 + 20
-        near = max_crossing_distance_um(self._at(Zone.ENTANGLING, row), (0,), Zone.READOUT)
-        assert near == 12 * row + 20
+        from_storage = crossing_time_us(self._at(Zone.STORAGE, row), (0,), Zone.READOUT)
+        assert from_storage == (6 * row + 20 + 41 * 12 + 20) / 0.55
+        near = crossing_time_us(self._at(Zone.ENTANGLING, row), (0,), Zone.READOUT)
+        assert near == (12 * row + 20) / 0.55
 
     @pytest.mark.parametrize("row, col", [(0, 0), (3, 0), (2, 5), (40, 40)])
     def test_crossing_keeps_row_and_column(self, row, col):
         # Storage (row, col) to entangling (row, col): the x offset is the
         # pitch difference, the y span both rows plus the gap.
-        up = max_crossing_distance_um(self._at(Zone.STORAGE, row, col), (0,), Zone.ENTANGLING)
-        down = max_crossing_distance_um(self._at(Zone.ENTANGLING, row, col), (0,), Zone.STORAGE)
-        assert up == down == math.hypot(6 * col, 18 * row + 20)
+        up = crossing_time_us(self._at(Zone.STORAGE, row, col), (0,), Zone.ENTANGLING)
+        down = crossing_time_us(self._at(Zone.ENTANGLING, row, col), (0,), Zone.STORAGE)
+        assert up == down == math.hypot(6 * col, 18 * row + 20) / 0.55
 
     def _pair(self):
         """Qubit 0 at entangling (1, 2), qubit 1 at entangling (4, 6): a
@@ -244,7 +277,7 @@ class TestDistances:
     def test_mover_lands_on_partner(self, mover, partner):
         lay = self._pair()
         stays = (lay.qubits[partner].row, lay.qubits[partner].col)
-        assert land_movers(lay, [(mover, partner)]) == 60.0
+        assert land_movers(lay, [(mover, partner)]) == 60 / 0.55
         m, p = lay.qubits[mover], lay.qubits[partner]
         assert (m.row, m.col) == (p.row, p.col) == stays
         assert m.zone is p.zone is Zone.ENTANGLING
@@ -255,10 +288,11 @@ class TestDistances:
         for q, (row, col) in enumerate([(0, 0), (0, 1), (5, 5), (8, 9)]):
             s = lay.qubits[q]
             s.zone, s.row, s.col = Zone.ENTANGLING, row, col
-        assert land_movers(lay, [(0, 1), (3, 2)]) == 60.0  # 12 um against 60 um
+        assert land_movers(lay, [(0, 1), (3, 2)]) == 60 / 0.55  # 12 um against 60 um
         assert [(s.row, s.col) for s in lay.qubits] == [(0, 1), (0, 1), (5, 5), (5, 5)]
         assert land_movers(lay, []) == 0.0
 
     def test_isolation_hop(self):
-        assert isolation_hop_um(MachineConfig()) == 24.0
-        assert isolation_hop_um(MachineConfig(pitch_entangling_um=15.0)) == 30.0
+        assert isolation_hop_us(MachineConfig()) == 24 / 0.55
+        assert isolation_hop_us(MachineConfig(pitch_entangling_um=15.0)) == 30 / 0.55
+        assert isolation_hop_us(MachineConfig(aod_speed_um_per_us=2.0)) == 12.0

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 import zonec.cli as cli_module
 from zonec.cli import cli
-from zonec.cost import format_value, run
+from zonec.cost import REPORT_KEYS, format_value, run
 from zonec.frontend import CHAINS, BenchmarkSpec, gen_ghz
 from zonec.rewrite import MODES
 
@@ -49,6 +49,27 @@ class TestCompile:
         assert "n_1q = 79" in r.stdout
         assert "n_2q = 39" in r.stdout
         assert "n_physical = 826" in r.stdout
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("swaps, slots", [
+        ("swap q[0],q[2];\n", "slots = 2,1,0\n"),
+        ("swap q[0],q[2];\nswap q[2],q[0];\n", None),  # the SWAPs cancel
+        ("", None),
+    ])
+    def test_swap_relabelling_is_reported(self, runner, tmp_path, mode, swaps, slots):
+        # The relabelled program runs CZ(0,1) for `cx q[2],q[1]`; the slots
+        # line says where each written qubit's state ends.
+        path = tmp_path / "swap.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[3];\nh q[0];\n" + swaps + "cx q[2],q[1];\n")
+        human = runner.invoke(cli, ["compile", "--qasm", str(path), "--mode", mode])
+        steps = runner.invoke(cli, ["compile", "--qasm", str(path), "--mode", mode,
+                                    "--format", "steps"])
+        assert human.exit_code == steps.exit_code == 0
+        lines = human.stdout.splitlines(keepends=True)
+        assert [ln for ln in lines if ln.startswith("slots")] == ([slots] if slots else [])
+        assert "slots" not in steps.stdout
+        if slots:
+            assert "CZ(0,1)" in human.stdout
 
 
 class TestSimulate:
@@ -104,6 +125,24 @@ class TestSimulate:
         r = runner.invoke(cli, ["simulate", "--bench", "ghz:4", "--config", str(cfg)])
         assert r.exit_code == 2
         assert f"line 1: bad value for '{key}'" in r.stderr
+
+    @pytest.mark.parametrize("line", ["aod_speed_um_per_us = 1e-320",
+                                      "trap_transfer_time_us = 1e308",
+                                      "pulse_2q_us = 1e308", "zone_gap_um = 1e308"])
+    def test_overflowing_schedule_is_input_error(self, runner, tmp_path, line):
+        # Each value is finite, but the clock overflows to inf, and inf - inf
+        # in the per-zone times once printed fidelity = nan with exit 0.
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(line + "\n")
+        r = runner.invoke(cli, ["simulate", "--bench", "ghz:4", "--config", str(cfg)])
+        assert (r.exit_code, r.stdout) == (2, "")
+        assert r.stderr == ("error: makespan is not finite (inf us): the machine "
+                            "config's times overflow\n")
+        r = runner.invoke(cli, ["sweep", "--bench", "ghz:{n}", "--axis", "n=4",
+                                "--config", str(cfg)])
+        assert r.exit_code == 0
+        failed = ",".join(["4", "mantra"] + ["failed"] * len(REPORT_KEYS))
+        assert r.stdout.splitlines()[1:] == [failed]
 
     @pytest.mark.parametrize("command", ["compile", "simulate"])
     @pytest.mark.parametrize("mode", MODES)

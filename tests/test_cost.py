@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dataclasses import fields, replace
 
-from zonec.arch import AtomLayout, MachineConfig, Policy, max_crossing_distance_um
+from zonec.arch import AtomLayout, MachineConfig, Policy, crossing_time_us
 from zonec.cost import (
     CATEGORIES,
     REPORT_KEYS,
@@ -430,16 +430,13 @@ class TestRunInvariants:
             assert [c[:3] for c in crossings] == [
                 (e.kind, e.qubits, e.duration_us) for e in tl.events if e.kind in _CROSSING_DEST
             ]
-            speed = cfg.aod_speed_um_per_us
             for kind, qubits, dur, sites in crossings:
                 dest = _CROSSING_DEST[kind]
-                assert dur == max(cfg.min_ld_st_us,
-                                  *(max_crossing_distance_um(sites, (q,), dest) / speed
-                                    for q in qubits))
+                assert dur == max(crossing_time_us(sites, (q,), dest) for q in qubits)
             # The zone steppers keep each qubit's gates, MEASURE included, in
             # the order of the circuit they step (CX written as H CZ H).
             if isinstance(source, Circuit):
-                lowered = _expand_cx(_lower(source, options))
+                lowered = _expand_cx(_lower(source, options)[0])
                 assert _per_qubit(r.flat) == _per_qubit(lowered)
             for q in range(tl.num_qubits):
                 assert tl.t_in_us[q] + tl.t_out_us[q] == pytest.approx(makespan, rel=1e-9)

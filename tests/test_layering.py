@@ -101,10 +101,12 @@ def test_numpy_has_one_home(path):
     assert not stray, sorted(stray)
 
 
-# Only arch knows the machine's geometry: the scheduler charges travel through
-# arch's distance functions and plans no AOD legs of its own, so a change to
-# where atoms sit or how far they travel touches arch alone.
-GEOMETRY_FIELDS = {"zone_gap_um", "array_rows", "pitch_entangling_um", "pitch_storage_um"}
+# Only arch knows the machine's geometry and how fast atoms move: the scheduler
+# charges the travel times arch's functions return, names no length or speed,
+# and plans no AOD legs of its own, so a change to where atoms sit, how far
+# they travel or how fast touches arch alone.
+GEOMETRY_FIELDS = {"zone_gap_um", "array_rows", "pitch_entangling_um", "pitch_storage_um",
+                   "aod_speed_um_per_us"}
 AOD_MOVE_HELPERS = {"validate_move"}
 
 
@@ -117,7 +119,8 @@ def test_scheduler_leaves_geometry_to_arch():
     used |= {n.id for n in nodes if isinstance(n, ast.Name)}
     used |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     assert "math" not in imported
-    assert not {u for u in used if u in GEOMETRY_FIELDS or u.startswith("pitch_")}
+    assert not {u for u in used | imported
+                if u in GEOMETRY_FIELDS or u.startswith("pitch_") or u.endswith("_um")}
     assert not (imported | used) & AOD_MOVE_HELPERS
 
 

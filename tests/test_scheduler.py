@@ -9,9 +9,9 @@ from zonec.arch import (
     Policy,
     Trap,
     build_layout,
-    isolation_hop_um,
+    crossing_time_us,
+    isolation_hop_us,
     land_movers,
-    max_crossing_distance_um,
 )
 from zonec.frontend import gen_ghz, parse_benchmark
 from zonec.ir import NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
@@ -255,14 +255,13 @@ class _ReferenceSim:
             self.clock += dur
 
     def cross(self, qubits, dest, handover=()):
-        cfg, sites = self.config, self.layout.qubits
+        sites = self.layout.qubits
         pickups = [q for q in qubits if sites[q].trap is Trap.SLM]
         window = self.transfer_batch(sorted([*handover, *pickups]) if handover else pickups)
         if not qubits:
             self.clock += window
             return
-        travel = max(cfg.min_ld_st_us, max_crossing_distance_um(self.layout, qubits, dest)
-                     / cfg.aod_speed_um_per_us)
+        travel = crossing_time_us(self.layout, qubits, dest)
         kind = {Zone.ENTANGLING: EventKind.LOAD, Zone.STORAGE: EventKind.STORE,
                 Zone.READOUT: EventKind.READOUT_MOVE}[dest]
         self.emit(kind, qubits, self.clock, travel)
@@ -323,7 +322,7 @@ def _reference_schedule(program, layout, config):
                 sim.cross(used, Zone.READOUT)
                 sim.readout(used)
             elif step.zone is Zone.STORAGE and loaded:
-                hop = isolation_hop_um(config) / config.aod_speed_um_per_us
+                hop = isolation_hop_us(config)
                 for qubits in _reference_pulsed_layers(gates, layers):
                     sim.clock += sim.transfer_batch(
                         [q for q in qubits if sites[q].trap is Trap.SLM])
@@ -362,7 +361,7 @@ def _reference_schedule(program, layout, config):
                 sim.clock += sim.transfer_batch(handover(arriving))
                 for layer in layers:
                     pairs = [(movers[i], sum(gates[i].qubits) - movers[i]) for i in layer]
-                    worst = land_movers(layout, pairs) / config.aod_speed_um_per_us
+                    worst = land_movers(layout, pairs)
                     if worst > 0.0:
                         sim.emit(EventKind.SHUTTLE, sorted(movers[i] for i in layer),
                                  sim.clock, worst)
