@@ -50,7 +50,7 @@ def _fidelity(f):
 
 
 @click.command()
-@click.option("--seed", type=int, default=10, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--policy", type=click.Choice([p.value for p in Policy]),
               default="type1", show_default=True)
 def main(seed, policy):

@@ -14,9 +14,8 @@ import click
 from .arch import LayoutError, MachineConfig, Policy, build_layout, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, format_value, run
 from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
-from .ir import CircuitError, GateKind
+from .ir import GateKind
 from .rewrite import MODES, PROTOCOLS, PipelineOptions
-from .scheduler import ScheduleError
 
 EXIT_USAGE = 1
 EXIT_INPUT = 2
@@ -24,12 +23,13 @@ EXIT_CAPACITY = 3
 
 
 # What a bad input, a bad config or a program the machine cannot hold
-# raises; ConfigError, LayoutError and ParseError are ValueErrors.
-_ERRORS = (OSError, CircuitError, ValueError, ScheduleError)
+# raises; CircuitError, ConfigError, LayoutError and ParseError are
+# ValueErrors.
+_ERRORS = (OSError, ValueError)
 
 
 def _exit_code(e: Exception) -> int:
-    return EXIT_CAPACITY if isinstance(e, (LayoutError, ScheduleError)) else EXIT_INPUT
+    return EXIT_CAPACITY if isinstance(e, LayoutError) else EXIT_INPUT
 
 
 def _fail(code: int, message: str):
@@ -88,7 +88,7 @@ _MACHINE = [
                  default=None, help="operation policy (default: config file or type1)"),
     click.option("--config", "config_path", type=click.Path(),
                  envvar="ZONEC_CONFIG", help="machine config file"),
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
     click.option("--x-basis", is_flag=True, help="absorb leading/trailing "
                  "basis changes into preparation and readout"),
     click.option("--protocol", type=click.Choice(PROTOCOLS),

@@ -268,7 +268,7 @@ def run(
 ) -> Result:
     """Compile a circuit or Pauli-term file, lay it out, schedule it and cost
     the schedule. Compile errors are ``CircuitError``/``ValueError``; a
-    program the machine cannot hold raises ``LayoutError``/``ScheduleError``."""
+    program the machine cannot hold raises ``LayoutError``."""
     program = mantra_pipeline(source, options)
     timeline = schedule(program, build_layout(config, program.num_qubits), config)
     loads, stores = count_ld_st(timeline)

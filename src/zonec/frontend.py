@@ -8,7 +8,9 @@ import ast
 import math
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .ir import ARITY, NUM_PARAMS, Circuit, CircuitError, Gate, GateKind, PauliTerm, PauliTermFile
 
@@ -463,38 +465,22 @@ MAX_BENCH_GATES = 1_000_000
 class BenchmarkSpec:
     family: str
     num_qubits: int
-    chain: str = "fountain"
-    layers: int = 1
-    num_terms: int = 10
-    seed: int = 0
+    estimate: int  # gates before lowering
+    build: Callable[[], Circuit | PauliTermFile]  # the bound generator call
 
     def materialize(self):
         """Return a Circuit or PauliTermFile for this spec; ValueError if its
         gate estimate exceeds ``MAX_BENCH_GATES``."""
-        n = self.num_qubits
-        if self.family == "ghz":
-            estimate = 3 * n
-        elif self.family == "ucc":
-            estimate = 4 * n * self.num_terms + n
-        else:
-            estimate = 2 * n + self.layers * (n * (n - 1) // 2 + n)
-        if estimate > MAX_BENCH_GATES:
+        if self.estimate > MAX_BENCH_GATES:
             raise ValueError(
-                f"{self.family} benchmark on {n} qubits has about {estimate} gates, "
-                f"above the cap of {MAX_BENCH_GATES}"
+                f"{self.family} benchmark on {self.num_qubits} qubits has about "
+                f"{self.estimate} gates, above the cap of {MAX_BENCH_GATES}"
             )
-        if self.family == "ghz":
-            return gen_ghz(self.num_qubits, self.chain)
-        if self.family == "ucc":
-            return gen_ucc_random(self.num_qubits, self.num_terms, self.seed)
-        gammas, betas = qaoa_angles(self.layers, self.seed)
-        if self.family in ("qaoa-sk", "po"):
-            return gen_qaoa(complete_graph(self.num_qubits), self.layers, gammas, betas)
-        if self.family == "qaoa-pl":
-            return gen_qaoa(
-                power_law_graph(self.num_qubits, self.seed), self.layers, gammas, betas
-            )
-        raise ValueError(f"unknown benchmark family {self.family!r}")
+        return self.build()
+
+
+def _gen_qaoa_benchmark(graph: Callable[[], Graph], layers: int, seed: int) -> Circuit:
+    return gen_qaoa(graph(), layers, *qaoa_angles(layers, seed))
 
 
 def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
@@ -527,13 +513,16 @@ def parse_benchmark(text: str, seed: int = 0) -> BenchmarkSpec:
         chain = parts[2] if len(parts) > 2 else "fountain"
         if chain not in CHAINS:
             raise ValueError(f"unknown chain {chain!r}")
-        return BenchmarkSpec(family, n, chain=chain, seed=seed)
+        return BenchmarkSpec(family, n, 3 * n, partial(gen_ghz, n, chain))
     if family == "ucc":
         terms = field(2, "term count") if len(parts) > 2 else 10
         if terms < 0:
             raise ValueError(f"benchmark {text!r} needs a non-negative term count")
-        return BenchmarkSpec(family, n, num_terms=terms, seed=seed)
+        return BenchmarkSpec(family, n, 4 * n * terms + n,
+                             partial(gen_ucc_random, n, terms, seed))
     layers = field(2, "layer count") if len(parts) > 2 else 1
     if layers < 1:
         raise ValueError(f"benchmark {text!r} needs at least one layer")
-    return BenchmarkSpec(family, n, layers=layers, seed=seed)
+    graph = partial(power_law_graph, n, seed) if family == "qaoa-pl" else partial(complete_graph, n)
+    return BenchmarkSpec(family, n, 2 * n + layers * (n * (n - 1) // 2 + n),
+                         partial(_gen_qaoa_benchmark, graph, layers, seed))

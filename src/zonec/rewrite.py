@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .ir import (
     GATE_ZONE,
     Circuit,
+    CircuitError,
     Gate,
     GateKind,
     PauliTerm,
@@ -37,14 +38,6 @@ class ZoneStep:
     zone: Zone
     gates: tuple[Gate, ...]
 
-    def __post_init__(self):
-        for g in self.gates:
-            if g.zone is not self.zone:
-                raise ValueError(
-                    f"{g.kind.value} (zone {g.zone.value}) in a "
-                    f"{self.zone.value} step"
-                )
-
 
 @dataclass(frozen=True)
 class ZoneStepProgram:
@@ -57,9 +50,22 @@ class ZoneStepProgram:
     slots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a.zone is b.zone:
+        """One walk over the steps: adjacent steps differ in zone, and each
+        gate runs in its step's zone on an operand of the register."""
+        n = self.num_qubits
+        last = None
+        for step in self.steps:
+            zone = step.zone
+            if zone is last:
                 raise ValueError("adjacent steps share a zone (not maximally merged)")
+            last = zone
+            for kind, qubits, _ in step.gates:
+                if GATE_ZONE[kind] is not zone:
+                    raise ValueError(f"{kind.value} (zone {GATE_ZONE[kind].value}) "
+                                     f"in a {zone.value} step")
+                for q in qubits:
+                    if not 0 <= q < n:
+                        raise CircuitError(f"operand q[{q}] out of range for {n} qubits")
 
     def flatten(self) -> Circuit:
         gates = tuple(g for step in self.steps for g in step.gates)
@@ -603,7 +609,7 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
         # Basis absorption is only sound at program start; never per term.
         term_options = PipelineOptions(options.mode, options.protocol, x_basis=False)
         # Each term's raw steps are concatenated and merged once, so every
-        # ZoneStep is built and checked once.
+        # ZoneStep is built once and the program checks its gates once.
         raw: list[tuple[Zone, list[Gate]]] = []
         for term in source.terms:
             if term.weight == 0:

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .arch import (
     AtomLayout,
+    LayoutError,
     MachineConfig,
     Policy,
     Trap,
@@ -94,10 +95,6 @@ def count_ld_st(timeline: Timeline) -> tuple[int, int]:
         elif kind is store:
             stores += 1
     return loads, stores
-
-
-class ScheduleError(RuntimeError):
-    pass
 
 
 def _pulse_pattern(gates) -> tuple[tuple[bool, bool], ...]:
@@ -235,10 +232,10 @@ def schedule(
     times overflow a float raises ``ValueError``: the makespan would be
     infinite and the per-zone times NaN."""
     if layout.config != config:
-        raise ScheduleError("layout was built for another machine config")
+        raise LayoutError("layout was built for another machine config")
     n = program.num_qubits
     if n > len(layout.qubits):
-        raise ScheduleError(
+        raise LayoutError(
             f"program uses {n} logical qubits, layout holds {len(layout.qubits)}"
         )
     layout = AtomLayout(layout.config, [replace(s) for s in layout.qubits])

@@ -292,6 +292,19 @@ class TestExitCodeMap:
         r = runner.invoke(cli, [command, "--bench", spec])
         assert (r.exit_code, r.stdout) == (2, "")
 
+    @pytest.mark.parametrize("command, inputs", [
+        ("compile", ["--bench", "ghz:4"]), ("simulate", ["--bench", "ucc:4:2"]),
+        ("sweep", SWEEP),
+    ])
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys, command, inputs):
+        # The message names the option, not the generator that would fail.
+        monkeypatch.setattr(sys, "argv", ["zonec", command, *inputs, "--seed", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            cli_module.main()
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert "'--seed'" in err
+
     def test_sweep_unknown_mode(self, runner):
         r = runner.invoke(cli, ["sweep", *self.SWEEP, "--modes", "mantra,fast"])
         assert (r.exit_code, r.stdout) == (1, "")

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from zonec.frontend import (
     MAX_BENCH_GATES,
-    BenchmarkSpec,
     Graph,
     ParseError,
     PauliTermFile,
@@ -566,7 +565,8 @@ class TestSteane:
 class TestBenchmarkSpec:
     def test_ghz_spec(self):
         spec = parse_benchmark("ghz:80:fountain")
-        assert (spec.family, spec.num_qubits, spec.chain) == ("ghz", 80, "fountain")
+        assert (spec.family, spec.num_qubits) == ("ghz", 80)
+        assert spec.materialize() == gen_ghz(80, "fountain")
 
     def test_ucc_spec(self):
         spec = parse_benchmark("ucc:15:10", seed=7)
@@ -577,6 +577,21 @@ class TestBenchmarkSpec:
     def test_qaoa_spec(self):
         c = parse_benchmark("qaoa-sk:6:2", seed=1).materialize()
         assert c.num_qubits == 6
+
+    @pytest.mark.parametrize("text, seed, generate", [
+        ("ghz:6", 0, lambda: gen_ghz(6, "fountain")),
+        ("ghz:6:path", 0, lambda: gen_ghz(6, "path")),
+        ("ucc:5", 3, lambda: gen_ucc_random(5, 10, 3)),
+        ("ucc:5:4", 7, lambda: gen_ucc_random(5, 4, 7)),
+        ("qaoa-sk:5", 2, lambda: gen_qaoa(complete_graph(5), 1, *qaoa_angles(1, 2))),
+        ("qaoa-sk:5:3", 4, lambda: gen_qaoa(complete_graph(5), 3, *qaoa_angles(3, 4))),
+        ("qaoa-pl:9", 5, lambda: gen_qaoa(power_law_graph(9, 5), 1, *qaoa_angles(1, 5))),
+        ("qaoa-pl:9:2", 6, lambda: gen_qaoa(power_law_graph(9, 6), 2, *qaoa_angles(2, 6))),
+        ("po:4", 1, lambda: gen_qaoa(complete_graph(4), 1, *qaoa_angles(1, 1))),
+        ("po:4:2", 8, lambda: gen_qaoa(complete_graph(4), 2, *qaoa_angles(2, 8))),
+    ])
+    def test_materialize_is_the_generator_call(self, text, seed, generate):
+        assert parse_benchmark(text, seed=seed).materialize() == generate()
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -609,7 +624,7 @@ class TestBenchmarkSpec:
         # ucc:2:<t> estimates 4 * 2 * t + 2 gates: one term over the cap here.
         terms = (MAX_BENCH_GATES - 2) // 8 + 1
         with pytest.raises(ValueError, match="above the cap"):
-            BenchmarkSpec("ucc", 2, num_terms=terms).materialize()
+            parse_benchmark(f"ucc:2:{terms}").materialize()
 
     def test_cap_admits_the_largest_spec_in_use(self):
         pf = parse_benchmark("ucc:60:800").materialize()

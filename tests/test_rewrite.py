@@ -910,7 +910,7 @@ class TestZoneSteps:
 
     def test_gate_zone_must_match_step(self):
         with pytest.raises(Exception):
-            ZoneStep(Zone.ENTANGLING, (Gate(GateKind.H, (0,)),))
+            ZoneStepProgram(1, (ZoneStep(Zone.ENTANGLING, (Gate(GateKind.H, (0,)),)),))
 
     def test_parallel_ghz7_alignment(self):
         c = gen_ghz(7, chain="parallel")

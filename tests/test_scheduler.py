@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from zonec.arch import (
     AtomLayout,
+    LayoutError,
     MachineConfig,
     Policy,
     Trap,
@@ -14,7 +15,16 @@ from zonec.arch import (
     land_movers,
 )
 from zonec.frontend import gen_ghz, parse_benchmark
-from zonec.ir import NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
+from zonec.ir import (
+    NUM_PARAMS,
+    UNPULSED,
+    Circuit,
+    CircuitError,
+    Gate,
+    GateKind,
+    Zone,
+    layer_indices,
+)
 from zonec.rewrite import (
     MODES,
     PipelineOptions,
@@ -26,7 +36,6 @@ from zonec.rewrite import (
 from zonec.scheduler import (
     Event,
     EventKind,
-    ScheduleError,
     Timeline,
     _STEANE_PREP_LAYERS,
     _pulsed_layers,
@@ -140,7 +149,7 @@ class TestTimelineInvariants:
     def test_capacity_mismatch_raises(self):
         prog = mantra_pipeline(gen_ghz(6), PipelineOptions())
         cfg = MachineConfig()
-        with pytest.raises(ScheduleError):
+        with pytest.raises(LayoutError):
             schedule(prog, build_layout(cfg, 4), cfg)
 
     @pytest.mark.parametrize("other", [
@@ -152,8 +161,21 @@ class TestTimelineInvariants:
         # scheduler's: a zone gap of 20 um in one and 40 um in the other gave
         # a makespan that matched neither machine.
         prog = mantra_pipeline(gen_ghz(4), PipelineOptions())
-        with pytest.raises(ScheduleError, match="another machine config"):
+        with pytest.raises(LayoutError, match="another machine config"):
             schedule(prog, build_layout(MachineConfig(), prog.num_qubits), other)
+
+    @pytest.mark.parametrize("step, sites", [
+        (ZoneStep(Zone.ENTANGLING, (Gate(GateKind.CZ, (0, 5)),)), 2),
+        (ZoneStep(Zone.ENTANGLING, (Gate(GateKind.CZ, (0, 5)),)), 8),
+        (ZoneStep(Zone.STORAGE, (Gate(GateKind.H, (7,)),)), 8),
+    ])
+    def test_operand_out_of_range_raises(self, step, sites):
+        # A 2-qubit program naming qubit 5 or 7, on a layout with or without
+        # that site: the program itself is rejected, before any scheduling.
+        cfg = MachineConfig()
+        layout = build_layout(cfg, sites)
+        with pytest.raises(CircuitError, match=r"^operand q\[\d\] out of range for 2 qubits$"):
+            schedule(ZoneStepProgram(2, (step,)), layout, cfg)
 
     def test_readout_imaged_once(self):
         tl, cfg = compile_and_schedule(gen_ghz(10, chain="path"), mode="standard")
@@ -418,6 +440,15 @@ def test_schedule_matches_reference(program, policy):
     cfg = replace(MachineConfig(), policy=policy)
     layout = build_layout(cfg, program.num_qubits)
     assert schedule(program, layout, cfg) == _reference_schedule(program, layout, cfg)
+
+
+@given(zone_step_programs(), st.sampled_from(list(Policy)))
+@settings(max_examples=100, deadline=None)
+def test_events_name_only_program_qubits(program, policy):
+    # The layout holds more sites than the program has qubits.
+    cfg = replace(MachineConfig(), policy=policy)
+    timeline = schedule(program, build_layout(cfg, program.num_qubits + 2), cfg)
+    assert all(q < program.num_qubits for e in timeline.events for q in e.qubits)
 
 
 class TestPolicies:
