@@ -268,9 +268,11 @@ def run(
 ) -> Result:
     """Compile a circuit or Pauli-term file, lay it out, schedule it and cost
     the schedule. Compile errors are ``CircuitError``/``ValueError``; a
-    program the machine cannot hold raises ``LayoutError``."""
+    program the machine cannot hold raises ``LayoutError``, before any
+    compile work."""
+    layout = build_layout(config, source.num_qubits)
     program = mantra_pipeline(source, options)
-    timeline = schedule(program, build_layout(config, program.num_qubits), config)
+    timeline = schedule(program, layout, config)
     loads, stores = count_ld_st(timeline)
     flat = program.flatten()
     return Result(

@@ -51,8 +51,11 @@ class ZoneStepProgram:
 
     def __post_init__(self):
         """One walk over the steps: adjacent steps differ in zone, and each
-        gate runs in its step's zone on an operand of the register."""
+        gate runs in its step's zone on an operand of the register, which
+        holds at least one qubit, as a ``Circuit``'s does."""
         n = self.num_qubits
+        if n < 1:
+            raise CircuitError("circuit needs at least one qubit")
         last = None
         for step in self.steps:
             zone = step.zone
@@ -104,12 +107,18 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
 
     The fold comes first because H-pair cancellation would break lowered
     idioms apart: back-to-back idioms on one target share an H(t) H(t) seam,
-    and once it is cancelled the lowered pattern no longer matches.
+    and once it is cancelled the lowered pattern no longer matches. Every
+    idiom holds a CX or a CZ, so the fold runs on a circuit that holds one,
+    as in ``substitute_rzz``.
     """
-    if not any(g.kind is GateKind.CX for g in circuit.gates):
+    kinds = {g.kind for g in circuit.gates}
+    if GateKind.CX not in kinds and GateKind.CZ not in kinds:
         return circuit
+    folded = _fold_zz_idioms(circuit)
+    if len(folded) == len(circuit.gates) and GateKind.CX not in kinds:
+        return circuit  # every fold drops gates, so none was made
     gates: list[Gate] = []
-    for g in _fold_zz_idioms(circuit):
+    for g in folded:
         if g.kind is GateKind.CX:
             c, t = g.qubits
             h = Gate(GateKind.H, (t,))  # gates are immutable, so one serves twice
@@ -590,34 +599,32 @@ class PipelineOptions:
 def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> ZoneStepProgram:
     """Full rewriting pipeline to a zone-step program.
 
-    mantra:   fountain synthesis (Pauli inputs), ZZ-idiom folding and CX
-              lowering, H-pair cancellation, native ZZ substitution, SWAP
-              relabelling, preemptive alignment.
-    standard: path synthesis, RZZ->CX RZ CX, SWAP relabelling, CX lowering,
-              per-dependency-layer zone stepping with no hoisting.
+    A circuit runs every pass. mantra: ZZ-idiom folding and CX lowering,
+    H-pair cancellation, native ZZ substitution, SWAP relabelling,
+    preemptive alignment. standard: RZZ->CX RZ CX, SWAP relabelling, CX
+    lowering, per-dependency-layer zone stepping with no hoisting. A gate
+    after its qubit's MEASURE raises ``ValueError`` before any pass runs.
 
-    Pauli-term files are compiled term by term (per-string execution); the
-    per-term step sequences are concatenated with same-zone seams merged.
-    A circuit with a gate after its qubit's MEASURE raises ``ValueError``
-    in either mode, before any pass runs.
+    A Pauli-term file compiles term by term (per-string execution), seams
+    merged, then one readout step. A synthesised term is already lowered,
+    so mantra runs only native ZZ substitution on a fountain before
+    alignment, and standard steps a path as synthesised.
     """
-    if options.mode == "mantra":
-        synth, raw_steps = synth_pauli_fountain, _aligned_raw
-    else:
-        synth, raw_steps = synth_pauli_path, _layered_raw
     if isinstance(source, PauliTermFile):
-        # Basis absorption is only sound at program start; never per term.
-        term_options = PipelineOptions(options.mode, options.protocol, x_basis=False)
         # Each term's raw steps are concatenated and merged once, so every
         # ZoneStep is built once and the program checks its gates once.
         raw: list[tuple[Zone, list[Gate]]] = []
         for term in source.terms:
             if term.weight == 0:
                 continue
-            raw += raw_steps(_lower(synth(term), term_options)[0])
+            if options.mode == "mantra":
+                raw += _aligned_raw(substitute_rzz(synth_pauli_fountain(term), options.protocol))
+            else:
+                raw += _layered_raw(synth_pauli_path(term))
         n = source.num_qubits
         raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
+    raw_steps = _aligned_raw if options.mode == "mantra" else _layered_raw
     _check_readout(source)
     c, slots = _lower(source, options)
     return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis, slots)

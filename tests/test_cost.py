@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dataclasses import fields, replace
 
-from zonec.arch import AtomLayout, MachineConfig, Policy, crossing_time_us
+from zonec.arch import AtomLayout, LayoutError, MachineConfig, Policy, crossing_time_us
 from zonec.cost import (
     CATEGORIES,
     REPORT_KEYS,
@@ -262,6 +262,16 @@ class TestRun:
         assert r.record == report_record(
             r.breakdown, fidelity(r.timeline, r.flat, cfg), r.loads, r.stores
         )
+
+    def test_oversized_register_fails_before_compiling(self):
+        # Compiling a 10^8-qubit register takes seconds; the capacity check
+        # needs only its size.
+        def no_compile(*args):
+            raise AssertionError("the input was compiled before the capacity check")
+
+        with mock.patch("zonec.cost.mantra_pipeline", no_compile):
+            with pytest.raises(LayoutError, match="capacity exceeded"):
+                run(Circuit(10**8, (Gate(GateKind.H, (0,)),)))
 
     def test_type1_transfers_charged_once(self):
         # The residents' hand-over and the AOD pickup of the incoming qubit

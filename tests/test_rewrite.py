@@ -8,7 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from zonec import rewrite
 from zonec.frontend import gen_ghz, parse_benchmark
-from zonec.ir import ARITY, NUM_PARAMS, Circuit, Gate, GateKind, PauliTerm, Zone
+from zonec.ir import (
+    ARITY,
+    NUM_PARAMS,
+    Circuit,
+    CircuitError,
+    Gate,
+    GateKind,
+    PauliTerm,
+    PauliTermFile,
+    Zone,
+)
 from zonec.oracle import (
     adiabatic_matrix,
     cphase_matrix,
@@ -38,7 +48,7 @@ from zonec.rewrite import (
     synth_pauli_fountain,
     synth_pauli_path,
 )
-from zonec.rewrite import _check_readout, _fold_zz_idioms, _merge_steps
+from zonec.rewrite import _check_readout, _fold_zz_idioms, _lower, _merge_steps
 
 
 def random_term(rng, n):
@@ -578,6 +588,18 @@ class TestFoldBeforeLowering:
                   synth_pauli_fountain(PauliTerm("XZYZ", 0.3))):
             assert lower_cx_to_cz(c) is c
 
+    def test_cx_free_back_to_back_lowered_idioms_fold(self):
+        # The two idioms share the H(0) H(0) seam that H-pair cancellation
+        # removes; both fold, with no CX anywhere in the circuit.
+        idiom = (_h(0), _cz(1, 0), _h(0), _rz(0, 0.3), _h(0), _cz(1, 0), _h(0))
+        c = Circuit(4, idiom * 2)
+        assert [g.kind for g in lower_cx_to_cz(c).gates] == [GateKind.RZZ] * 2
+        program = mantra_pipeline(c)
+        assert len(program.steps) == 1
+        native = [g for g in program.steps[0].gates if g.kind in (GateKind.AD, GateKind.LP)]
+        assert len(native) == 4
+        assert_equiv(c, program.flatten())
+
     @given(planted_both_form_circuits())
     @settings(max_examples=300, deadline=None)
     def test_fold_equals_reference(self, c):
@@ -674,13 +696,18 @@ class TestPauliSynthesis:
         fountain = synth_pauli_fountain(term)
         assert fountain == _fountain_reference(term)
         assert cancel_hadamard_pairs(fountain) is fountain
+        # So no CX, SWAP or RZZ lowering pass can change a fountain.
+        assert not {g.kind for g in fountain.gates} & {GateKind.CX, GateKind.SWAP, GateKind.RZZ}
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_fountain_matches_path(self, seed):
         rng = random.Random(seed)
         t = random_term(rng, rng.randint(2, 6))
-        assert_equiv(synth_pauli_fountain(t), synth_pauli_path(t))
+        path = synth_pauli_path(t)
+        # So no RZZ or SWAP lowering pass can change a path.
+        assert not {g.kind for g in path.gates} & {GateKind.RZZ, GateKind.SWAP}
+        assert_equiv(synth_pauli_fountain(t), path)
 
     def test_fountain_has_single_moving_qubit(self):
         t = PauliTerm("ZZZZ", 0.5)
@@ -908,6 +935,11 @@ class TestZoneSteps:
                 ),
             )
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_register_needs_a_qubit(self, n):
+        with pytest.raises(CircuitError, match="circuit needs at least one qubit"):
+            ZoneStepProgram(n, ())
+
     def test_gate_zone_must_match_step(self):
         with pytest.raises(Exception):
             ZoneStepProgram(1, (ZoneStep(Zone.ENTANGLING, (Gate(GateKind.H, (0,)),)),))
@@ -946,12 +978,41 @@ class TestXBasisAbsorption:
         )
 
 
+@st.composite
+def pauli_files(draw):
+    """2-6 qubits and 0-6 terms, identity terms included."""
+    n = draw(st.integers(2, 6))
+    labels = st.text("IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.builds(PauliTerm, labels, _angles), max_size=6))
+    return PauliTermFile(n, tuple(terms))
+
+
+def _pauli_pipeline_reference(source, mode, protocol):
+    """Each non-identity term through every pass of the circuit path, with
+    no x-basis absorption, stepped; the steps concatenated and merged, and
+    one readout step measuring every qubit."""
+    synth, steps = ((synth_pauli_fountain, align_zone_steps) if mode == "mantra"
+                    else (synth_pauli_path, layer_zone_steps))
+    raw = []
+    for term in source.terms:
+        if term.weight:
+            lowered = _lower(synth(term), PipelineOptions(mode, protocol))[0]
+            raw += [(s.zone, list(s.gates)) for s in steps(lowered).steps]
+    n = source.num_qubits
+    raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
+    return ZoneStepProgram(n, _merge_steps(raw))
+
+
 class TestPipeline:
+    @given(pauli_files(), st.sampled_from(MODES), st.sampled_from(PROTOCOLS), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_pauli_file_equals_per_term_pass_chain(self, source, mode, protocol, x_basis):
+        options = PipelineOptions(mode, protocol, x_basis)
+        assert mantra_pipeline(source, options) == _pauli_pipeline_reference(source, mode, protocol)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_pauli_file_pipeline_equiv(self, seed):
-        from zonec.frontend import PauliTermFile
-
         rng = random.Random(seed)
         n = rng.randint(2, 5)
         pf = PauliTermFile(n, tuple(random_term(rng, n) for _ in range(3)))
