@@ -32,8 +32,7 @@ def compare(bench, mode, seed, cfg):
     # For GHZ the mantra pipeline prefers the fountain chain shape.
     if bench.startswith("ghz") and mode == "mantra":
         bench = bench.rsplit(":", 1)[0] + ":fountain"
-    source = parse_benchmark(bench, seed=seed).materialize()
-    r = run(source, PipelineOptions(mode=mode), cfg)
+    r = run(parse_benchmark(bench, seed=seed), PipelineOptions(mode=mode), cfg)
     return r.loads + r.stores, r.phys_gates, r.breakdown, r.fidelity
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import click
 
-from .arch import LayoutError, MachineConfig, Policy, build_layout, load_config
+from .arch import LayoutError, MachineConfig, Policy, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, format_value, run
 from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
 from .ir import GateKind
@@ -51,19 +51,15 @@ def _machine(config_path, policy) -> MachineConfig:
 
 
 def _compile(cfg, bench, qasm, pauli, seed, mode, protocol, x_basis):
-    """Parse the one input, check it against the layout's capacity rule,
-    then compile, schedule and cost it. Building a benchmark or compiling a
-    file does work that grows with its qubit count, so an oversized register
-    must fail first."""
+    """Parse the one input, then compile, schedule and cost it; ``run``
+    checks the layout's capacity rule before it builds a benchmark or
+    compiles anything."""
     if bench:
         source = parse_benchmark(bench, seed=seed)
     else:
         with open(qasm or pauli) as fh:
             text = fh.read()
         source = parse_qasm(text) if qasm else parse_pauli_file(text)
-    build_layout(cfg, source.num_qubits)
-    if bench:
-        source = source.materialize()
     return run(source, PipelineOptions(mode=mode, protocol=protocol, x_basis=x_basis), cfg)
 
 
@@ -90,7 +86,8 @@ _MACHINE = [
                  envvar="ZONEC_CONFIG", help="machine config file"),
     click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
     click.option("--x-basis", is_flag=True, help="absorb leading/trailing "
-                 "basis changes into preparation and readout"),
+                 "basis changes into preparation and readout (Pauli-term "
+                 "sources compile term by term and are not changed)"),
     click.option("--protocol", type=click.Choice(PROTOCOLS),
                  default="adiabatic", show_default=True),
 ]
@@ -197,7 +194,7 @@ def cmd_sweep(bench_template, axis, modes, policy, config_path, seed, x_basis,
                 result = _compile(cfg, spec, None, None, seed, m, protocol, x_basis)
             except _ERRORS as e:
                 click.echo(f"# point {name}={point} mode={m} failed: {e}", err=True)
-                click.echo(",".join([point, m] + ["failed"] * len(REPORT_KEYS)))
+                click.echo(csv_row(dict.fromkeys(REPORT_KEYS, "failed"), extra=(point, m)))
             else:
                 click.echo(csv_row(result.record, extra=(point, m)))
 

@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 
 from .arch import MachineConfig, Policy, build_layout
+from .frontend import BenchmarkSpec
 from .ir import UNPULSED, Circuit
 from .rewrite import PipelineOptions, ZoneStepProgram, mantra_pipeline
 from .scheduler import EventKind, Timeline, count_ld_st, schedule
@@ -266,11 +267,13 @@ def run(
     options: PipelineOptions = PipelineOptions(),
     config: MachineConfig = MachineConfig(),
 ) -> Result:
-    """Compile a circuit or Pauli-term file, lay it out, schedule it and cost
-    the schedule. Compile errors are ``CircuitError``/``ValueError``; a
-    program the machine cannot hold raises ``LayoutError``, before any
-    compile work."""
+    """Compile a circuit, Pauli-term file or benchmark spec, lay it out,
+    schedule it and cost the schedule. Compile errors are
+    ``CircuitError``/``ValueError``; a program the machine cannot hold raises
+    ``LayoutError``, before a spec is built or any compile work is done."""
     layout = build_layout(config, source.num_qubits)
+    if isinstance(source, BenchmarkSpec):
+        source = source.materialize()
     program = mantra_pipeline(source, options)
     timeline = schedule(program, layout, config)
     loads, stores = count_ld_st(timeline)

@@ -284,12 +284,9 @@ def parse_pauli_file(text: str) -> PauliTermFile:
                 lineno,
             )
         try:
-            term = PauliTerm(label, float(theta))
+            terms.append(PauliTerm(label, float(theta)))
         except (ValueError, CircuitError) as e:
             raise ParseError(str(e), lineno) from None
-        if not math.isfinite(term.theta):
-            raise ParseError(f"non-finite angle {theta!r}", lineno)
-        terms.append(term)
     if num_qubits is None:
         raise ParseError("missing `qubits <n>` header", 1)
     return PauliTermFile(num_qubits, tuple(terms))

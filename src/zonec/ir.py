@@ -7,6 +7,7 @@ implicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -137,6 +138,8 @@ class PauliTerm:
             raise CircuitError(f"invalid Pauli characters {sorted(bad)} in {self.label!r}")
         if not self.label:
             raise CircuitError("empty Pauli label")
+        if not math.isfinite(self.theta):
+            raise CircuitError(f"non-finite angle {self.theta!r}")
         support = tuple(i for i, c in enumerate(self.label) if c != "I")
         object.__setattr__(self, "support", support)
 

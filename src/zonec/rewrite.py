@@ -130,7 +130,7 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
 
 def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
     """Replace every RZZ(g) by CX; RZ(g); CX (standard-execution template)."""
-    if not any(g.kind is GateKind.RZZ for g in circuit.gates):
+    if GateKind.RZZ not in {g.kind for g in circuit.gates}:
         return circuit
     gates: list[Gate] = []
     for g in circuit.gates:
@@ -375,11 +375,12 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    kinds = {g.kind for g in circuit.gates}
     gates = circuit.gates
-    if any(g.kind is GateKind.CX or g.kind is GateKind.CZ for g in gates):
+    if GateKind.CX in kinds or GateKind.CZ in kinds:
         gates = _fold_zz_idioms(circuit)
-    if not any(g.kind is GateKind.RZZ for g in gates):  # every fold makes one
-        return circuit
+    if GateKind.RZZ not in kinds and len(gates) == len(circuit.gates):
+        return circuit  # every fold makes an RZZ and drops gates, so none was made
     out: list[Gate] = []
     for g in gates:
         if g.kind is not GateKind.RZZ:
@@ -410,20 +411,16 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     followed by the input's SWAPs in program order, so a SWAP costs no gate
     and no time.
     """
-    if not any(g.kind is GateKind.SWAP for g in circuit.gates):
+    if GateKind.SWAP not in {g.kind for g in circuit.gates}:
         return circuit, tuple(range(circuit.num_qubits))
     slots = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
     gates: list[Gate] = []
-    swapped = False
     for g in circuit.gates:
         if g.kind is GateKind.SWAP:
             a, b = g.qubits
             slots[a], slots[b] = slots[b], slots[a]
-            swapped = True
-        elif swapped:
-            gates.append(Gate(g.kind, tuple(slots[q] for q in g.qubits), g.params))
         else:
-            gates.append(g)
+            gates.append(Gate(g.kind, tuple(slots[q] for q in g.qubits), g.params))
     return Circuit(circuit.num_qubits, tuple(gates)), tuple(slots)
 
 

@@ -426,7 +426,7 @@ class TestCapacityBeforeBuild:
             raise AssertionError("the input was compiled before the capacity check")
 
         monkeypatch.setattr(BenchmarkSpec, "materialize", no_materialize)
-        monkeypatch.setattr(cli_module, "run", no_run)
+        monkeypatch.setattr("zonec.cost.mantra_pipeline", no_run)
 
     @pytest.mark.parametrize("command", ["simulate", "compile"])
     def test_oversized_bench_is_capacity_error(self, runner, command):

@@ -23,7 +23,7 @@ from zonec.cost import (
     report_record,
     run,
 )
-from zonec.frontend import gen_ghz, gen_ucc_random, parse_benchmark
+from zonec.frontend import BenchmarkSpec, gen_ghz, gen_ucc_random, parse_benchmark
 from zonec.ir import ARITY, NUM_PARAMS, UNPULSED, Circuit, Gate, GateKind, Zone, layer_indices
 from zonec.rewrite import MODES, PipelineOptions, _lower, mantra_pipeline
 from zonec.scheduler import Event, EventKind, Timeline, _Sim, count_ld_st
@@ -272,6 +272,25 @@ class TestRun:
         with mock.patch("zonec.cost.mantra_pipeline", no_compile):
             with pytest.raises(LayoutError, match="capacity exceeded"):
                 run(Circuit(10**8, (Gate(GateKind.H, (0,)),)))
+
+    @pytest.mark.parametrize("bench", ["ghz:8:path", "ucc:5:3", "qaoa-sk:5:1",
+                                       "qaoa-pl:6:1", "po:4:1"])
+    def test_spec_runs_as_the_source_it_builds(self, bench):
+        spec = parse_benchmark(bench, seed=3)
+        from_spec, from_source = run(spec), run(spec.materialize())
+        assert from_spec.record == from_source.record
+        assert from_spec.timeline == from_source.timeline
+        assert from_spec.program == from_source.program
+
+    def test_oversized_spec_fails_before_it_is_built(self):
+        # Building qaoa-sk:3000 takes minutes; the capacity check needs only
+        # the spec's qubit count.
+        def no_materialize(spec):
+            raise AssertionError(f"{spec} was built before the capacity check")
+
+        with mock.patch.object(BenchmarkSpec, "materialize", no_materialize):
+            with pytest.raises(LayoutError, match="capacity exceeded"):
+                run(parse_benchmark("qaoa-sk:3000"))
 
     def test_type1_transfers_charged_once(self):
         # The residents' hand-over and the AOD pickup of the incoming qubit

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import pytest
@@ -11,6 +12,7 @@ from zonec.ir import (
     CircuitError,
     Gate,
     GateKind,
+    PauliTerm,
     Zone,
     layer_indices,
 )
@@ -129,6 +131,14 @@ def _reference_gate(kind, qubits, params=()):
     if len(set(qubits)) != len(qubits):
         raise CircuitError(f"{kind.value} has duplicate operands {qubits}")
     return (kind, qubits, params)
+
+
+class TestPauliTerm:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle(self, theta):
+        # A NaN angle once compiled to an RZ(nan) and a finite fidelity.
+        with pytest.raises(CircuitError, match="non-finite angle"):
+            PauliTerm("XZ", theta)
 
 
 class TestCircuit:
