@@ -185,11 +185,12 @@ def build_layout(config: MachineConfig, n_logical: int) -> AtomLayout:
             f"{config.zone_sites} (max {config.max_logical} logical qubits)"
         )
     qubits = []
+    storage = Zone.STORAGE
     for q in range(n_logical):
         site = q * config.physical_per_logical
         qubits.append(
             LogicalSite(
-                zone=Zone.STORAGE,
+                zone=storage,
                 row=site // config.array_cols,
                 col=site % config.array_cols,
             )
@@ -207,8 +208,9 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
     another mover.
     """
     movers = sorted(displacements)
+    aod = Trap.AOD
     for q in movers:
-        if layout.qubits[q].trap is not Trap.AOD:
+        if layout.qubits[q].trap is not aod:
             raise LayoutError(f"qubit {q} is not in an AOD trap")
     start = {q: (layout.qubits[q].row, layout.qubits[q].col) for q in movers}
     end = {
@@ -249,6 +251,10 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
 # function divides by the AOD speed once, at its end: that keeps the order of
 # distances, so the slowest member's time is the longest distance's, to the bit.
 
+# The zones ``crossing_time_us`` tests on every zone crossing, read once here
+# (see ``ir.Zone``).
+_STORAGE, _READOUT = Zone.STORAGE, Zone.READOUT
+
 
 def crossing_time_us(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
     """The slowest of ``qubits``' travel times from their sites to
@@ -258,7 +264,7 @@ def crossing_time_us(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
     readout zone lies straight along y past the entangling zone: one gap
     from there, two gaps plus the entangling zone's span from storage."""
     cfg = layout.config
-    gap, storage, to_readout = cfg.zone_gap_um, Zone.STORAGE, dest_zone is Zone.READOUT
+    gap, storage, to_readout = cfg.zone_gap_um, _STORAGE, dest_zone is _READOUT
     p_storage, p_entangling = cfg.pitch_storage_um, cfg.pitch_entangling_um
     far = cfg.array_rows * p_entangling + gap  # storage's extra way to readout
     dest_pitch = p_storage if dest_zone is storage else p_entangling

@@ -114,6 +114,7 @@ def parse_qasm(text: str) -> Circuit:
     parsed: dict[str, Gate] = {}
     angles: dict[str, tuple[float]] = {}
     operand_lists: dict[str, tuple[int, ...]] = {}
+    MEASURE = GateKind.MEASURE
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         for stmt in raw.split("//", 1)[0].split(";"):
@@ -187,7 +188,7 @@ def parse_qasm(text: str) -> Circuit:
                 raise ParseError(f"{name} takes no arguments", lineno)
 
             arrow = target = ""
-            if kind is GateKind.MEASURE:
+            if kind is MEASURE:
                 operand_text, arrow, target = operand_text.partition("->")
             operands = operand_lists.get(operand_text)
             if operands is None:
@@ -310,11 +311,12 @@ def gen_ghz(n: int, chain: str = "fountain", measure: bool = True) -> Circuit:
         raise ValueError("GHZ needs at least 2 qubits")
     if chain not in CHAINS:
         raise ValueError(f"unknown chain {chain!r}, expected one of {CHAINS}")
+    CX, MEASURE = GateKind.CX, GateKind.MEASURE
     gates = [Gate(GateKind.H, (0,))]
     if chain == "path":
-        gates += [Gate(GateKind.CX, (i, i + 1)) for i in range(n - 1)]
+        gates += [Gate(CX, (i, i + 1)) for i in range(n - 1)]
     elif chain == "fountain":
-        gates += [Gate(GateKind.CX, (0, i)) for i in range(1, n)]
+        gates += [Gate(CX, (0, i)) for i in range(1, n)]
     else:
         # Doubling tree, emitted in breadth-first layer order so the natural
         # dependency layering matches the logarithmic depth.
@@ -325,11 +327,11 @@ def gen_ghz(n: int, chain: str = "fountain", measure: bool = True) -> Circuit:
                 if hi - lo <= 1:
                     continue
                 mid = lo + (hi - lo + 1) // 2
-                gates.append(Gate(GateKind.CX, (lo, mid)))
+                gates.append(Gate(CX, (lo, mid)))
                 nxt += [(lo, mid), (mid, hi)]
             segments = nxt
     if measure:
-        gates += [Gate(GateKind.MEASURE, (q,)) for q in range(n)]
+        gates += [Gate(MEASURE, (q,)) for q in range(n)]
     return Circuit(n, tuple(gates))
 
 
@@ -401,16 +403,17 @@ def gen_qaoa(graph: Graph, p: int, gammas, betas) -> Circuit:
     gammas, betas = list(gammas), list(betas)
     if len(gammas) != p or len(betas) != p:
         raise ValueError("need one gamma and one beta per layer")
+    H, RZZ, RX, MEASURE = GateKind.H, GateKind.RZZ, GateKind.RX, GateKind.MEASURE
     nodes = range(graph.num_nodes)
-    gates = [Gate(GateKind.H, (q,)) for q in nodes]
+    gates = [Gate(H, (q,)) for q in nodes]
     weights = graph.weights or (1.0,) * len(graph.edges)
     for k in range(p):
         gates += [
-            Gate(GateKind.RZZ, (a, b), (float(gammas[k] * w),))
+            Gate(RZZ, (a, b), (float(gammas[k] * w),))
             for (a, b), w in zip(graph.edges, weights, strict=True)
         ]
-        gates += [Gate(GateKind.RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
-    gates += [Gate(GateKind.MEASURE, (q,)) for q in nodes]
+        gates += [Gate(RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
+    gates += [Gate(MEASURE, (q,)) for q in nodes]
     return Circuit(graph.num_nodes, tuple(gates))
 
 
@@ -439,10 +442,9 @@ STEANE_Z_STABILIZERS = ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
 def gen_steane_prep() -> Circuit:
     """7-qubit Steane-code |+>_L preparation circuit; the scheduler times
     every run's error-correction prefix by its pulse layers."""
-    gates = [Gate(GateKind.H, (pivot,)) for pivot, _ in _STEANE_PREP_ROWS]
-    gates += [
-        Gate(GateKind.CX, (pivot, t)) for pivot, rest in _STEANE_PREP_ROWS for t in rest
-    ]
+    H, CX = GateKind.H, GateKind.CX
+    gates = [Gate(H, (pivot,)) for pivot, _ in _STEANE_PREP_ROWS]
+    gates += [Gate(CX, (pivot, t)) for pivot, rest in _STEANE_PREP_ROWS for t in rest]
     return Circuit(7, tuple(gates))
 
 

@@ -20,6 +20,12 @@ class Zone(Enum):
 
     # Members are singletons compared by identity, so the identity hash
     # agrees with ==; Enum's own hash runs Python code on every dict lookup.
+    # Reading a member runs Python code too: on CPython 3.11 ``EnumType``
+    # defines ``__getattr__``, so ``Zone.STORAGE`` costs about 20 local reads.
+    # So the compile, schedule and cost modules read no member of these enums
+    # inside a loop or a comprehension's per-item part: a function binds the
+    # members it tests to locals first, and a helper called per zone step uses
+    # module constants (tests/test_layering.py guards this).
     __hash__ = object.__hash__
 
 

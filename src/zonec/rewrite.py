@@ -111,18 +111,19 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
     idiom holds a CX or a CZ, so the fold runs on a circuit that holds one,
     as in ``substitute_rzz``.
     """
+    CX, CZ, H = GateKind.CX, GateKind.CZ, GateKind.H
     kinds = {g.kind for g in circuit.gates}
-    if GateKind.CX not in kinds and GateKind.CZ not in kinds:
+    if CX not in kinds and CZ not in kinds:
         return circuit
     folded = _fold_zz_idioms(circuit)
-    if len(folded) == len(circuit.gates) and GateKind.CX not in kinds:
+    if len(folded) == len(circuit.gates) and CX not in kinds:
         return circuit  # every fold drops gates, so none was made
     gates: list[Gate] = []
     for g in folded:
-        if g.kind is GateKind.CX:
+        if g.kind is CX:
             c, t = g.qubits
-            h = Gate(GateKind.H, (t,))  # gates are immutable, so one serves twice
-            gates += (h, Gate(GateKind.CZ, (c, t)), h)
+            h = Gate(H, (t,))  # gates are immutable, so one serves twice
+            gates += (h, Gate(CZ, (c, t)), h)
         else:
             gates.append(g)
     return Circuit(circuit.num_qubits, tuple(gates))
@@ -130,13 +131,14 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
 
 def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
     """Replace every RZZ(g) by CX; RZ(g); CX (standard-execution template)."""
-    if GateKind.RZZ not in {g.kind for g in circuit.gates}:
+    RZZ, CX, RZ = GateKind.RZZ, GateKind.CX, GateKind.RZ
+    if RZZ not in {g.kind for g in circuit.gates}:
         return circuit
     gates: list[Gate] = []
     for g in circuit.gates:
-        if g.kind is GateKind.RZZ:
-            cx = Gate(GateKind.CX, g.qubits)
-            gates += (cx, Gate(GateKind.RZ, (g.qubits[1],), g.params), cx)
+        if g.kind is RZZ:
+            cx = Gate(CX, g.qubits)
+            gates += (cx, Gate(RZ, (g.qubits[1],), g.params), cx)
         else:
             gates.append(g)
     return Circuit(circuit.num_qubits, tuple(gates))
@@ -153,8 +155,9 @@ def cancel_hadamard_pairs(circuit: Circuit) -> Circuit:
     # last pending H index per qubit, invalidated by any touching gate
     pending: dict[int, int] = {}
     kill: set[int] = set()
+    H = GateKind.H
     for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.H:
+        if g.kind is H:
             q = g.qubits[0]
             if q in pending:
                 kill.update((pending.pop(q), i))
@@ -179,11 +182,12 @@ _HALF_PI = 1.5707963267948966
 
 def _basis_change(term: PauliTerm, invert: bool) -> list[Gate]:
     gates = []
+    H, RX = GateKind.H, GateKind.RX
     for q, ch in zip(term.support, (term.label[i] for i in term.support)):
         if ch == "X":
-            gates.append(Gate(GateKind.H, (q,)))
+            gates.append(Gate(H, (q,)))
         elif ch == "Y":
-            gates.append(Gate(GateKind.RX, (q,), (-_HALF_PI if invert else _HALF_PI,)))
+            gates.append(Gate(RX, (q,), (-_HALF_PI if invert else _HALF_PI,)))
     return gates
 
 
@@ -207,7 +211,8 @@ def synth_pauli_fountain(term: PauliTerm) -> Circuit:
     if not others:
         return Circuit(n, tuple(gates + [rz] + closing))
     h = Gate(GateKind.H, (target,))  # gates are immutable, so one serves often
-    fan_in = [Gate(GateKind.CZ, (q, target)) for q in others]
+    CZ = GateKind.CZ
+    fan_in = [Gate(CZ, (q, target)) for q in others]
     middle = fan_in + [h, rz, h] + fan_in[::-1]
     if term.label[target] == "X":
         # The target leads each basis change with an H that would cancel
@@ -226,11 +231,12 @@ def synth_pauli_path(term: PauliTerm) -> Circuit:
         return Circuit(n)
     gates: list[Gate] = _basis_change(term, invert=False)
     chain = term.support
+    CX = GateKind.CX
     for a, b in zip(chain, chain[1:]):
-        gates.append(Gate(GateKind.CX, (a, b)))
+        gates.append(Gate(CX, (a, b)))
     gates.append(Gate(GateKind.RZ, (chain[-1],), (term.theta,)))
     for a, b in reversed(list(zip(chain, chain[1:]))):
-        gates.append(Gate(GateKind.CX, (a, b)))
+        gates.append(Gate(CX, (a, b)))
     gates += _basis_change(term, invert=True)
     return Circuit(n, tuple(gates))
 
@@ -273,7 +279,7 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     seen = [0] * num_qubits  # gates on q at positions up to the current one
     end = len(gates)
     dead = [False] * end
-    CX, CZ, H, RZ = GateKind.CX, GateKind.CZ, GateKind.H, GateKind.RZ
+    CX, CZ, H, RZ, RZZ = GateKind.CX, GateKind.CZ, GateKind.H, GateKind.RZ, GateKind.RZZ
 
     for i, first in enumerate(gates):
         for q in first.qubits:
@@ -340,7 +346,7 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
             if j == jb:
                 rb += 1
         else:
-            gates[i] = Gate(GateKind.RZZ, (a, b), (theta,))
+            gates[i] = Gate(RZZ, (a, b), (theta,))
             for j in matched[1:]:
                 dead[j] = True
     return [g for g, d in zip(gates, dead) if not d]
@@ -375,24 +381,25 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    RZZ, AD, LP, CPHASE = GateKind.RZZ, GateKind.AD, GateKind.LP, GateKind.CPHASE
     kinds = {g.kind for g in circuit.gates}
     gates = circuit.gates
     if GateKind.CX in kinds or GateKind.CZ in kinds:
         gates = _fold_zz_idioms(circuit)
-    if GateKind.RZZ not in kinds and len(gates) == len(circuit.gates):
+    if RZZ not in kinds and len(gates) == len(circuit.gates):
         return circuit  # every fold makes an RZZ and drops gates, so none was made
     out: list[Gate] = []
     for g in gates:
-        if g.kind is not GateKind.RZZ:
+        if g.kind is not RZZ:
             out.append(g)
             continue
         gamma = g.params[0]
         if protocol == "adiabatic":
-            out.append(Gate(GateKind.AD, g.qubits, adiabatic_phases(gamma)))
-            out.append(Gate(GateKind.LP, g.qubits, (gamma,)))
+            out.append(Gate(AD, g.qubits, adiabatic_phases(gamma)))
+            out.append(Gate(LP, g.qubits, (gamma,)))
         else:
-            out.append(Gate(GateKind.LP, g.qubits, (gamma,)))
-            out.append(Gate(GateKind.CPHASE, g.qubits, (cphase_phi(gamma),)))
+            out.append(Gate(LP, g.qubits, (gamma,)))
+            out.append(Gate(CPHASE, g.qubits, (cphase_phi(gamma),)))
     return Circuit(circuit.num_qubits, tuple(out))
 
 
@@ -411,12 +418,13 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     followed by the input's SWAPs in program order, so a SWAP costs no gate
     and no time.
     """
-    if GateKind.SWAP not in {g.kind for g in circuit.gates}:
+    SWAP = GateKind.SWAP
+    if SWAP not in {g.kind for g in circuit.gates}:
         return circuit, tuple(range(circuit.num_qubits))
     slots = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
     gates: list[Gate] = []
     for g in circuit.gates:
-        if g.kind is GateKind.SWAP:
+        if g.kind is SWAP:
             a, b = g.qubits
             slots[a], slots[b] = slots[b], slots[a]
         else:
@@ -442,8 +450,9 @@ def _check_readout(circuit: Circuit) -> None:
     Raises ``ValueError`` naming the first gate that does, as the circuit
     has it; a SWAP counts."""
     measured: set[int] = set()
+    MEASURE = GateKind.MEASURE
     for g in circuit.gates:
-        if g.kind is GateKind.MEASURE:
+        if g.kind is MEASURE:
             measured.add(g.qubits[0])
         elif measured and not measured.isdisjoint(g.qubits):
             q = next(q for q in g.qubits if q in measured)
@@ -466,8 +475,10 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
 
 def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``align_zone_steps``'s steps before seams are merged."""
+    storage, entangling, readout = Zone.STORAGE, Zone.ENTANGLING, Zone.READOUT
+    CX, SWAP = GateKind.CX, GateKind.SWAP
     # Steps of zone ``first`` have even numbers and the others odd ones.
-    first = next((g.zone for g in circuit.gates if g.zone is not Zone.READOUT), None)
+    first = next((g.zone for g in circuit.gates if g.zone is not readout), None)
     frontier: dict[int, int] = {}  # qubit -> step of the last gate on it
     free = frontier.get
     steps: list[list[Gate]] = []
@@ -475,10 +486,10 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     for g in circuit.gates:
         kind = g.kind
         zone = GATE_ZONE[kind]
-        if zone is Zone.READOUT:
+        if zone is readout:
             measures.append(g)
             continue
-        if kind is GateKind.CX or kind is GateKind.SWAP:
+        if kind is CX or kind is SWAP:
             raise ValueError(f"align_zone_steps requires a {kind.value}-free circuit")
         qubits = g.qubits
         if len(qubits) == 2:
@@ -498,10 +509,10 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
             steps.append([g])
         else:
             steps[step].append(g)
-    other = Zone.ENTANGLING if first is Zone.STORAGE else Zone.STORAGE
+    other = entangling if first is storage else storage
     raw = [(other if k & 1 else first, gates) for k, gates in enumerate(steps)]
     if measures:
-        raw.append((Zone.READOUT, measures))
+        raw.append((readout, measures))
     return raw
 
 
@@ -517,6 +528,9 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
 
 def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``layer_zone_steps``'s segments before seams are merged."""
+    storage, entangling = Zone.STORAGE, Zone.ENTANGLING
+    MEASURE, CX, SWAP, H, CZ = (GateKind.MEASURE, GateKind.CX, GateKind.SWAP, GateKind.H,
+                                GateKind.CZ)
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
     gates = circuit.gates
@@ -526,27 +540,28 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
         post: list[Gate] = []
         for i in layer:
             g = gates[i]
-            if g.kind is GateKind.MEASURE:
+            kind = g.kind
+            if kind is MEASURE:
                 measures.append(g)
                 continue
-            if g.kind is GateKind.CX:
-                h = Gate(GateKind.H, (g.qubits[1],))
+            if kind is CX:
+                h = Gate(H, (g.qubits[1],))
                 pre.append(h)
-                two.append(Gate(GateKind.CZ, g.qubits))
+                two.append(Gate(CZ, g.qubits))
                 post.append(h)
-            elif g.zone is Zone.STORAGE:
+            elif GATE_ZONE[kind] is storage:
                 pre.append(g)
-            elif g.kind is GateKind.SWAP:
+            elif kind is SWAP:
                 raise ValueError("layer_zone_steps requires a SWAP-free circuit")
             else:
                 two.append(g)
         # Basis-change and RZ layers fill one segment of the three.
         if pre:
-            raw.append((Zone.STORAGE, pre))
+            raw.append((storage, pre))
         if two:
-            raw.append((Zone.ENTANGLING, two))
+            raw.append((entangling, two))
         if post:
-            raw.append((Zone.STORAGE, post))
+            raw.append((storage, post))
     if measures:
         raw.append((Zone.READOUT, measures))
     return raw
@@ -560,14 +575,15 @@ def absorb_x_basis(circuit: Circuit) -> Circuit:
         for q in g.qubits:
             ops_on.setdefault(q, []).append(i)
     drop: set[int] = set()
+    H, MEASURE = GateKind.H, GateKind.MEASURE
     for q, indices in ops_on.items():
         first = circuit.gates[indices[0]]
-        if first.kind is GateKind.H:
+        if first.kind is H:
             drop.add(indices[0])
         if (
             len(indices) >= 2
-            and circuit.gates[indices[-1]].kind is GateKind.MEASURE
-            and circuit.gates[indices[-2]].kind is GateKind.H
+            and circuit.gates[indices[-1]].kind is MEASURE
+            and circuit.gates[indices[-2]].kind is H
             and indices[-2] not in drop
         ):
             drop.add(indices[-2])
@@ -619,7 +635,8 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
             else:
                 raw += _layered_raw(synth_pauli_path(term))
         n = source.num_qubits
-        raw.append((Zone.READOUT, [Gate(GateKind.MEASURE, (q,)) for q in range(n)]))
+        MEASURE = GateKind.MEASURE
+        raw.append((Zone.READOUT, [Gate(MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
     raw_steps = _aligned_raw if options.mode == "mantra" else _layered_raw
     _check_readout(source)

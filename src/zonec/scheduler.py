@@ -65,6 +65,16 @@ class Event(NamedTuple):
         return self.start_us + self.duration_us
 
 
+# The members the step loops and per-step helpers use, read once here: every
+# read of an Enum member runs Python code (see ``ir.Zone``), and each helper
+# runs once or more per zone step.
+_STORAGE, _ENTANGLING, _READOUT = Zone.STORAGE, Zone.ENTANGLING, Zone.READOUT
+_SLM, _AOD = Trap.SLM, Trap.AOD
+_TRAP_TRANSFER, _SHUTTLE, _READOUT_IMAGE = (EventKind.TRAP_TRANSFER, EventKind.SHUTTLE,
+                                            EventKind.READOUT_IMAGE)
+_PULSE_1Q, _PULSE_2Q = EventKind.PULSE_1Q, EventKind.PULSE_2Q
+
+
 @dataclass
 class Timeline:
     num_qubits: int
@@ -155,13 +165,13 @@ class _Sim:
         concurrency window."""
         if not qubits:
             return 0.0
-        sites, transfers, slm, aod = self.layout.qubits, self.transfers, Trap.SLM, Trap.AOD
+        sites, transfers, slm, aod = self.layout.qubits, self.transfers, _SLM, _AOD
         for q in qubits:
             site = sites[q]
             site.trap = aod if site.trap is slm else slm
             transfers[q] = transfers.get(q, 0) + 1
         dur = self.config.trap_transfer_time_us
-        self.emit(EventKind.TRAP_TRANSFER, qubits, self.clock, dur)
+        self.emit(_TRAP_TRANSFER, qubits, self.clock, dur)
         return dur
 
 
@@ -207,7 +217,7 @@ def _pick_movers(gates, one_layer: bool, sites):
             a, b = g.qubits
             count[a] = count.get(a, 0) + 1
             count[b] = count.get(b, 0) + 1
-    aod = Trap.AOD
+    aod = _AOD
     movers = []
     for g in gates:
         a, b = g.qubits
@@ -255,10 +265,10 @@ def schedule(
         raise ValueError(f"makespan is not finite ({clock} us): the machine config's "
                          "times overflow")
     for q in range(n):  # charge each qubit's time since its last move
-        bucket = sim.t_in if layout.qubits[q].zone is Zone.STORAGE else sim.t_out
+        bucket = sim.t_in if layout.qubits[q].zone is _STORAGE else sim.t_out
         bucket[q] += clock - since.get(q, 0.0)
     measured = tuple(sorted({g.qubits[0] for step in program.steps
-                             if step.zone is Zone.READOUT for g in step.gates}))
+                             if step.zone is _READOUT for g in step.gates}))
     return Timeline(
         num_qubits=n,
         events=tuple(sim.events),
@@ -283,16 +293,15 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
             for q in g.qubits:
                 first_zone.setdefault(q, step.zone)
     for q, zone in first_zone.items():
-        if zone is Zone.ENTANGLING:
-            sim.layout.qubits[q].zone = Zone.ENTANGLING
+        if zone is _ENTANGLING:
+            sim.layout.qubits[q].zone = _ENTANGLING
 
 
 def _pulse_layers(sim: _Sim, pulsed, two_q: bool):
     """One global 2Q (``two_q``) or 1Q pulse per layer of ``pulsed`` qubits,
     fired on the atoms where they stand."""
     cfg = sim.config
-    kind, dur = ((EventKind.PULSE_2Q, cfg.pulse_2q_us) if two_q
-                 else (EventKind.PULSE_1Q, cfg.pulse_1q_us))
+    kind, dur = (_PULSE_2Q, cfg.pulse_2q_us) if two_q else (_PULSE_1Q, cfg.pulse_1q_us)
     emit, clock = sim.emit, sim.clock
     for qubits in pulsed:
         emit(kind, qubits, clock, dur)
@@ -306,13 +315,14 @@ def _pulse_in_place_layers(sim: _Sim, pulsed):
     cfg = sim.config
     sites = sim.layout.qubits
     hop = isolation_hop_us(cfg)
+    slm = _SLM
     for qubits in pulsed:
-        sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is Trap.SLM])
-        sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
+        sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is slm])
+        sim.emit(_SHUTTLE, qubits, sim.clock, hop)
         sim.clock += hop
-        sim.emit(EventKind.PULSE_1Q, qubits, sim.clock, cfg.pulse_1q_us)
+        sim.emit(_PULSE_1Q, qubits, sim.clock, cfg.pulse_1q_us)
         sim.clock += cfg.pulse_1q_us
-        sim.emit(EventKind.SHUTTLE, qubits, sim.clock, hop)
+        sim.emit(_SHUTTLE, qubits, sim.clock, hop)
         sim.clock += hop
 
 
@@ -333,10 +343,10 @@ def _entangling_gates(sim: _Sim, gates, movers, layers):
         worst = land_movers(layout, pairs)
         if worst > 0.0:
             layer_movers.sort()
-            emit(EventKind.SHUTTLE, layer_movers, clock, worst)
+            emit(_SHUTTLE, layer_movers, clock, worst)
             clock += worst
         qubits.sort()
-        emit(EventKind.PULSE_2Q, qubits, clock, dur)
+        emit(_PULSE_2Q, qubits, clock, dur)
         clock += dur
     sim.clock = clock
 
@@ -354,7 +364,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     longer of the two."""
     layout = sim.layout
     sites = layout.qubits
-    slm = Trap.SLM
+    slm = _SLM
     pickups = [q for q in qubits if sites[q].trap is slm]
     window = sim.transfer_batch(sorted([*handover, *pickups]) if handover else pickups)
     if not qubits:
@@ -364,7 +374,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     sim.emit(_CROSSING[dest], qubits, sim.clock, travel)
     at = sim.clock = sim.clock + max(window, travel)
     # Charge each member's time since its last move to the zone it leaves.
-    since, t_in, t_out, storage = sim.zone_since, sim.t_in, sim.t_out, Zone.STORAGE
+    since, t_in, t_out, storage = sim.zone_since, sim.t_in, sim.t_out, _STORAGE
     for q in qubits:
         site = sites[q]
         (t_in if site.zone is storage else t_out)[q] += at - since.get(q, 0.0)
@@ -382,13 +392,13 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
     else:
         _preplace(sim, program)
     sites = sim.layout.qubits
-    storage, entangling, aod = Zone.STORAGE, Zone.ENTANGLING, Trap.AOD
+    storage, entangling, readout, aod = _STORAGE, _ENTANGLING, _READOUT, _AOD
     loaded = False  # type 2's one load has happened
     for step in program.steps:
         gates = step.gates
         used, layers = _step_layers(gates)
-        if step.zone is Zone.READOUT:
-            _cross(sim, used, Zone.READOUT)
+        if step.zone is readout:
+            _cross(sim, used, readout)
             _schedule_readout(sim, used)
         elif step.zone is storage and loaded:
             _pulse_in_place_layers(sim, _pulsed_layers(gates, layers))
@@ -421,7 +431,7 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
 
 def _schedule_readout(sim: _Sim, qubits):
     """Image the sorted ``qubits`` where they stand."""
-    sim.emit(EventKind.READOUT_IMAGE, qubits, sim.clock, sim.config.readout_time_us)
+    sim.emit(_READOUT_IMAGE, qubits, sim.clock, sim.config.readout_time_us)
     sim.clock += sim.config.readout_time_us
 
 
@@ -429,11 +439,10 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
     """Non-zoned in-place execution: every step pulses its layers where the
     atoms stand, and all time decoheres at the fast rate."""
     for site in sim.layout.qubits[: program.num_qubits]:
-        site.zone = Zone.ENTANGLING
+        site.zone = _ENTANGLING
     for step in program.steps:
         used, layers = _step_layers(step.gates)
-        if step.zone is Zone.READOUT:
+        if step.zone is _READOUT:
             _schedule_readout(sim, used)
         else:
-            _pulse_layers(sim, _pulsed_layers(step.gates, layers),
-                          step.zone is Zone.ENTANGLING)
+            _pulse_layers(sim, _pulsed_layers(step.gates, layers), step.zone is _ENTANGLING)

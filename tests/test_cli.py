@@ -413,9 +413,10 @@ class TestSweep:
 
 class TestCapacityBeforeBuild:
     """An oversized input fails the layout's capacity rule right after
-    parsing: before a benchmark's circuit is built (building ``qaoa-sk:3000``
-    alone takes minutes) and before any input is compiled (compiling a
-    10^11-qubit register never ends)."""
+    parsing: before a benchmark's circuit is built and before any input is
+    compiled (compiling a 10^11-qubit register never ends). ``qaoa-sk:3000``
+    is also over ``MAX_BENCH_GATES``, so building it would fail at once too,
+    but on the gate cap: the error text tells the two checks apart."""
 
     @pytest.fixture(autouse=True)
     def no_build_or_compile(self, monkeypatch):
@@ -433,6 +434,7 @@ class TestCapacityBeforeBuild:
         r = runner.invoke(cli, [command, "--bench", "qaoa-sk:3000"])
         assert r.exit_code == 3
         assert r.stdout == ""
+        assert "capacity exceeded" in r.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "compile"])
     @pytest.mark.parametrize("flag, text", [
@@ -455,6 +457,7 @@ class TestCapacityBeforeBuild:
         rows = [ln.split(",") for ln in r.stdout.strip().splitlines()]
         assert len(rows) == 2
         assert rows[1][:3] == ["3000", "standard", "failed"]
+        assert "capacity exceeded" in r.stderr
 
 
 class TestColdStart:

@@ -180,3 +180,62 @@ def test_only_cross_emits_crossings():
         if id(call) not in in_cross and CROSSING_NAMES & set(_names(call))
     }
     assert not outside, sorted(outside)
+
+
+# Every read of an Enum member (``GateKind.H``, ``Zone.STORAGE``, ...) runs
+# Python code on CPython 3.11: ``EnumType`` defines ``__getattr__``, which
+# routes every class attribute lookup through a Python-level hook (about
+# 0.15 us against 0.007 us for a local). So the compile, schedule and cost
+# modules read each member once: a function binds the members its loops test
+# to locals before the loop, and the per-step helpers, each called once or
+# more per zone step, use module constants. A read counts as hot inside a
+# loop's body (and a ``while`` test), and anywhere in a comprehension but its
+# first iterable, which is evaluated once.
+HOT_PATH_MODULES = ("ir", "frontend", "rewrite", "arch", "scheduler", "cost")
+ENUMS = {"GateKind", "Zone", "EventKind", "Trap", "Policy"}
+PER_STEP_HELPERS = {
+    "scheduler": {"_cross", "transfer_batch", "_pick_movers", "_entangling_gates",
+                  "_pulse_layers", "_pulse_in_place_layers", "_schedule_readout"},
+    "arch": {"crossing_time_us"},
+}
+
+
+def _member_reads(node):
+    for n in ast.walk(node):
+        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                and isinstance(n.value, ast.Name) and n.value.id in ENUMS):
+            yield n
+
+
+def _repeated_parts(node):
+    """The parts of a loop or comprehension ``node`` evaluated once per
+    iteration."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        first, *rest = node.generators
+        return [node.elt, *first.ifs, *rest]
+    if isinstance(node, ast.DictComp):
+        first, *rest = node.generators
+        return [node.key, node.value, *first.ifs, *rest]
+    return []
+
+
+@pytest.mark.parametrize("stem", HOT_PATH_MODULES)
+def test_enum_members_read_outside_loops(stem):
+    path = SRC / f"{stem}.py"
+    tree = ast.parse(path.read_text())
+    functions = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    helpers = PER_STEP_HELPERS.get(stem, set())
+    assert helpers <= {fn.name for fn in functions}, "a per-step helper was renamed"
+    hot = set()
+    for fn in functions:
+        if fn.name in helpers:
+            hot.update(n.lineno for n in _member_reads(fn))
+        for loop in ast.walk(fn):
+            for part in _repeated_parts(loop):
+                hot.update(n.lineno for n in _member_reads(part))
+    assert not hot, " ".join(f"{path.name}:{line}" for line in sorted(hot))
