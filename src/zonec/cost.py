@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .arch import MachineConfig, Policy, build_layout
 from .frontend import BenchmarkSpec
-from .ir import UNPULSED, Circuit
+from .ir import UNPULSED, Circuit, paused_gc
 from .rewrite import PipelineOptions, ZoneStepProgram, mantra_pipeline
 from .scheduler import EventKind, Timeline, count_ld_st, schedule
 
@@ -83,6 +83,7 @@ _CATEGORY = {
 }
 
 
+@paused_gc
 def breakdown(timeline: Timeline) -> Breakdown:
     """Each event's time added to its category, in event order."""
     cat = dict.fromkeys(CATEGORIES, 0.0)
@@ -262,6 +263,7 @@ class Result:
         return report_record(self.breakdown, self.fidelity, self.loads, self.stores)
 
 
+@paused_gc
 def run(
     source,
     options: PipelineOptions = PipelineOptions(),

@@ -7,9 +7,11 @@ implicitly.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import wraps
 from typing import NamedTuple
 
 
@@ -77,6 +79,33 @@ UNPULSED = (GateKind.RZ, GateKind.MEASURE)
 
 class CircuitError(ValueError):
     pass
+
+
+def paused_gc(fn):
+    """Decorator: run ``fn`` with the cyclic garbage collector off. When
+    ``fn`` returns or raises, the collector is turned back on if it was on
+    when ``fn`` started, so a nested stage, or a caller that turned it off,
+    finds it still off.
+
+    Every ``Gate`` and scheduler ``Event`` holds an Enum member, so the
+    collector tracks each one, and every full collection walks all that are
+    alive: a stage's collections cost more than linear time in its gates and
+    events. A compile, schedule or cost stage makes no cyclic garbage once
+    its lazy imports have run, so the collector has nothing to find there.
+    The switch is the interpreter's, so the pause holds in every thread.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 class _GateFields(NamedTuple):  # NamedTuple's own body may not define __new__

@@ -22,6 +22,7 @@ from .ir import (
     PauliTermFile,
     Zone,
     layer_indices,
+    paused_gc,
 )
 
 # The compile modes, and the two-pulse native ZZ protocols of mantra mode.
@@ -609,6 +610,7 @@ class PipelineOptions:
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
+@paused_gc
 def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> ZoneStepProgram:
     """Full rewriting pipeline to a zone-step program.
 

@@ -36,7 +36,7 @@ from .arch import (
     land_movers,
 )
 from .frontend import gen_steane_prep
-from .ir import UNPULSED, Zone, layer_indices
+from .ir import UNPULSED, Zone, layer_indices, paused_gc
 from .rewrite import ZoneStepProgram, cancel_hadamard_pairs, lower_cx_to_cz
 
 
@@ -232,6 +232,7 @@ def _pick_movers(gates, one_layer: bool, sites):
     return movers
 
 
+@paused_gc
 def schedule(
     program: ZoneStepProgram, layout: AtomLayout, config: MachineConfig
 ) -> Timeline:

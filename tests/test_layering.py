@@ -1,7 +1,8 @@
 """zonec's modules form one import order: each imports only modules before
 it, and only at import time. A zonec import inside a function body hides a
 back edge (a dependency cycle), so none is allowed. numpy has one home, so
-that the compile path never loads it."""
+that the compile path never loads it, and so does the garbage-collector
+pause."""
 
 import ast
 from pathlib import Path
@@ -99,6 +100,26 @@ def test_numpy_has_one_home(path):
         elif fn is not None and fn not in NUMPY_IN_FUNCTION.get(path.stem, ()):
             stray.add(f"{path.name}:{node.lineno} imports numpy in {fn}")
     assert not stray, sorted(stray)
+
+
+# The cyclic collector is paused in one place, ``ir.paused_gc``, which the
+# compile, schedule and cost entry points wear as a decorator. No other module
+# imports or names ``gc``, so the pause stays one mechanism.
+GC_HOME = "ir"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != GC_HOME],
+                         ids=lambda p: p.name)
+def test_gc_has_one_home(path):
+    tree = ast.parse(path.read_text())
+    named = {
+        f"{path.name}:{n.lineno} names gc"
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Name) and n.id == "gc")
+        or (isinstance(n, ast.Import) and any(a.name == "gc" for a in n.names))
+        or (isinstance(n, ast.ImportFrom) and n.module == "gc")
+    }
+    assert not named, sorted(named)
 
 
 # Only arch knows the machine's geometry and how fast atoms move: the scheduler
