@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .ir import Zone
+from .ir import READOUT, STORAGE, Zone
 
 
 class Policy(Enum):
@@ -23,6 +23,10 @@ class Policy(Enum):
 class Trap(Enum):
     SLM = "SLM"
     AOD = "AOD"
+
+
+TYPE1, TYPE2, TYPE3 = Policy  # every member under its own name (see ``ir.Zone``)
+SLM, AOD = Trap
 
 
 class ConfigError(ValueError):
@@ -50,7 +54,7 @@ class MachineConfig:
     xtalk_1q: float = 0.005
     xtalk_cz: float = 0.007
     physical_per_logical: int = 14
-    policy: Policy = Policy.TYPE1
+    policy: Policy = TYPE1
 
     def __post_init__(self):
         for f in fields(self):
@@ -154,7 +158,7 @@ class LogicalSite:
     zone: Zone
     row: int
     col: int
-    trap: Trap = Trap.SLM
+    trap: Trap = SLM
 
 
 @dataclass
@@ -185,12 +189,11 @@ def build_layout(config: MachineConfig, n_logical: int) -> AtomLayout:
             f"{config.zone_sites} (max {config.max_logical} logical qubits)"
         )
     qubits = []
-    storage = Zone.STORAGE
     for q in range(n_logical):
         site = q * config.physical_per_logical
         qubits.append(
             LogicalSite(
-                zone=storage,
+                zone=STORAGE,
                 row=site // config.array_cols,
                 col=site % config.array_cols,
             )
@@ -208,9 +211,8 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
     another mover.
     """
     movers = sorted(displacements)
-    aod = Trap.AOD
     for q in movers:
-        if layout.qubits[q].trap is not aod:
+        if layout.qubits[q].trap is not AOD:
             raise LayoutError(f"qubit {q} is not in an AOD trap")
     start = {q: (layout.qubits[q].row, layout.qubits[q].col) for q in movers}
     end = {
@@ -251,10 +253,6 @@ def validate_move(layout: AtomLayout, displacements: dict) -> MoveViolation | No
 # function divides by the AOD speed once, at its end: that keeps the order of
 # distances, so the slowest member's time is the longest distance's, to the bit.
 
-# The zones ``crossing_time_us`` tests on every zone crossing, read once here
-# (see ``ir.Zone``).
-_STORAGE, _READOUT = Zone.STORAGE, Zone.READOUT
-
 
 def crossing_time_us(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
     """The slowest of ``qubits``' travel times from their sites to
@@ -264,16 +262,16 @@ def crossing_time_us(layout: AtomLayout, qubits, dest_zone: Zone) -> float:
     readout zone lies straight along y past the entangling zone: one gap
     from there, two gaps plus the entangling zone's span from storage."""
     cfg = layout.config
-    gap, storage, to_readout = cfg.zone_gap_um, _STORAGE, dest_zone is _READOUT
+    gap, to_readout = cfg.zone_gap_um, dest_zone is READOUT
     p_storage, p_entangling = cfg.pitch_storage_um, cfg.pitch_entangling_um
     far = cfg.array_rows * p_entangling + gap  # storage's extra way to readout
-    dest_pitch = p_storage if dest_zone is storage else p_entangling
+    dest_pitch = p_storage if dest_zone is STORAGE else p_entangling
     worst = gap  # the floor: min_ld_st_us is one gap's travel
     for q in qubits:
         s = layout.qubits[q]
-        pitch = p_storage if s.zone is storage else p_entangling
+        pitch = p_storage if s.zone is STORAGE else p_entangling
         if to_readout:
-            dist = s.row * pitch + gap + (far if s.zone is storage else 0.0)
+            dist = s.row * pitch + gap + (far if s.zone is STORAGE else 0.0)
         else:
             dist = math.hypot(s.col * dest_pitch - s.col * pitch,
                               s.row * pitch + gap + s.row * dest_pitch)

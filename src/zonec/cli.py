@@ -14,7 +14,7 @@ import click
 from .arch import LayoutError, MachineConfig, Policy, load_config
 from .cost import REPORT_KEYS, csv_header, csv_row, format_record, format_value, run
 from .frontend import parse_benchmark, parse_pauli_file, parse_qasm
-from .ir import GateKind
+from .ir import RZ
 from .rewrite import MODES, PROTOCOLS, PipelineOptions
 
 EXIT_USAGE = 1
@@ -132,7 +132,7 @@ def cmd_compile(bench, qasm, pauli, mode, policy, config_path, seed, x_basis,
         if slots != tuple(range(len(slots))):
             click.echo(f"slots = {','.join(map(str, slots))}")
     click.echo(f"n_1q = {result.fidelity.n_1q}")
-    click.echo(f"n_rz = {sum(g.kind is GateKind.RZ for g in result.flat.gates)}")
+    click.echo(f"n_rz = {sum(g.kind is RZ for g in result.flat.gates)}")
     click.echo(f"n_2q = {result.fidelity.n_2q}")
     click.echo(f"n_physical = {result.phys_gates}")
     click.echo(f"ld_st = {result.loads + result.stores}")

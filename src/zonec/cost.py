@@ -17,11 +17,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
-from .arch import MachineConfig, Policy, build_layout
+from .arch import TYPE3, MachineConfig, build_layout
 from .frontend import BenchmarkSpec
 from .ir import UNPULSED, Circuit, paused_gc
 from .rewrite import PipelineOptions, ZoneStepProgram, mantra_pipeline
-from .scheduler import EventKind, Timeline, count_ld_st, schedule
+from .scheduler import PULSE_1Q, PULSE_2Q, TRAP_TRANSFER, EventKind, Timeline, count_ld_st, schedule
 
 _TRAVEL_KINDS = (
     EventKind.LOAD,
@@ -88,9 +88,9 @@ def breakdown(timeline: Timeline) -> Breakdown:
     """Each event's time added to its category, in event order."""
     cat = dict.fromkeys(CATEGORIES, 0.0)
     starts, ends = _travel_union(timeline.events)
-    transfer, n_pieces = EventKind.TRAP_TRANSFER, len(starts)
+    n_pieces = len(starts)
     for kind, _, start, dur in timeline.events:
-        if kind is not transfer:
+        if kind is not TRAP_TRANSFER:
             cat[_CATEGORY[kind]] += dur
             continue
         # Subtract the time the union pieces cover: before the first piece
@@ -131,7 +131,7 @@ def crosstalk_exposures(timeline: Timeline) -> tuple[list[int], list[int]]:
     non-zoned policy pulses every atom of the register, so each such layer
     exposes the qubit to crosstalk once."""
     n = timeline.num_qubits
-    layers = {EventKind.PULSE_1Q: 0, EventKind.PULSE_2Q: 0}
+    layers = {PULSE_1Q: 0, PULSE_2Q: 0}
     driven = {kind: [0] * n for kind in layers}
     for e in timeline.events:
         if e.kind in layers:
@@ -158,7 +158,7 @@ def fidelity(
             n1q[g.qubits[0]] += 1
         else:
             n2q[min(g.qubits)] += 1
-    type3 = config.policy is Policy.TYPE3
+    type3 = config.policy is TYPE3
     if type3:
         x1q, xcz = crosstalk_exposures(timeline)
     measured = set(timeline.measured)

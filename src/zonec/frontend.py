@@ -12,7 +12,21 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from .ir import ARITY, NUM_PARAMS, Circuit, CircuitError, Gate, GateKind, PauliTerm, PauliTermFile
+from .ir import (
+    ARITY,
+    CX,
+    MEASURE,
+    NUM_PARAMS,
+    RX,
+    RZZ,
+    Circuit,
+    CircuitError,
+    Gate,
+    GateKind,
+    H,
+    PauliTerm,
+    PauliTermFile,
+)
 
 
 class ParseError(ValueError):
@@ -114,7 +128,6 @@ def parse_qasm(text: str) -> Circuit:
     parsed: dict[str, Gate] = {}
     angles: dict[str, tuple[float]] = {}
     operand_lists: dict[str, tuple[int, ...]] = {}
-    MEASURE = GateKind.MEASURE
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         for stmt in raw.split("//", 1)[0].split(";"):
@@ -311,8 +324,7 @@ def gen_ghz(n: int, chain: str = "fountain", measure: bool = True) -> Circuit:
         raise ValueError("GHZ needs at least 2 qubits")
     if chain not in CHAINS:
         raise ValueError(f"unknown chain {chain!r}, expected one of {CHAINS}")
-    CX, MEASURE = GateKind.CX, GateKind.MEASURE
-    gates = [Gate(GateKind.H, (0,))]
+    gates = [Gate(H, (0,))]
     if chain == "path":
         gates += [Gate(CX, (i, i + 1)) for i in range(n - 1)]
     elif chain == "fountain":
@@ -403,7 +415,6 @@ def gen_qaoa(graph: Graph, p: int, gammas, betas) -> Circuit:
     gammas, betas = list(gammas), list(betas)
     if len(gammas) != p or len(betas) != p:
         raise ValueError("need one gamma and one beta per layer")
-    H, RZZ, RX, MEASURE = GateKind.H, GateKind.RZZ, GateKind.RX, GateKind.MEASURE
     nodes = range(graph.num_nodes)
     gates = [Gate(H, (q,)) for q in nodes]
     weights = graph.weights or (1.0,) * len(graph.edges)
@@ -442,7 +453,6 @@ STEANE_Z_STABILIZERS = ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ")
 def gen_steane_prep() -> Circuit:
     """7-qubit Steane-code |+>_L preparation circuit; the scheduler times
     every run's error-correction prefix by its pulse layers."""
-    H, CX = GateKind.H, GateKind.CX
     gates = [Gate(H, (pivot,)) for pivot, _ in _STEANE_PREP_ROWS]
     gates += [Gate(CX, (pivot, t)) for pivot, rest in _STEANE_PREP_ROWS for t in rest]
     return Circuit(7, tuple(gates))

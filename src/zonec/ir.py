@@ -22,12 +22,9 @@ class Zone(Enum):
 
     # Members are singletons compared by identity, so the identity hash
     # agrees with ==; Enum's own hash runs Python code on every dict lookup.
-    # Reading a member runs Python code too: on CPython 3.11 ``EnumType``
-    # defines ``__getattr__``, so ``Zone.STORAGE`` costs about 20 local reads.
-    # So the compile, schedule and cost modules read no member of these enums
-    # inside a loop or a comprehension's per-item part: a function binds the
-    # members it tests to locals first, and a helper called per zone step uses
-    # module constants (tests/test_layering.py guards this).
+    # Reading a member as ``Zone.STORAGE`` runs Python code too (CPython
+    # 3.11's ``EnumType.__getattr__``), so each enum's module binds every
+    # member to a module name, which functions read (tests/test_layering.py).
     __hash__ = object.__hash__
 
 
@@ -47,6 +44,10 @@ class GateKind(Enum):
 
     __hash__ = object.__hash__  # as for Zone
 
+
+# Every member under its own name, which functions read (see ``Zone``).
+STORAGE, ENTANGLING, READOUT = Zone
+H, X, RX, RZ, CX, CZ, SWAP, RZZ, CPHASE, LP, AD, MEASURE = GateKind
 
 # Operand and parameter count per kind.
 _SIGNATURES = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind
+from .ir import AD, CPHASE, CX, CZ, LP, MEASURE, RX, RZ, RZZ, SWAP, Circuit, Gate, H, X
 
 MAX_UNITARY_QUBITS = 10
 MAX_STATE_QUBITS = 12
@@ -82,30 +82,30 @@ def is_unitary(u, tol: float = 1e-12) -> bool:
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     k, p = gate.kind, gate.params
-    if k is GateKind.H:
+    if k is H:
         return _H
-    if k is GateKind.X:
+    if k is X:
         return _X
-    if k is GateKind.RX:
+    if k is RX:
         t = p[0] / 2.0
         return np.array(
             [[np.cos(t), -1j * np.sin(t)], [-1j * np.sin(t), np.cos(t)]], dtype=complex
         )
-    if k is GateKind.RZ:
+    if k is RZ:
         return np.diag([np.exp(-1j * p[0] / 2.0), np.exp(1j * p[0] / 2.0)])
-    if k is GateKind.CX:
+    if k is CX:
         return _CX
-    if k is GateKind.CZ:
+    if k is CZ:
         return _CZ
-    if k is GateKind.SWAP:
+    if k is SWAP:
         return _SWAP
-    if k is GateKind.RZZ:
+    if k is RZZ:
         return rzz_matrix(p[0])
-    if k is GateKind.CPHASE:
+    if k is CPHASE:
         return cphase_matrix(p[0])
-    if k is GateKind.LP:
+    if k is LP:
         return lp_matrix(p[0])
-    if k is GateKind.AD:
+    if k is AD:
         return adiabatic_matrix(p[0], p[1])
     raise ValueError(f"no matrix for {k}")
 
@@ -128,7 +128,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     n = circuit.num_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"unitary_of limited to {MAX_UNITARY_QUBITS} qubits, got {n}")
-    if any(g.kind is GateKind.MEASURE for g in circuit.gates):
+    if any(g.kind is MEASURE for g in circuit.gates):
         raise ValueError("unitary_of cannot simulate MEASURE")
     dim = 2**n
     u = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
@@ -148,7 +148,7 @@ def statevector_of(circuit: Circuit, initial: int = 0) -> np.ndarray:
     psi[initial] = 1.0
     psi = psi.reshape((2,) * n)
     for gate in circuit.gates:
-        if gate.kind is GateKind.MEASURE:
+        if gate.kind is MEASURE:
             continue
         psi = _apply(psi, gate, n)
     return psi.reshape(-1)

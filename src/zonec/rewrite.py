@@ -13,11 +13,24 @@ import math
 from dataclasses import dataclass
 
 from .ir import (
+    AD,
+    CPHASE,
+    CX,
+    CZ,
+    ENTANGLING,
     GATE_ZONE,
+    LP,
+    MEASURE,
+    READOUT,
+    RX,
+    RZ,
+    RZZ,
+    STORAGE,
+    SWAP,
     Circuit,
     CircuitError,
     Gate,
-    GateKind,
+    H,
     PauliTerm,
     PauliTermFile,
     Zone,
@@ -77,7 +90,7 @@ class ZoneStepProgram:
 
     def boundary_crossings(self) -> int:
         """Storage <-> entangling boundaries in the step sequence."""
-        pair = {Zone.STORAGE, Zone.ENTANGLING}
+        pair = {STORAGE, ENTANGLING}
         return sum(
             1
             for a, b in zip(self.steps, self.steps[1:])
@@ -112,7 +125,6 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
     idiom holds a CX or a CZ, so the fold runs on a circuit that holds one,
     as in ``substitute_rzz``.
     """
-    CX, CZ, H = GateKind.CX, GateKind.CZ, GateKind.H
     kinds = {g.kind for g in circuit.gates}
     if CX not in kinds and CZ not in kinds:
         return circuit
@@ -132,7 +144,6 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
 
 def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
     """Replace every RZZ(g) by CX; RZ(g); CX (standard-execution template)."""
-    RZZ, CX, RZ = GateKind.RZZ, GateKind.CX, GateKind.RZ
     if RZZ not in {g.kind for g in circuit.gates}:
         return circuit
     gates: list[Gate] = []
@@ -156,7 +167,6 @@ def cancel_hadamard_pairs(circuit: Circuit) -> Circuit:
     # last pending H index per qubit, invalidated by any touching gate
     pending: dict[int, int] = {}
     kill: set[int] = set()
-    H = GateKind.H
     for i, g in enumerate(circuit.gates):
         if g.kind is H:
             q = g.qubits[0]
@@ -183,7 +193,6 @@ _HALF_PI = 1.5707963267948966
 
 def _basis_change(term: PauliTerm, invert: bool) -> list[Gate]:
     gates = []
-    H, RX = GateKind.H, GateKind.RX
     for q, ch in zip(term.support, (term.label[i] for i in term.support)):
         if ch == "X":
             gates.append(Gate(H, (q,)))
@@ -208,11 +217,10 @@ def synth_pauli_fountain(term: PauliTerm) -> Circuit:
     others = term.support[1:]
     gates: list[Gate] = _basis_change(term, invert=False)
     closing = _basis_change(term, invert=True)
-    rz = Gate(GateKind.RZ, (target,), (term.theta,))
+    rz = Gate(RZ, (target,), (term.theta,))
     if not others:
         return Circuit(n, tuple(gates + [rz] + closing))
-    h = Gate(GateKind.H, (target,))  # gates are immutable, so one serves often
-    CZ = GateKind.CZ
+    h = Gate(H, (target,))  # gates are immutable, so one serves often
     fan_in = [Gate(CZ, (q, target)) for q in others]
     middle = fan_in + [h, rz, h] + fan_in[::-1]
     if term.label[target] == "X":
@@ -232,10 +240,9 @@ def synth_pauli_path(term: PauliTerm) -> Circuit:
         return Circuit(n)
     gates: list[Gate] = _basis_change(term, invert=False)
     chain = term.support
-    CX = GateKind.CX
     for a, b in zip(chain, chain[1:]):
         gates.append(Gate(CX, (a, b)))
-    gates.append(Gate(GateKind.RZ, (chain[-1],), (term.theta,)))
+    gates.append(Gate(RZ, (chain[-1],), (term.theta,)))
     for a, b in reversed(list(zip(chain, chain[1:]))):
         gates.append(Gate(CX, (a, b)))
     gates += _basis_change(term, invert=True)
@@ -250,8 +257,8 @@ def synth_pauli_path(term: PauliTerm) -> Circuit:
 # After an idiom's opening gate, the gates it must meet next on its two
 # qubits: CX(a,b) RZ(t,b) CX(a,b), and, once H(b) has met its CZ(a,b), the
 # rest of H(b) CZ(a,b) H(b) RZ(t,b) H(b) CZ(a,b) H(b).
-_CX_TAIL = (GateKind.RZ, GateKind.CX)
-_H_TAIL = (GateKind.H, GateKind.RZ, GateKind.H, GateKind.CZ, GateKind.H)
+_CX_TAIL = (RZ, CX)
+_H_TAIL = (H, RZ, H, CZ, H)
 
 
 def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
@@ -280,7 +287,6 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     seen = [0] * num_qubits  # gates on q at positions up to the current one
     end = len(gates)
     dead = [False] * end
-    CX, CZ, H, RZ, RZZ = GateKind.CX, GateKind.CZ, GateKind.H, GateKind.RZ, GateKind.RZZ
 
     for i, first in enumerate(gates):
         for q in first.qubits:
@@ -382,10 +388,9 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    RZZ, AD, LP, CPHASE = GateKind.RZZ, GateKind.AD, GateKind.LP, GateKind.CPHASE
     kinds = {g.kind for g in circuit.gates}
     gates = circuit.gates
-    if GateKind.CX in kinds or GateKind.CZ in kinds:
+    if CX in kinds or CZ in kinds:
         gates = _fold_zz_idioms(circuit)
     if RZZ not in kinds and len(gates) == len(circuit.gates):
         return circuit  # every fold makes an RZZ and drops gates, so none was made
@@ -419,7 +424,6 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
     followed by the input's SWAPs in program order, so a SWAP costs no gate
     and no time.
     """
-    SWAP = GateKind.SWAP
     if SWAP not in {g.kind for g in circuit.gates}:
         return circuit, tuple(range(circuit.num_qubits))
     slots = list(range(circuit.num_qubits))  # qubit -> its slot after the SWAPs so far
@@ -436,7 +440,7 @@ def lower_swap(circuit: Circuit) -> tuple[Circuit, tuple[int, ...]]:
 def gate_based_swap_reference(num_qubits: int, a: int, b: int) -> Circuit:
     """Gate-based SWAP lowering (3 CX), kept only as the reference that the
     relabelled SWAP of acceptance criterion 8 must beat."""
-    ab, ba = Gate(GateKind.CX, (a, b)), Gate(GateKind.CX, (b, a))
+    ab, ba = Gate(CX, (a, b)), Gate(CX, (b, a))
     return Circuit(num_qubits, (ab, ba, ab))
 
 
@@ -451,7 +455,6 @@ def _check_readout(circuit: Circuit) -> None:
     Raises ``ValueError`` naming the first gate that does, as the circuit
     has it; a SWAP counts."""
     measured: set[int] = set()
-    MEASURE = GateKind.MEASURE
     for g in circuit.gates:
         if g.kind is MEASURE:
             measured.add(g.qubits[0])
@@ -476,10 +479,8 @@ def align_zone_steps(circuit: Circuit) -> ZoneStepProgram:
 
 def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``align_zone_steps``'s steps before seams are merged."""
-    storage, entangling, readout = Zone.STORAGE, Zone.ENTANGLING, Zone.READOUT
-    CX, SWAP = GateKind.CX, GateKind.SWAP
     # Steps of zone ``first`` have even numbers and the others odd ones.
-    first = next((g.zone for g in circuit.gates if g.zone is not readout), None)
+    first = next((g.zone for g in circuit.gates if g.zone is not READOUT), None)
     frontier: dict[int, int] = {}  # qubit -> step of the last gate on it
     free = frontier.get
     steps: list[list[Gate]] = []
@@ -487,7 +488,7 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     for g in circuit.gates:
         kind = g.kind
         zone = GATE_ZONE[kind]
-        if zone is readout:
+        if zone is READOUT:
             measures.append(g)
             continue
         if kind is CX or kind is SWAP:
@@ -510,10 +511,10 @@ def _aligned_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
             steps.append([g])
         else:
             steps[step].append(g)
-    other = entangling if first is storage else storage
+    other = ENTANGLING if first is STORAGE else STORAGE
     raw = [(other if k & 1 else first, gates) for k, gates in enumerate(steps)]
     if measures:
-        raw.append((readout, measures))
+        raw.append((READOUT, measures))
     return raw
 
 
@@ -529,9 +530,6 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
 
 def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
     """``layer_zone_steps``'s segments before seams are merged."""
-    storage, entangling = Zone.STORAGE, Zone.ENTANGLING
-    MEASURE, CX, SWAP, H, CZ = (GateKind.MEASURE, GateKind.CX, GateKind.SWAP, GateKind.H,
-                                GateKind.CZ)
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
     gates = circuit.gates
@@ -550,7 +548,7 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
                 pre.append(h)
                 two.append(Gate(CZ, g.qubits))
                 post.append(h)
-            elif GATE_ZONE[kind] is storage:
+            elif GATE_ZONE[kind] is STORAGE:
                 pre.append(g)
             elif kind is SWAP:
                 raise ValueError("layer_zone_steps requires a SWAP-free circuit")
@@ -558,13 +556,13 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
                 two.append(g)
         # Basis-change and RZ layers fill one segment of the three.
         if pre:
-            raw.append((storage, pre))
+            raw.append((STORAGE, pre))
         if two:
-            raw.append((entangling, two))
+            raw.append((ENTANGLING, two))
         if post:
-            raw.append((storage, post))
+            raw.append((STORAGE, post))
     if measures:
-        raw.append((Zone.READOUT, measures))
+        raw.append((READOUT, measures))
     return raw
 
 
@@ -576,7 +574,6 @@ def absorb_x_basis(circuit: Circuit) -> Circuit:
         for q in g.qubits:
             ops_on.setdefault(q, []).append(i)
     drop: set[int] = set()
-    H, MEASURE = GateKind.H, GateKind.MEASURE
     for q, indices in ops_on.items():
         first = circuit.gates[indices[0]]
         if first.kind is H:
@@ -621,24 +618,22 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     after its qubit's MEASURE raises ``ValueError`` before any pass runs.
 
     A Pauli-term file compiles term by term (per-string execution), seams
-    merged, then one readout step. A synthesised term is already lowered,
-    so mantra runs only native ZZ substitution on a fountain before
-    alignment, and standard steps a path as synthesised.
+    merged, then one readout step; an identity term synthesises no gate, so
+    it adds no step. A synthesised term is already lowered, so mantra runs
+    only native ZZ substitution on a fountain before alignment, and standard
+    steps a path as synthesised.
     """
     if isinstance(source, PauliTermFile):
         # Each term's raw steps are concatenated and merged once, so every
         # ZoneStep is built once and the program checks its gates once.
         raw: list[tuple[Zone, list[Gate]]] = []
         for term in source.terms:
-            if term.weight == 0:
-                continue
             if options.mode == "mantra":
                 raw += _aligned_raw(substitute_rzz(synth_pauli_fountain(term), options.protocol))
             else:
                 raw += _layered_raw(synth_pauli_path(term))
         n = source.num_qubits
-        MEASURE = GateKind.MEASURE
-        raw.append((Zone.READOUT, [Gate(MEASURE, (q,)) for q in range(n)]))
+        raw.append((READOUT, [Gate(MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
     raw_steps = _aligned_raw if options.mode == "mantra" else _layered_raw
     _check_readout(source)

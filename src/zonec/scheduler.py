@@ -26,17 +26,19 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arch import (
+    AOD,
+    SLM,
+    TYPE2,
+    TYPE3,
     AtomLayout,
     LayoutError,
     MachineConfig,
-    Policy,
-    Trap,
     crossing_time_us,
     isolation_hop_us,
     land_movers,
 )
 from .frontend import gen_steane_prep
-from .ir import UNPULSED, Zone, layer_indices, paused_gc
+from .ir import ENTANGLING, READOUT, STORAGE, UNPULSED, Zone, layer_indices, paused_gc
 from .rewrite import ZoneStepProgram, cancel_hadamard_pairs, lower_cx_to_cz
 
 
@@ -54,6 +56,10 @@ class EventKind(Enum):
     __hash__ = object.__hash__  # as for ir.Zone
 
 
+(LOAD, STORE, TRAP_TRANSFER, SHUTTLE, PULSE_1Q, PULSE_2Q, READOUT_MOVE, READOUT_IMAGE,
+ EC_PREP) = EventKind  # every member under its own name (see ``ir.Zone``)
+
+
 class Event(NamedTuple):
     kind: EventKind
     qubits: tuple[int, ...]
@@ -63,16 +69,6 @@ class Event(NamedTuple):
     @property
     def end_us(self) -> float:
         return self.start_us + self.duration_us
-
-
-# The members the step loops and per-step helpers use, read once here: every
-# read of an Enum member runs Python code (see ``ir.Zone``), and each helper
-# runs once or more per zone step.
-_STORAGE, _ENTANGLING, _READOUT = Zone.STORAGE, Zone.ENTANGLING, Zone.READOUT
-_SLM, _AOD = Trap.SLM, Trap.AOD
-_TRAP_TRANSFER, _SHUTTLE, _READOUT_IMAGE = (EventKind.TRAP_TRANSFER, EventKind.SHUTTLE,
-                                            EventKind.READOUT_IMAGE)
-_PULSE_1Q, _PULSE_2Q = EventKind.PULSE_1Q, EventKind.PULSE_2Q
 
 
 @dataclass
@@ -96,13 +92,12 @@ class Timeline:
 
 def count_ld_st(timeline: Timeline) -> tuple[int, int]:
     """(loads, stores) counted per batch event (readout travel excluded)."""
-    load, store = EventKind.LOAD, EventKind.STORE
     loads = stores = 0
     for e in timeline.events:
         kind = e.kind
-        if kind is load:
+        if kind is LOAD:
             loads += 1
-        elif kind is store:
+        elif kind is STORE:
             stores += 1
     return loads, stores
 
@@ -137,9 +132,9 @@ def ec_prep_event(config: MachineConfig, n_logical: int) -> Event:
     one transversal entangling layer, and (except under Type 3) the ancilla
     travel to the storage zone. Fully parallel across logical qubits."""
     dur = steane_prep_duration_us(config) + config.pulse_2q_us
-    if config.policy is not Policy.TYPE3:
+    if config.policy is not TYPE3:
         dur += config.min_ld_st_us
-    return Event(EventKind.EC_PREP, tuple(range(n_logical)), 0.0, dur)
+    return Event(EC_PREP, tuple(range(n_logical)), 0.0, dur)
 
 
 @dataclass(slots=True)
@@ -165,13 +160,13 @@ class _Sim:
         concurrency window."""
         if not qubits:
             return 0.0
-        sites, transfers, slm, aod = self.layout.qubits, self.transfers, _SLM, _AOD
+        sites, transfers = self.layout.qubits, self.transfers
         for q in qubits:
             site = sites[q]
-            site.trap = aod if site.trap is slm else slm
+            site.trap = AOD if site.trap is SLM else SLM
             transfers[q] = transfers.get(q, 0) + 1
         dur = self.config.trap_transfer_time_us
-        self.emit(_TRAP_TRANSFER, qubits, self.clock, dur)
+        self.emit(TRAP_TRANSFER, qubits, self.clock, dur)
         return dur
 
 
@@ -217,15 +212,14 @@ def _pick_movers(gates, one_layer: bool, sites):
             a, b = g.qubits
             count[a] = count.get(a, 0) + 1
             count[b] = count.get(b, 0) + 1
-    aod = _AOD
     movers = []
     for g in gates:
         a, b = g.qubits
         if count and count[a] != count[b]:
             movers.append(a if count[a] > count[b] else b)
             continue
-        aod_a = sites[a].trap is aod
-        if aod_a == (sites[b].trap is aod):
+        aod_a = sites[a].trap is AOD
+        if aod_a == (sites[b].trap is AOD):
             movers.append(a if a < b else b)
         else:
             movers.append(a if aod_a else b)
@@ -256,7 +250,7 @@ def schedule(
     sim.emit(*ec_prep_event(config, n))
     sim.clock = sim.events[0].end_us
 
-    if config.policy is Policy.TYPE3:
+    if config.policy is TYPE3:
         _schedule_type3(sim, program)
     else:
         _schedule_zoned(sim, program)
@@ -266,10 +260,10 @@ def schedule(
         raise ValueError(f"makespan is not finite ({clock} us): the machine config's "
                          "times overflow")
     for q in range(n):  # charge each qubit's time since its last move
-        bucket = sim.t_in if layout.qubits[q].zone is _STORAGE else sim.t_out
+        bucket = sim.t_in if layout.qubits[q].zone is STORAGE else sim.t_out
         bucket[q] += clock - since.get(q, 0.0)
     measured = tuple(sorted({g.qubits[0] for step in program.steps
-                             if step.zone is _READOUT for g in step.gates}))
+                             if step.zone is READOUT for g in step.gates}))
     return Timeline(
         num_qubits=n,
         events=tuple(sim.events),
@@ -294,15 +288,15 @@ def _preplace(sim: _Sim, program: ZoneStepProgram):
             for q in g.qubits:
                 first_zone.setdefault(q, step.zone)
     for q, zone in first_zone.items():
-        if zone is _ENTANGLING:
-            sim.layout.qubits[q].zone = _ENTANGLING
+        if zone is ENTANGLING:
+            sim.layout.qubits[q].zone = ENTANGLING
 
 
 def _pulse_layers(sim: _Sim, pulsed, two_q: bool):
     """One global 2Q (``two_q``) or 1Q pulse per layer of ``pulsed`` qubits,
     fired on the atoms where they stand."""
     cfg = sim.config
-    kind, dur = (_PULSE_2Q, cfg.pulse_2q_us) if two_q else (_PULSE_1Q, cfg.pulse_1q_us)
+    kind, dur = (PULSE_2Q, cfg.pulse_2q_us) if two_q else (PULSE_1Q, cfg.pulse_1q_us)
     emit, clock = sim.emit, sim.clock
     for qubits in pulsed:
         emit(kind, qubits, clock, dur)
@@ -316,14 +310,13 @@ def _pulse_in_place_layers(sim: _Sim, pulsed):
     cfg = sim.config
     sites = sim.layout.qubits
     hop = isolation_hop_us(cfg)
-    slm = _SLM
     for qubits in pulsed:
-        sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is slm])
-        sim.emit(_SHUTTLE, qubits, sim.clock, hop)
+        sim.clock += sim.transfer_batch([q for q in qubits if sites[q].trap is SLM])
+        sim.emit(SHUTTLE, qubits, sim.clock, hop)
         sim.clock += hop
-        sim.emit(_PULSE_1Q, qubits, sim.clock, cfg.pulse_1q_us)
+        sim.emit(PULSE_1Q, qubits, sim.clock, cfg.pulse_1q_us)
         sim.clock += cfg.pulse_1q_us
-        sim.emit(_SHUTTLE, qubits, sim.clock, hop)
+        sim.emit(SHUTTLE, qubits, sim.clock, hop)
         sim.clock += hop
 
 
@@ -344,17 +337,16 @@ def _entangling_gates(sim: _Sim, gates, movers, layers):
         worst = land_movers(layout, pairs)
         if worst > 0.0:
             layer_movers.sort()
-            emit(_SHUTTLE, layer_movers, clock, worst)
+            emit(SHUTTLE, layer_movers, clock, worst)
             clock += worst
         qubits.sort()
-        emit(_PULSE_2Q, qubits, clock, dur)
+        emit(PULSE_2Q, qubits, clock, dur)
         clock += dur
     sim.clock = clock
 
 
 # The travel event of a crossing, by destination zone.
-_CROSSING = {Zone.ENTANGLING: EventKind.LOAD, Zone.STORAGE: EventKind.STORE,
-             Zone.READOUT: EventKind.READOUT_MOVE}
+_CROSSING = {ENTANGLING: LOAD, STORAGE: STORE, READOUT: READOUT_MOVE}
 
 
 def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
@@ -365,8 +357,7 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     longer of the two."""
     layout = sim.layout
     sites = layout.qubits
-    slm = _SLM
-    pickups = [q for q in qubits if sites[q].trap is slm]
+    pickups = [q for q in qubits if sites[q].trap is SLM]
     window = sim.transfer_batch(sorted([*handover, *pickups]) if handover else pickups)
     if not qubits:
         sim.clock += window
@@ -375,10 +366,10 @@ def _cross(sim: _Sim, qubits, dest: Zone, handover=()):
     sim.emit(_CROSSING[dest], qubits, sim.clock, travel)
     at = sim.clock = sim.clock + max(window, travel)
     # Charge each member's time since its last move to the zone it leaves.
-    since, t_in, t_out, storage = sim.zone_since, sim.t_in, sim.t_out, _STORAGE
+    since, t_in, t_out = sim.zone_since, sim.t_in, sim.t_out
     for q in qubits:
         site = sites[q]
-        (t_in if site.zone is storage else t_out)[q] += at - since.get(q, 0.0)
+        (t_in if site.zone is STORAGE else t_out)[q] += at - since.get(q, 0.0)
         site.zone = dest
         since[q] = at
 
@@ -387,24 +378,23 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
     """Type 1 and type 2. Type 2 permits local Raman in the entangling zone:
     it skips the x-basis preplacement, its first entangling step loads every
     qubit the program uses, and from then on its 1Q layers run in place."""
-    type2 = sim.config.policy is Policy.TYPE2
+    type2 = sim.config.policy is TYPE2
     if type2:
         program_qubits = sorted({q for s in program.steps for g in s.gates for q in g.qubits})
     else:
         _preplace(sim, program)
     sites = sim.layout.qubits
-    storage, entangling, readout, aod = _STORAGE, _ENTANGLING, _READOUT, _AOD
     loaded = False  # type 2's one load has happened
     for step in program.steps:
         gates = step.gates
         used, layers = _step_layers(gates)
-        if step.zone is readout:
-            _cross(sim, used, readout)
+        if step.zone is READOUT:
+            _cross(sim, used, READOUT)
             _schedule_readout(sim, used)
-        elif step.zone is storage and loaded:
+        elif step.zone is STORAGE and loaded:
             _pulse_in_place_layers(sim, _pulsed_layers(gates, layers))
-        elif step.zone is storage:
-            _cross(sim, [q for q in used if sites[q].zone is entangling], storage)
+        elif step.zone is STORAGE:
+            _cross(sim, [q for q in used if sites[q].zone is ENTANGLING], STORAGE)
             _pulse_layers(sim, _pulsed_layers(gates, layers), False)
         else:
             movers = _pick_movers(gates, len(layers) == 1, sites)
@@ -414,25 +404,25 @@ def _schedule_zoned(sim: _Sim, program: ZoneStepProgram):
             arriving, handover = [], []
             for q in used:
                 site = sites[q]
-                if site.zone is storage:
+                if site.zone is STORAGE:
                     arriving.append(q)
-                elif (site.trap is aod) is (q not in mover_set):
+                elif (site.trap is AOD) is (q not in mover_set):
                     handover.append(q)
-            incoming = ([q for q in program_qubits if sites[q].zone is storage]
+            incoming = ([q for q in program_qubits if sites[q].zone is STORAGE]
                         if type2 else arriving)
             # Residents hand over and incoming qubits are picked up by the
             # AOD in one transfer batch, which overlaps the load travel.
-            _cross(sim, incoming, entangling, handover)
+            _cross(sim, incoming, ENTANGLING, handover)
             # Freshly arrived stationary partners still hand over to SLM.
             sim.clock += sim.transfer_batch(
-                [q for q in arriving if (sites[q].trap is aod) is (q not in mover_set)])
+                [q for q in arriving if (sites[q].trap is AOD) is (q not in mover_set)])
             _entangling_gates(sim, gates, movers, layers)
             loaded = type2
 
 
 def _schedule_readout(sim: _Sim, qubits):
     """Image the sorted ``qubits`` where they stand."""
-    sim.emit(_READOUT_IMAGE, qubits, sim.clock, sim.config.readout_time_us)
+    sim.emit(READOUT_IMAGE, qubits, sim.clock, sim.config.readout_time_us)
     sim.clock += sim.config.readout_time_us
 
 
@@ -440,10 +430,10 @@ def _schedule_type3(sim: _Sim, program: ZoneStepProgram):
     """Non-zoned in-place execution: every step pulses its layers where the
     atoms stand, and all time decoheres at the fast rate."""
     for site in sim.layout.qubits[: program.num_qubits]:
-        site.zone = _ENTANGLING
+        site.zone = ENTANGLING
     for step in program.steps:
         used, layers = _step_layers(step.gates)
-        if step.zone is _READOUT:
+        if step.zone is READOUT:
             _schedule_readout(sim, used)
         else:
-            _pulse_layers(sim, _pulsed_layers(step.gates, layers), step.zone is _ENTANGLING)
+            _pulse_layers(sim, _pulsed_layers(step.gates, layers), step.zone is ENTANGLING)

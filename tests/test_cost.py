@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import accumulate
 from unittest import mock
 
@@ -470,6 +471,14 @@ class TestRunInvariants:
             for q in range(tl.num_qubits):
                 assert tl.t_in_us[q] + tl.t_out_us[q] == pytest.approx(makespan, rel=1e-9)
             assert all(e.end_us <= makespan * (1 + 1e-12) for e in tl.events)
+            # The per-qubit transfer counts and the measured qubits can be
+            # read off the events.
+            assert tl.transfers == Counter(
+                q for e in tl.events if e.kind is EventKind.TRAP_TRANSFER for q in e.qubits
+            )
+            assert tl.measured == tuple(sorted(
+                {q for e in tl.events if e.kind is EventKind.READOUT_IMAGE for q in e.qubits}
+            ))
             fr = r.fidelity
             assert fr.total == pytest.approx(math.prod(fr.factors.values()), rel=1e-9)
             assert fr.total == pytest.approx(math.prod(fr.per_qubit.values()), rel=1e-9)

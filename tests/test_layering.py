@@ -5,11 +5,15 @@ that the compile path never loads it, and so does the garbage-collector
 pause."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import zonec
+from zonec.arch import Policy, Trap
+from zonec.ir import GateKind, Zone
+from zonec.scheduler import EventKind
 
 SRC = Path(zonec.__file__).parent
 
@@ -203,60 +207,40 @@ def test_only_cross_emits_crossings():
     assert not outside, sorted(outside)
 
 
-# Every read of an Enum member (``GateKind.H``, ``Zone.STORAGE``, ...) runs
-# Python code on CPython 3.11: ``EnumType`` defines ``__getattr__``, which
-# routes every class attribute lookup through a Python-level hook (about
-# 0.15 us against 0.007 us for a local). So the compile, schedule and cost
-# modules read each member once: a function binds the members its loops test
-# to locals before the loop, and the per-step helpers, each called once or
-# more per zone step, use module constants. A read counts as hot inside a
-# loop's body (and a ``while`` test), and anywhere in a comprehension but its
-# first iterable, which is evaluated once.
-HOT_PATH_MODULES = ("ir", "frontend", "rewrite", "arch", "scheduler", "cost")
-ENUMS = {"GateKind", "Zone", "EventKind", "Trap", "Policy"}
-PER_STEP_HELPERS = {
-    "scheduler": {"_cross", "transfer_batch", "_pick_movers", "_entangling_gates",
-                  "_pulse_layers", "_pulse_in_place_layers", "_schedule_readout"},
-    "arch": {"crossing_time_us"},
-}
+# Reading an Enum member as a class attribute (``GateKind.H``) runs Python
+# code on CPython 3.11: ``EnumType`` defines ``__getattr__``, which routes
+# every class attribute lookup through a Python-level hook. In a 10k-item
+# loop an ``x is GateKind.H`` test costs about 189 ns, against 33 ns with a
+# module name and 32 ns with a local. So each enum's module binds every
+# member to a module name of its own, and no function body in zonec reads a
+# member as an attribute; module-level tables, built once at import, may.
+ENUM_HOMES = {"ir": (Zone, GateKind), "arch": (Policy, Trap), "scheduler": (EventKind,)}
+MEMBER_READS = {(enum.__name__, name) for enums in ENUM_HOMES.values() for enum in enums
+                for name in enum.__members__}
 
 
-def _member_reads(node):
-    for n in ast.walk(node):
-        if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                and isinstance(n.value, ast.Name) and n.value.id in ENUMS):
-            yield n
-
-
-def _repeated_parts(node):
-    """The parts of a loop or comprehension ``node`` evaluated once per
-    iteration."""
-    if isinstance(node, (ast.For, ast.AsyncFor)):
-        return node.body
-    if isinstance(node, ast.While):
-        return [node.test, *node.body]
-    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-        first, *rest = node.generators
-        return [node.elt, *first.ifs, *rest]
-    if isinstance(node, ast.DictComp):
-        first, *rest = node.generators
-        return [node.key, node.value, *first.ifs, *rest]
-    return []
-
-
-@pytest.mark.parametrize("stem", HOT_PATH_MODULES)
-def test_enum_members_read_outside_loops(stem):
-    path = SRC / f"{stem}.py"
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_reads_an_enum_member_as_an_attribute(path):
     tree = ast.parse(path.read_text())
-    functions = [fn for fn in ast.walk(tree)
-                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    helpers = PER_STEP_HELPERS.get(stem, set())
-    assert helpers <= {fn.name for fn in functions}, "a per-step helper was renamed"
-    hot = set()
-    for fn in functions:
-        if fn.name in helpers:
-            hot.update(n.lineno for n in _member_reads(fn))
-        for loop in ast.walk(fn):
-            for part in _repeated_parts(loop):
-                hot.update(n.lineno for n in _member_reads(part))
-    assert not hot, " ".join(f"{path.name}:{line}" for line in sorted(hot))
+    reads = {
+        f"{path.name}:{n.lineno} reads {n.value.id}.{n.attr}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for stmt in (fn.body if isinstance(fn.body, list) else [fn.body])
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and (n.value.id, n.attr) in MEMBER_READS
+    }
+    assert not reads, sorted(reads)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_each_enum_module_exports_its_members(path):
+    tree = ast.parse(path.read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+               and any(isinstance(b, ast.Name) and b.id == "Enum" for b in n.bases)}
+    enums = ENUM_HOMES.get(path.stem, ())
+    assert defined == {enum.__name__ for enum in enums}
+    missing = [m.name for enum in enums for m in enum
+               if getattr(sys.modules[enum.__module__], m.name, None) is not m]
+    assert not missing, missing
