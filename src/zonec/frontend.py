@@ -231,9 +231,12 @@ def _qubit_operands(
     text: str, qreg_name, num_qubits: int, line: int, whole=False
 ) -> tuple[int, ...]:
     """Indices of the checked ``q[i]`` operands in ``text``; an error's column
-    is the operand's position. ``whole`` skips a bare qreg name (a barrier's)."""
+    is the operand's position, and an empty item is malformed. ``whole``
+    skips a bare qreg name (a barrier's)."""
+    if not text.strip():
+        return ()
     operands = []
-    for col, tok in enumerate(t.strip() for t in text.split(",") if t.strip()):
+    for col, tok in enumerate(t.strip() for t in text.split(",")):
         if whole and tok == qreg_name:
             continue
         om = _OPERAND_RE.match(tok)

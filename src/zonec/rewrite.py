@@ -64,13 +64,15 @@ class ZoneStepProgram:
     slots: tuple[int, ...] = ()
 
     def __post_init__(self):
-        """One walk over the steps: adjacent steps differ in zone, and each
-        gate runs in its step's zone on an operand of the register, which
-        holds at least one qubit, as a ``Circuit``'s does."""
+        """One walk over the steps: adjacent steps differ in zone, each gate
+        runs in its step's zone on an operand of the register, which holds
+        at least one qubit, as a ``Circuit``'s does, and readout is terminal:
+        only a MEASURE may act on a qubit that an earlier step measured."""
         n = self.num_qubits
         if n < 1:
             raise CircuitError("circuit needs at least one qubit")
         last = None
+        measured: set[int] = set()
         for step in self.steps:
             zone = step.zone
             if zone is last:
@@ -83,6 +85,14 @@ class ZoneStepProgram:
                 for q in qubits:
                     if not 0 <= q < n:
                         raise CircuitError(f"operand q[{q}] out of range for {n} qubits")
+            if zone is READOUT:
+                measured.update(g.qubits[0] for g in step.gates)
+            elif measured:
+                for kind, qubits, _ in step.gates:
+                    for q in qubits:
+                        if q in measured:
+                            raise ValueError(f"{kind.value} on qubit {q} after its MEASURE; "
+                                             "readout is terminal")
 
     def flatten(self) -> Circuit:
         gates = tuple(g for step in self.steps for g in step.gates)
@@ -255,23 +265,23 @@ def synth_pauli_path(term: PauliTerm) -> Circuit:
 
 
 # After an idiom's opening gate, the gates it must meet next on its two
-# qubits: CX(a,b) RZ(t,b) CX(a,b), and, once H(b) has met its CZ(a,b), the
-# rest of H(b) CZ(a,b) H(b) RZ(t,b) H(b) CZ(a,b) H(b).
-_CX_TAIL = (RZ, CX)
-_H_TAIL = (H, RZ, H, CZ, H)
+# qubits: CX(a,b) RZ(t,b) CX(a,b), and H(b) CZ(a,b) H(b) RZ(t,b) H(b)
+# CZ(a,b) H(b).
+_TAILS = {CX: (RZ, CX), H: (CZ, H, RZ, H, CZ, H)}
 
 
 def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     """The circuit's gates with every ZZ idiom folded into an RZZ gate, in
     one left-to-right pass.
 
-    Each CX or H gate opens a candidate idiom on qubits (a, b). Its next
-    gates on a or b, in program order, must follow the pattern; gates on
-    other qubits may interleave. In the H form, a is known only at the first
-    CZ(a,b), and a gate on a between the opening H(b) and that CZ rejects
-    the match: the RZZ lands at the H(b), ahead of such a gate. A match
-    replaces its opening gate with RZZ(theta) on (a, b), equal to the idiom
-    up to a global phase exp(-i*theta/2), and drops its other gates.
+    Each CX or H gate opens a candidate idiom on qubits (a, b): a CX(a,b)
+    names both, and an H(b) reads a off the next live gate on b, which must
+    be a CZ(a,b). One walk then matches the opener's tail in ``_TAILS``:
+    each tail gate must be the next live gate on a or b, so gates on other
+    qubits may interleave, and in the H form a gate on a before that CZ
+    fails the walk's first step (the RZZ would land at the H(b), ahead of
+    it). A match replaces its opening gate with RZZ(theta) on (a, b), equal
+    to the idiom up to a global phase exp(-i*theta/2), and drops the rest.
 
     One pass finds what restarting from the first gate after each fold
     would: every other gate inside a matched idiom avoids a and b, so a fold
@@ -296,35 +306,20 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
             continue
         if kind is CX:
             a, b = first.qubits
-            on_a, on_b = on[a], on[b]
-            ra, rb = seen[a], seen[b]
-            tail = _CX_TAIL
-            matched = [i]
         else:
             (b,) = first.qubits
-            on_b = on[b]
-            nb = len(on_b)
-            rb = seen[b]
-            while rb < nb and dead[on_b[rb]]:
+            on_b, rb = on[b], seen[b]
+            while rb < len(on_b) and dead[on_b[rb]]:
                 rb += 1
-            if rb == nb:
+            if rb == len(on_b) or gates[on_b[rb]].kind is not CZ:
                 continue
-            j = on_b[rb]
-            g = gates[j]
-            if g.kind is not CZ:
-                continue
-            a = g.qubits[0] if g.qubits[1] == b else g.qubits[1]
-            on_a = on[a]
-            ra = seen[a]
-            while dead[on_a[ra]]:  # stops at the live CZ at the latest
-                ra += 1
-            if on_a[ra] != j:  # a gate on a comes before the CZ
-                continue
-            ra, rb = ra + 1, rb + 1
-            tail = _H_TAIL
-            matched = [i, j]
+            x, y = gates[on_b[rb]].qubits
+            a = y if x == b else x
+        on_a, on_b = on[a], on[b]
+        ra, rb = seen[a], seen[b]
         na, nb = len(on_a), len(on_b)
-        for want in tail:
+        matched = [i]
+        for want in _TAILS[kind]:
             while ra < na and dead[on_a[ra]]:
                 ra += 1
             while rb < nb and dead[on_b[rb]]:

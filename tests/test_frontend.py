@@ -131,10 +131,10 @@ def _parse_qasm_reference(text):
     statements_read = 0
 
     def qubit_operands(operand_text, lineno, whole=False):
+        if not operand_text.strip():
+            return []
         operands = []
-        for col, tok in enumerate(
-            t.strip() for t in operand_text.split(",") if t.strip()
-        ):
+        for col, tok in enumerate(t.strip() for t in operand_text.split(",")):
             if whole and tok == qreg_name:
                 continue
             om = operand_re.match(tok)
@@ -268,6 +268,7 @@ _BAD_STATEMENTS = [
     "includefoo q[0]", "include qelib1.inc", "barrier_junk(7) r[9]", "barrier r[0]",
     "barrier q[0],q[7]", "barrier(1) q", "creg q[2]", "qreg c[3]",
     "rz(pi/4) q[7]", "rx(1/0) q[1]", "measure q[1] -> c[7]", "h q",
+    "cx q[0],,q[1]", "h q[0],",
 ]
 
 
@@ -377,8 +378,9 @@ class TestQasmDeclarations:
         ("OPENQASM 2.0;\nqreg q[2];\nbarrier r[0];\n", 3, 0, "undeclared register 'r'"),
         ("OPENQASM 2.0;\nqreg q[2];\nbarrier q, q[5];\n", 3, 1,
          r"operand q\[5\] out of range \(size 2\)"),
-        ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0],;\nbarrier q0;\n", 4, 0,
-         "malformed operand 'q0'"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier q[0],;\nbarrier q0;\n", 3, 1,
+         "malformed operand ''"),
+        ("OPENQASM 2.0;\nqreg q[2];\nbarrier q0;\n", 3, 0, "malformed operand 'q0'"),
         ("OPENQASM 2.0;\nqreg q[2];\nbarrier(1) q;\n", 3, 0, "barrier takes no arguments"),
         ("OPENQASM 2.0;\nbarrier q[0];\nqreg q[2];\n", 2, 0, "undeclared register 'q'"),
         ("OPENQASM 2.0;\ninclude qelib1.inc;\nqreg q[2];\n", 2, 0, 'expected include "<file>"'),
@@ -399,6 +401,20 @@ class TestQasmDeclarations:
         with pytest.raises(ParseError, match=why) as exc:
             parse_qasm(text)
         assert str(exc.value).startswith(f"line {line}, col {col}: ")
+
+    @pytest.mark.parametrize("stmt, col", [
+        ("cx q[0],,q[1]", 1), ("h ,q[0]", 0), ("h q[0],", 1),
+        ("measure q[0], -> c[0]", 1), ("barrier q[0],,q[1]", 1), ("barrier q,", 1),
+    ])
+    def test_empty_operand_rejected(self, stmt, col):
+        with pytest.raises(ParseError, match="malformed operand ''") as exc:
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n{stmt};\n")
+        assert (exc.value.line, exc.value.column) == (4, col)
+
+    def test_empty_operand_list_is_no_operand(self):
+        assert parse_qasm("OPENQASM 2.0;\nqreg q[2];\nbarrier;\n") == Circuit(2)
+        with pytest.raises(ParseError, match=r"h takes 1 operand\(s\), got 0"):
+            parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh;\n")
 
     def test_barriers_and_includes_skipped(self):
         c = parse_qasm('OPENQASM 2.0;\ninclude"qelib1.inc";\ninclude  "my gates.inc";\n'

@@ -452,8 +452,10 @@ def planted_idiom_circuits(draw):
 
 
 def _reference_fold(circuit):
-    """``_fold_zz_idioms`` before its loop was tightened: the same one-pass
-    algorithm, with a closure to find each qubit's next live gate."""
+    """``_fold_zz_idioms`` before its loop was tightened and before the H
+    form joined the CX form's tail walk: the same one-pass algorithm, with a
+    closure to find each qubit's next live gate, a separate match of the H
+    form's first CZ and control check, and its own tails."""
     gates = list(circuit.gates)
     num_qubits = circuit.num_qubits
     on: list[list[int]] = [[] for _ in range(num_qubits)]
@@ -479,7 +481,7 @@ def _reference_fold(circuit):
         if kind is GateKind.CX:
             a, b = first.qubits
             ra, rb = seen[a], seen[b]
-            tail = rewrite._CX_TAIL
+            tail = (GateKind.RZ, GateKind.CX)
             matched = [i]
         else:
             (b,) = first.qubits
@@ -495,7 +497,7 @@ def _reference_fold(circuit):
             if on[a][ra] != j:
                 continue
             ra, rb = ra + 1, rb + 1
-            tail = rewrite._H_TAIL
+            tail = (GateKind.H, GateKind.RZ, GateKind.H, GateKind.CZ, GateKind.H)
             matched = [i, j]
         for want in tail:
             ra, rb = next_live(a, ra), next_live(b, rb)
@@ -943,6 +945,19 @@ class TestZoneSteps:
     def test_gate_zone_must_match_step(self):
         with pytest.raises(Exception):
             ZoneStepProgram(1, (ZoneStep(Zone.ENTANGLING, (Gate(GateKind.H, (0,)),)),))
+
+    def test_readout_step_is_terminal(self):
+        def readout(*qubits):
+            return ZoneStep(Zone.READOUT, tuple(Gate(GateKind.MEASURE, (q,)) for q in qubits))
+
+        with pytest.raises(ValueError, match="^H on qubit 0 after its MEASURE; readout is terminal$"):
+            ZoneStepProgram(2, (readout(0), ZoneStep(Zone.STORAGE, (Gate(GateKind.H, (0,)),)),
+                                ZoneStep(Zone.ENTANGLING, (_cz(0, 1),)), readout(0)))
+        with pytest.raises(ValueError, match="^CZ on qubit 1 after its MEASURE"):
+            ZoneStepProgram(2, (readout(1), ZoneStep(Zone.ENTANGLING, (_cz(0, 1),))))
+        # A MEASURE may follow a MEASURE, and unmeasured qubits go on.
+        program = ZoneStepProgram(2, (readout(0), ZoneStep(Zone.STORAGE, (_h(1),)), readout(0, 1)))
+        assert [s.zone for s in program.steps] == [Zone.READOUT, Zone.STORAGE, Zone.READOUT]
 
     def test_parallel_ghz7_alignment(self):
         c = gen_ghz(7, chain="parallel")

@@ -408,29 +408,34 @@ _STEP_GATE_KINDS = {Zone.STORAGE: _STEP_KINDS[1], Zone.ENTANGLING: _STEP_KINDS[2
 def zone_step_programs(draw):
     """Zone-step programs on up to 8 qubits: one-gate and many-gate steps,
     steps in which qubits repeat, a few empty steps, and readout steps
-    anywhere."""
+    anywhere. Readout is terminal, so a later step that is not a readout
+    step draws only unmeasured qubits."""
     n = draw(st.integers(2, 8))
     steps = []
+    measured = set()
     for zone in draw(st.lists(st.sampled_from(list(Zone)), max_size=12)):
         if steps and steps[-1].zone is zone:
             continue
         arity = 2 if zone is Zone.ENTANGLING else 1
-        if draw(st.integers(0, 9)) == 0:
+        free = range(n) if zone is Zone.READOUT else [q for q in range(n) if q not in measured]
+        if len(free) < arity or draw(st.integers(0, 9)) == 0:
             operands = []
         elif draw(st.booleans()):
-            operands = [tuple(draw(st.permutations(range(n)))[:arity])]
+            operands = [tuple(draw(st.permutations(free))[:arity])]
         elif draw(st.booleans()) or zone is Zone.READOUT:
-            pool = draw(st.permutations(range(n)))
-            k = draw(st.integers(1, n // arity))
+            pool = draw(st.permutations(free))
+            k = draw(st.integers(1, len(free) // arity))
             operands = [tuple(pool[arity * i: arity * (i + 1)]) for i in range(k)]
         else:
-            operands = [tuple(draw(st.permutations(range(n)))[:arity])
+            operands = [tuple(draw(st.permutations(free))[:arity])
                         for _ in range(draw(st.integers(2, 10)))]
         gates = []
         for qubits in operands:
             kind = draw(st.sampled_from(_STEP_GATE_KINDS[zone]))
             gates.append(Gate(kind, qubits, (0.5,) * NUM_PARAMS[kind]))
         steps.append(ZoneStep(zone, tuple(gates)))
+        if zone is Zone.READOUT:
+            measured.update(q for (q,) in operands)
     return ZoneStepProgram(n, tuple(steps), x_basis=draw(st.booleans()))
 
 
