@@ -9,7 +9,9 @@ unchanged circuit is neither rebuilt nor checked again.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .ir import (
@@ -47,7 +49,7 @@ PROTOCOLS = ("adiabatic", "cphase")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZoneStep:
     zone: Zone
     gates: tuple[Gate, ...]
@@ -201,13 +203,13 @@ def cancel_hadamard_pairs(circuit: Circuit) -> Circuit:
 _HALF_PI = 1.5707963267948966
 
 
-def _basis_change(term: PauliTerm, invert: bool) -> list[Gate]:
+def _basis_change(term: PauliTerm, make: Callable[..., Gate], invert: bool) -> list[Gate]:
     gates = []
     for q, ch in zip(term.support, (term.label[i] for i in term.support)):
         if ch == "X":
-            gates.append(Gate(H, (q,)))
+            gates.append(make(H, (q,)))
         elif ch == "Y":
-            gates.append(Gate(RX, (q,), (-_HALF_PI if invert else _HALF_PI,)))
+            gates.append(make(RX, (q,), (-_HALF_PI if invert else _HALF_PI,)))
     return gates
 
 
@@ -220,18 +222,23 @@ def synth_pauli_fountain(term: PauliTerm) -> Circuit:
     circuit holds no adjacent H pair, so ``cancel_hadamard_pairs`` returns
     it as is.
     """
+    return _fountain(term, Gate)
+
+
+def _fountain(term: PauliTerm, make: Callable[..., Gate]) -> Circuit:
+    """``synth_pauli_fountain`` with its gates built by ``make``."""
     n = term.num_qubits
     if term.weight == 0:
         return Circuit(n)  # global phase only
     target = term.support[0]
     others = term.support[1:]
-    gates: list[Gate] = _basis_change(term, invert=False)
-    closing = _basis_change(term, invert=True)
-    rz = Gate(RZ, (target,), (term.theta,))
+    gates: list[Gate] = _basis_change(term, make, invert=False)
+    closing = _basis_change(term, make, invert=True)
+    rz = make(RZ, (target,), (term.theta,))
     if not others:
         return Circuit(n, tuple(gates + [rz] + closing))
-    h = Gate(H, (target,))  # gates are immutable, so one serves often
-    fan_in = [Gate(CZ, (q, target)) for q in others]
+    h = make(H, (target,))  # gates are immutable, so one serves often
+    fan_in = [make(CZ, (q, target)) for q in others]
     middle = fan_in + [h, rz, h] + fan_in[::-1]
     if term.label[target] == "X":
         # The target leads each basis change with an H that would cancel
@@ -245,17 +252,19 @@ def synth_pauli_fountain(term: PauliTerm) -> Circuit:
 def synth_pauli_path(term: PauliTerm) -> Circuit:
     """Standard path-shaped CX cascade onto the last non-I qubit; serves as
     the baseline and the independent oracle reference for the fountain."""
+    return _path(term, Gate)
+
+
+def _path(term: PauliTerm, make: Callable[..., Gate]) -> Circuit:
+    """``synth_pauli_path`` with its gates built by ``make``."""
     n = term.num_qubits
     if term.weight == 0:
         return Circuit(n)
-    gates: list[Gate] = _basis_change(term, invert=False)
     chain = term.support
-    for a, b in zip(chain, chain[1:]):
-        gates.append(Gate(CX, (a, b)))
-    gates.append(Gate(RZ, (chain[-1],), (term.theta,)))
-    for a, b in reversed(list(zip(chain, chain[1:]))):
-        gates.append(Gate(CX, (a, b)))
-    gates += _basis_change(term, invert=True)
+    ladder = [make(CX, pair) for pair in zip(chain, chain[1:])]
+    rz = make(RZ, (chain[-1],), (term.theta,))
+    gates = [*_basis_change(term, make, invert=False), *ladder, rz, *ladder[::-1],
+             *_basis_change(term, make, invert=True)]
     return Circuit(n, tuple(gates))
 
 
@@ -278,10 +287,11 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     names both, and an H(b) reads a off the next live gate on b, which must
     be a CZ(a,b). One walk then matches the opener's tail in ``_TAILS``:
     each tail gate must be the next live gate on a or b, so gates on other
-    qubits may interleave, and in the H form a gate on a before that CZ
-    fails the walk's first step (the RZZ would land at the H(b), ahead of
-    it). A match replaces its opening gate with RZZ(theta) on (a, b), equal
-    to the idiom up to a global phase exp(-i*theta/2), and drops the rest.
+    qubits may interleave. In the H form a gate on a before that CZ would
+    fail the walk's first step (the RZZ would land at the H(b), ahead of
+    it), so one index compare rejects that case before the walk is set up.
+    A match replaces its opening gate with RZZ(theta) on (a, b), equal to
+    the idiom up to a global phase exp(-i*theta/2), and drops the rest.
 
     One pass finds what restarting from the first gate after each fold
     would: every other gate inside a matched idiom avoids a and b, so a fold
@@ -306,6 +316,7 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
             continue
         if kind is CX:
             a, b = first.qubits
+            ra, rb = seen[a], seen[b]
         else:
             (b,) = first.qubits
             on_b, rb = on[b], seen[b]
@@ -313,10 +324,17 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
                 rb += 1
             if rb == len(on_b) or gates[on_b[rb]].kind is not CZ:
                 continue
-            x, y = gates[on_b[rb]].qubits
+            j = on_b[rb]
+            x, y = gates[j].qubits
             a = y if x == b else x
+            # The walk's first step fails unless the CZ is also the next
+            # live gate on a; test that here, before the walk is set up.
+            on_a, ra = on[a], seen[a]
+            while dead[on_a[ra]]:
+                ra += 1
+            if on_a[ra] != j:
+                continue
         on_a, on_b = on[a], on[b]
-        ra, rb = seen[a], seen[b]
         na, nb = len(on_a), len(on_b)
         matched = [i]
         for want in _TAILS[kind]:
@@ -381,6 +399,11 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
     linear left-to-right pass (see ``_fold_zz_idioms``). Every idiom holds a
     CX or a CZ, so the fold runs only on a circuit that holds one.
     """
+    return _substitute(circuit, protocol, Gate)
+
+
+def _substitute(circuit: Circuit, protocol: str, make: Callable[..., Gate]) -> Circuit:
+    """``substitute_rzz`` with its protocol gates built by ``make``."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     kinds = {g.kind for g in circuit.gates}
@@ -396,11 +419,11 @@ def substitute_rzz(circuit: Circuit, protocol: str = "adiabatic") -> Circuit:
             continue
         gamma = g.params[0]
         if protocol == "adiabatic":
-            out.append(Gate(AD, g.qubits, adiabatic_phases(gamma)))
-            out.append(Gate(LP, g.qubits, (gamma,)))
+            out.append(make(AD, g.qubits, adiabatic_phases(gamma)))
+            out.append(make(LP, g.qubits, (gamma,)))
         else:
-            out.append(Gate(LP, g.qubits, (gamma,)))
-            out.append(Gate(CPHASE, g.qubits, (cphase_phi(gamma),)))
+            out.append(make(LP, g.qubits, (gamma,)))
+            out.append(make(CPHASE, g.qubits, (cphase_phi(gamma),)))
     return Circuit(circuit.num_qubits, tuple(out))
 
 
@@ -520,11 +543,12 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     MEASUREs form a final readout step, as in ``align_zone_steps``. A SWAP
     raises ``ValueError``: ``lower_swap`` removes it first."""
     _check_readout(circuit)
-    return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit)))
+    return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit, Gate)))
 
 
-def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
-    """``layer_zone_steps``'s segments before seams are merged."""
+def _layered_raw(circuit: Circuit, make: Callable[..., Gate]) -> list[tuple[Zone, list[Gate]]]:
+    """``layer_zone_steps``'s segments before seams are merged, each CX's
+    H and CZ built by ``make``."""
     raw: list[tuple[Zone, list[Gate]]] = []
     measures: list[Gate] = []
     gates = circuit.gates
@@ -539,9 +563,9 @@ def _layered_raw(circuit: Circuit) -> list[tuple[Zone, list[Gate]]]:
                 measures.append(g)
                 continue
             if kind is CX:
-                h = Gate(H, (g.qubits[1],))
+                h = make(H, (g.qubits[1],))
                 pre.append(h)
-                two.append(Gate(CZ, g.qubits))
+                two.append(make(CZ, g.qubits))
                 post.append(h)
             elif GATE_ZONE[kind] is STORAGE:
                 pre.append(g)
@@ -616,24 +640,27 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     merged, then one readout step; an identity term synthesises no gate, so
     it adds no step. A synthesised term is already lowered, so mantra runs
     only native ZZ substitution on a fountain before alignment, and standard
-    steps a path as synthesised.
+    steps a path as synthesised. The terms build their gates through one
+    memo of ``Gate``, so equal gates across the file are one object.
     """
     if isinstance(source, PauliTermFile):
         # Each term's raw steps are concatenated and merged once, so every
-        # ZoneStep is built once and the program checks its gates once.
+        # ZoneStep is built once and the program checks its gates once. A
+        # memo hit returns the gate built and checked from equal arguments.
+        make = functools.cache(Gate)
         raw: list[tuple[Zone, list[Gate]]] = []
         for term in source.terms:
             if options.mode == "mantra":
-                raw += _aligned_raw(substitute_rzz(synth_pauli_fountain(term), options.protocol))
+                raw += _aligned_raw(_substitute(_fountain(term, make), options.protocol, make))
             else:
-                raw += _layered_raw(synth_pauli_path(term))
+                raw += _layered_raw(_path(term, make), make)
         n = source.num_qubits
         raw.append((READOUT, [Gate(MEASURE, (q,)) for q in range(n)]))
         return ZoneStepProgram(n, _merge_steps(raw))
-    raw_steps = _aligned_raw if options.mode == "mantra" else _layered_raw
     _check_readout(source)
     c, slots = _lower(source, options)
-    return ZoneStepProgram(c.num_qubits, _merge_steps(raw_steps(c)), options.x_basis, slots)
+    raw = _aligned_raw(c) if options.mode == "mantra" else _layered_raw(c, Gate)
+    return ZoneStepProgram(c.num_qubits, _merge_steps(raw), options.x_basis, slots)
 
 
 def _lower(circuit: Circuit, options: PipelineOptions) -> tuple[Circuit, tuple[int, ...]]:

@@ -16,12 +16,12 @@ its caller's layout is never changed.
 Each zone step is scheduled in one pass: its qubits and dependency layers
 come from one walk over its gates (``_step_layers``), and a step in which
 no qubit repeats is one layer, found without layering. Every event is built
-in ``_Sim.emit``.
+in ``_Sim.emit``, and events over equal qubits share one operand tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -32,6 +32,7 @@ from .arch import (
     TYPE3,
     AtomLayout,
     LayoutError,
+    LogicalSite,
     MachineConfig,
     crossing_time_us,
     isolation_hop_us,
@@ -147,12 +148,17 @@ class _Sim:
     t_in: dict = field(default_factory=dict)
     t_out: dict = field(default_factory=dict)
     transfers: dict = field(default_factory=dict)
+    operands: dict = field(default_factory=dict)  # each operand tuple emitted, to itself
 
     def emit(self, kind, qubits, start, dur):
         """Record one event over the sorted ``qubits``. Every event of a
         timeline is built here, by ``tuple.__new__``: the NamedTuple's own
-        constructor runs Python code per event."""
-        self.events.append(tuple.__new__(Event, (kind, tuple(qubits), start, dur)))
+        constructor runs Python code per event. Events over equal operands
+        share one tuple: a timeline repeats few distinct operand sets many
+        times."""
+        qubits = tuple(qubits)
+        qubits = self.operands.setdefault(qubits, qubits)
+        self.events.append(tuple.__new__(Event, (kind, qubits, start, dur)))
 
     def transfer_batch(self, qubits):
         """One batched trap-transfer event over the sorted ``qubits``;
@@ -243,7 +249,8 @@ def schedule(
         raise LayoutError(
             f"program uses {n} logical qubits, layout holds {len(layout.qubits)}"
         )
-    layout = AtomLayout(layout.config, [replace(s) for s in layout.qubits])
+    layout = AtomLayout(layout.config, [LogicalSite(s.zone, s.row, s.col, s.trap)
+                                        for s in layout.qubits])
     sim = _Sim(config, layout, t_in=dict.fromkeys(range(n), 0.0),
                t_out=dict.fromkeys(range(n), 0.0))
 

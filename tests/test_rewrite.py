@@ -673,6 +673,13 @@ class TestUnchangedPassThrough:
             assert slots == tuple(range(c.num_qubits))
 
 
+def _basis_change(term, invert):
+    """H on each X position and RX(+-pi/2) on each Y position, ascending."""
+    angle = -math.pi / 2 if invert else math.pi / 2
+    return [_h(q) if c == "X" else Gate(GateKind.RX, (q,), (angle,))
+            for q, c in enumerate(term.label) if c in "XY"]
+
+
 def _fountain_reference(term):
     """``synth_pauli_fountain`` as first written: the full fountain with its
     basis changes, then H-pair cancellation."""
@@ -680,13 +687,13 @@ def _fountain_reference(term):
     if term.weight == 0:
         return Circuit(n)
     target, others = term.support[0], term.support[1:]
-    gates = rewrite._basis_change(term, invert=False)
+    gates = _basis_change(term, invert=False)
     if others:
         gates += [_h(target)] + [_cz(q, target) for q in others] + [_h(target)]
     gates.append(_rz(target, term.theta))
     if others:
         gates += [_h(target)] + [_cz(q, target) for q in reversed(others)] + [_h(target)]
-    gates += rewrite._basis_change(term, invert=True)
+    gates += _basis_change(term, invert=True)
     return cancel_hadamard_pairs(Circuit(n, tuple(gates)))
 
 
@@ -901,6 +908,13 @@ def readout_circuits(draw):
 
 
 class TestZoneSteps:
+    def test_zone_step_is_a_slotted_frozen_value(self):
+        step = ZoneStep(Zone.STORAGE, (_h(0),))
+        assert not hasattr(step, "__dict__")
+        assert step == ZoneStep(Zone.STORAGE, (_h(0),))
+        with pytest.raises(AttributeError):
+            step.zone = Zone.ENTANGLING
+
     @given(alignable_circuits())
     @settings(max_examples=1000, deadline=None)
     def test_alignment_matches_fixed_point_scan(self, circuit):
@@ -1002,6 +1016,17 @@ def pauli_files(draw):
     return PauliTermFile(n, tuple(terms))
 
 
+@st.composite
+def repeating_pauli_files(draw):
+    """2-4 qubits and 0-10 terms over two angles, so equal terms, and equal
+    gates in different terms, recur."""
+    n = draw(st.integers(2, 4))
+    labels = st.text("IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.builds(PauliTerm, labels, st.sampled_from((0.5, -1.25))),
+                          max_size=10))
+    return PauliTermFile(n, tuple(terms))
+
+
 def _pauli_pipeline_reference(source, mode, protocol):
     """Each non-identity term through every pass of the circuit path, with
     no x-basis absorption, stepped; the steps concatenated and merged, and
@@ -1024,6 +1049,13 @@ class TestPipeline:
     def test_pauli_file_equals_per_term_pass_chain(self, source, mode, protocol, x_basis):
         options = PipelineOptions(mode, protocol, x_basis)
         assert mantra_pipeline(source, options) == _pauli_pipeline_reference(source, mode, protocol)
+
+    @given(repeating_pauli_files(), st.sampled_from(MODES), st.sampled_from(PROTOCOLS))
+    @settings(max_examples=200, deadline=None)
+    def test_pauli_file_holds_one_object_per_distinct_gate(self, source, mode, protocol):
+        program = mantra_pipeline(source, PipelineOptions(mode, protocol))
+        gates = [g for step in program.steps for g in step.gates]
+        assert len({id(g) for g in gates}) == len(set(gates))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -456,6 +456,15 @@ def test_events_name_only_program_qubits(program, policy):
     assert all(q < program.num_qubits for e in timeline.events for q in e.qubits)
 
 
+@given(zone_step_programs(), st.sampled_from(list(Policy)))
+@settings(max_examples=200, deadline=None)
+def test_events_over_equal_operands_share_one_tuple(program, policy):
+    cfg = replace(MachineConfig(), policy=policy)
+    timeline = schedule(program, build_layout(cfg, program.num_qubits), cfg)
+    first: dict = {}
+    assert all(first.setdefault(e.qubits, e.qubits) is e.qubits for e in timeline.events)
+
+
 class TestPolicies:
     def test_type2_no_ld_after_initial(self):
         src = parse_benchmark("ucc:6:5", seed=3).materialize()
