@@ -51,14 +51,16 @@ class Breakdown:
 CATEGORIES = tuple(f.name for f in fields(Breakdown) if f.name != "makespan_us")
 
 
-def _travel_union(events) -> tuple[list[float], list[float]]:
-    """Starts and ends of the union of the travel events' intervals, as
-    sorted disjoint pieces. Only overlapping intervals merge; touching ones
+def _travel_union(log) -> tuple[list[float], list[float]]:
+    """Starts and ends of the union of the travel intervals in ``log``, a
+    timeline's ``EventLog``, as sorted disjoint pieces. Only overlapping intervals merge; touching ones
     stay apart, so on travel that never overlaps (the scheduler's) every
     piece is one event's interval, and the ends ascend."""
     starts: list[float] = []
     ends: list[float] = []
-    travel = sorted((start, start + dur) for kind, _, start, dur in events if kind in _TRAVEL_KINDS)
+    travel = sorted((start, start + dur)
+                    for kind, start, dur in zip(log.kinds, log.starts, log.durations)
+                    if kind in _TRAVEL_KINDS)
     for lo, hi in travel:
         if ends and lo < ends[-1]:
             if hi > ends[-1]:
@@ -87,9 +89,10 @@ _CATEGORY = {
 def breakdown(timeline: Timeline) -> Breakdown:
     """Each event's time added to its category, in event order."""
     cat = dict.fromkeys(CATEGORIES, 0.0)
-    starts, ends = _travel_union(timeline.events)
+    log = timeline.events
+    starts, ends = _travel_union(log)
     n_pieces = len(starts)
-    for kind, _, start, dur in timeline.events:
+    for kind, start, dur in zip(log.kinds, log.starts, log.durations):
         if kind is not TRAP_TRANSFER:
             cat[_CATEGORY[kind]] += dur
             continue
@@ -133,11 +136,12 @@ def crosstalk_exposures(timeline: Timeline) -> tuple[list[int], list[int]]:
     n = timeline.num_qubits
     layers = {PULSE_1Q: 0, PULSE_2Q: 0}
     driven = {kind: [0] * n for kind in layers}
-    for e in timeline.events:
-        if e.kind in layers:
-            layers[e.kind] += 1
-            on = driven[e.kind]
-            for q in e.qubits:
+    log = timeline.events
+    for kind, qubits in zip(log.kinds, log.qubits):
+        if kind in layers:
+            layers[kind] += 1
+            on = driven[kind]
+            for q in qubits:
                 on[q] += 1
     return tuple([layers[kind] - d for d in on] for kind, on in driven.items())
 

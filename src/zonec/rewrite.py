@@ -10,8 +10,9 @@ unchanged circuit is neither rebuilt nor checked again.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .ir import (
@@ -110,16 +111,24 @@ class ZoneStepProgram:
         )
 
 
-def _merge_steps(raw: list[tuple[Zone, list[Gate]]]) -> tuple[ZoneStep, ...]:
-    merged: list[tuple[Zone, list[Gate]]] = []
-    for zone, gates in raw:
-        if not gates:
+def _merge_steps(segments: Iterable[tuple[Zone, list[Gate]]]) -> tuple[ZoneStep, ...]:
+    """The zone steps of ``segments`` in order: empty segments dropped and
+    adjacent segments of one zone merged. Each step is built as soon as a
+    segment of another zone follows it, so besides the steps built so far
+    only the open step's gates are held."""
+    steps: list[ZoneStep] = []
+    zone, gates = None, []
+    for seg_zone, seg in segments:
+        if not seg:
             continue
-        if merged and merged[-1][0] is zone:
-            merged[-1][1].extend(gates)
-        else:
-            merged.append((zone, list(gates)))
-    return tuple(ZoneStep(zone, tuple(gates)) for zone, gates in merged)
+        if seg_zone is not zone and gates:
+            steps.append(ZoneStep(zone, tuple(gates)))
+            gates = []
+        zone = seg_zone
+        gates += seg
+    if gates:
+        steps.append(ZoneStep(zone, tuple(gates)))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +429,9 @@ def _substitute(circuit: Circuit, protocol: str, make: Callable[..., Gate]) -> C
         gamma = g.params[0]
         if protocol == "adiabatic":
             out.append(make(AD, g.qubits, adiabatic_phases(gamma)))
-            out.append(make(LP, g.qubits, (gamma,)))
+            out.append(make(LP, g.qubits, g.params))
         else:
-            out.append(make(LP, g.qubits, (gamma,)))
+            out.append(make(LP, g.qubits, g.params))
             out.append(make(CPHASE, g.qubits, (cphase_phi(gamma),)))
     return Circuit(circuit.num_qubits, tuple(out))
 
@@ -546,10 +555,9 @@ def layer_zone_steps(circuit: Circuit) -> ZoneStepProgram:
     return ZoneStepProgram(circuit.num_qubits, _merge_steps(_layered_raw(circuit, Gate)))
 
 
-def _layered_raw(circuit: Circuit, make: Callable[..., Gate]) -> list[tuple[Zone, list[Gate]]]:
-    """``layer_zone_steps``'s segments before seams are merged, each CX's
-    H and CZ built by ``make``."""
-    raw: list[tuple[Zone, list[Gate]]] = []
+def _layered_raw(circuit: Circuit, make: Callable[..., Gate]) -> Iterator[tuple[Zone, list[Gate]]]:
+    """``layer_zone_steps``'s segments before seams are merged, yielded
+    layer by layer, each CX's H and CZ built by ``make``."""
     measures: list[Gate] = []
     gates = circuit.gates
     for layer in layer_indices(gates):
@@ -574,15 +582,10 @@ def _layered_raw(circuit: Circuit, make: Callable[..., Gate]) -> list[tuple[Zone
             else:
                 two.append(g)
         # Basis-change and RZ layers fill one segment of the three.
-        if pre:
-            raw.append((STORAGE, pre))
-        if two:
-            raw.append((ENTANGLING, two))
-        if post:
-            raw.append((STORAGE, post))
-    if measures:
-        raw.append((READOUT, measures))
-    return raw
+        yield STORAGE, pre
+        yield ENTANGLING, two
+        yield STORAGE, post
+    yield READOUT, measures
 
 
 def absorb_x_basis(circuit: Circuit) -> Circuit:
@@ -644,19 +647,20 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     memo of ``Gate``, so equal gates across the file are one object.
     """
     if isinstance(source, PauliTermFile):
-        # Each term's raw steps are concatenated and merged once, so every
-        # ZoneStep is built once and the program checks its gates once. A
-        # memo hit returns the gate built and checked from equal arguments.
+        # The terms' segments stream, term by term, into one merge, so every
+        # ZoneStep is built once, as soon as its zone ends, and the program
+        # checks its gates once. A memo hit returns the gate built and
+        # checked from equal arguments.
         make = functools.cache(Gate)
-        raw: list[tuple[Zone, list[Gate]]] = []
-        for term in source.terms:
-            if options.mode == "mantra":
-                raw += _aligned_raw(_substitute(_fountain(term, make), options.protocol, make))
-            else:
-                raw += _layered_raw(_path(term, make), make)
+        if options.mode == "mantra":
+            per_term = (_aligned_raw(_substitute(_fountain(t, make), options.protocol, make))
+                        for t in source.terms)
+        else:
+            per_term = (_layered_raw(_path(t, make), make) for t in source.terms)
         n = source.num_qubits
-        raw.append((READOUT, [Gate(MEASURE, (q,)) for q in range(n)]))
-        return ZoneStepProgram(n, _merge_steps(raw))
+        readout = [(READOUT, [Gate(MEASURE, (q,)) for q in range(n)])]
+        segments = itertools.chain(itertools.chain.from_iterable(per_term), readout)
+        return ZoneStepProgram(n, _merge_steps(segments))
     _check_readout(source)
     c, slots = _lower(source, options)
     raw = _aligned_raw(c) if options.mode == "mantra" else _layered_raw(c, Gate)

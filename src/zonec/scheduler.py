@@ -15,14 +15,18 @@ its caller's layout is never changed.
 
 Each zone step is scheduled in one pass: its qubits and dependency layers
 come from one walk over its gates (``_step_layers``), and a step in which
-no qubit repeats is one layer, found without layering. Every event is built
-in ``_Sim.emit``, and events over equal qubits share one operand tuple.
+no qubit repeats is one layer, found without layering. Every event is
+recorded by ``_Sim.emit`` into one ``EventLog``, which keeps the events as
+columns, and events over equal qubits share one operand tuple.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .arch import (
@@ -72,35 +76,82 @@ class Event(NamedTuple):
         return self.start_us + self.duration_us
 
 
+class EventLog(Sequence):
+    """A read-only sequence of ``Event``s, held as four parallel columns:
+    ``kinds`` and ``qubits`` are lists, ``starts`` and ``durations`` arrays
+    of doubles, so an event costs four slots rather than a tuple and two
+    floats. Iteration and indexing build each ``Event`` as it is read, and a
+    log equals another log, or a tuple, holding equal events. Code that
+    reads one field of every event reads its column."""
+
+    __slots__ = ("kinds", "qubits", "starts", "durations")
+    __hash__ = None
+
+    def __init__(self, events=()):
+        self.kinds, self.qubits = [], []
+        self.starts, self.durations = array("d"), array("d")
+        for kind, qubits, start, dur in events:
+            self.kinds.append(kind)
+            self.qubits.append(qubits)
+            self.starts.append(start)
+            self.durations.append(dur)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            part = EventLog()
+            part.kinds, part.qubits = self.kinds[i], self.qubits[i]
+            part.starts, part.durations = self.starts[i], self.durations[i]
+            return part
+        return tuple.__new__(Event, (self.kinds[i], self.qubits[i], self.starts[i],
+                                     self.durations[i]))
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(Event),
+                   zip(self.kinds, self.qubits, self.starts, self.durations))
+
+    def __eq__(self, other):
+        if isinstance(other, EventLog):
+            return (self.kinds == other.kinds and self.qubits == other.qubits
+                    and self.starts == other.starts and self.durations == other.durations)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EventLog({list(self)!r})"
+
+
 @dataclass
 class Timeline:
     num_qubits: int
-    events: tuple[Event, ...]
+    events: EventLog  # any other sequence of events is turned into one
     makespan_us: float
     t_in_us: dict  # qubit -> time spent in the storage zone
     t_out_us: dict  # qubit -> time spent outside it
     transfers: dict  # qubit -> trap-transfer count
     measured: tuple[int, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.events, EventLog):
+            self.events = EventLog(self.events)
+
     def to_lines(self) -> str:
+        log = self.events
         lines = []
-        for e in self.events:
-            qs = ",".join(str(q) for q in e.qubits)
-            lines.append(f"{e.kind.value} [{qs}] start={e.start_us:.3f} dur={e.duration_us:.3f}")
+        for kind, qubits, start, dur in zip(log.kinds, log.qubits, log.starts, log.durations):
+            qs = ",".join(str(q) for q in qubits)
+            lines.append(f"{kind.value} [{qs}] start={start:.3f} dur={dur:.3f}")
         lines.append(f"MAKESPAN {self.makespan_us:.3f}")
         return "\n".join(lines) + "\n"
 
 
 def count_ld_st(timeline: Timeline) -> tuple[int, int]:
     """(loads, stores) counted per batch event (readout travel excluded)."""
-    loads = stores = 0
-    for e in timeline.events:
-        kind = e.kind
-        if kind is LOAD:
-            loads += 1
-        elif kind is STORE:
-            stores += 1
-    return loads, stores
+    kinds = timeline.events.kinds
+    return kinds.count(LOAD), kinds.count(STORE)
 
 
 def _pulse_pattern(gates) -> tuple[tuple[bool, bool], ...]:
@@ -143,7 +194,7 @@ class _Sim:
     config: MachineConfig
     layout: AtomLayout
     clock: float = 0.0
-    events: list = field(default_factory=list)
+    events: EventLog = field(default_factory=EventLog)
     zone_since: dict = field(default_factory=dict)
     t_in: dict = field(default_factory=dict)
     t_out: dict = field(default_factory=dict)
@@ -151,14 +202,16 @@ class _Sim:
     operands: dict = field(default_factory=dict)  # each operand tuple emitted, to itself
 
     def emit(self, kind, qubits, start, dur):
-        """Record one event over the sorted ``qubits``. Every event of a
-        timeline is built here, by ``tuple.__new__``: the NamedTuple's own
-        constructor runs Python code per event. Events over equal operands
-        share one tuple: a timeline repeats few distinct operand sets many
-        times."""
+        """Record one event over the sorted ``qubits``: every event of a
+        timeline is appended here, a field to each column of ``events``.
+        Events over equal operands share one tuple: a timeline repeats few
+        distinct operand sets many times."""
         qubits = tuple(qubits)
-        qubits = self.operands.setdefault(qubits, qubits)
-        self.events.append(tuple.__new__(Event, (kind, qubits, start, dur)))
+        log = self.events
+        log.kinds.append(kind)
+        log.qubits.append(self.operands.setdefault(qubits, qubits))
+        log.starts.append(start)
+        log.durations.append(dur)
 
     def transfer_batch(self, qubits):
         """One batched trap-transfer event over the sorted ``qubits``;
@@ -273,7 +326,7 @@ def schedule(
                              if step.zone is READOUT for g in step.gates}))
     return Timeline(
         num_qubits=n,
-        events=tuple(sim.events),
+        events=sim.events,
         makespan_us=clock,
         t_in_us=sim.t_in,
         t_out_us=sim.t_out,

@@ -179,6 +179,13 @@ class TestLoweringPasses:
         assert GateKind.CPHASE in kinds and GateKind.LP in kinds
         assert_equiv(c, out)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_lp_keeps_its_rzz_parameter_tuple(self, protocol):
+        rzz = Gate(GateKind.RZZ, (0, 1), (0.4,))
+        (lp,) = [g for g in substitute_rzz(Circuit(2, (rzz,)), protocol).gates
+                 if g.kind is GateKind.LP]
+        assert lp.params is rzz.params
+
     def test_substitute_introduces_no_storage_gates(self):
         c = Circuit(3, (Gate(GateKind.RZZ, (0, 2), (1.1,)),))
         out = substitute_rzz(c)
@@ -941,6 +948,13 @@ class TestZoneSteps:
         with pytest.raises(ValueError, match="requires a SWAP-free circuit"):
             steps(c)
 
+    def test_merge_drops_empty_segments_and_joins_equal_zones(self):
+        cz = Gate(GateKind.CZ, (0, 1))
+        segments = iter([(Zone.STORAGE, [_h(0)]), (Zone.ENTANGLING, []), (Zone.STORAGE, [_h(1)]),
+                         (Zone.ENTANGLING, [cz]), (Zone.READOUT, [])])
+        assert _merge_steps(segments) == (ZoneStep(Zone.STORAGE, (_h(0), _h(1))),
+                                          ZoneStep(Zone.ENTANGLING, (cz,)))
+
     def test_adjacent_steps_differ(self):
         with pytest.raises(Exception):
             ZoneStepProgram(
@@ -1084,6 +1098,22 @@ class TestPipeline:
             with pytest.raises(ValueError, match="after its MEASURE; readout is terminal") as err:
                 mantra_pipeline(circuit, PipelineOptions(mode=mode))
             assert str(err.value).partition(" after")[0] in late
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pauli_file_steps_close_while_terms_compile(self, monkeypatch, mode):
+        # A step is built once a segment of another zone follows it, so the
+        # first step exists before the last term is synthesised.
+        calls = []
+        for name in ("_fountain", "_path"):
+            synth = getattr(rewrite, name)
+            monkeypatch.setattr(rewrite, name,
+                                lambda *a, synth=synth: calls.append("term") or synth(*a))
+        step = rewrite.ZoneStep
+        monkeypatch.setattr(rewrite, "ZoneStep", lambda *a: calls.append("step") or step(*a))
+        terms = tuple(PauliTerm(label, 0.5) for label in ("XZI", "IZY", "ZZZ", "YIX"))
+        mantra_pipeline(PauliTermFile(3, terms), PipelineOptions(mode=mode))
+        assert calls.count("term") == len(terms)
+        assert calls.index("step") < len(calls) - 1 - calls[::-1].index("term")
 
     def test_readout_walked_once_per_call(self, monkeypatch):
         seen = []

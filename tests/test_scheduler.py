@@ -1,7 +1,9 @@
+import gc
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zonec.arch import (
     AtomLayout,
@@ -36,6 +38,7 @@ from zonec.rewrite import (
 from zonec.scheduler import (
     Event,
     EventKind,
+    EventLog,
     Timeline,
     _STEANE_PREP_LAYERS,
     _pulsed_layers,
@@ -465,6 +468,38 @@ def test_events_over_equal_operands_share_one_tuple(program, policy):
     assert all(first.setdefault(e.qubits, e.qubits) is e.qubits for e in timeline.events)
 
 
+@given(zone_step_programs(), st.sampled_from(list(Policy)))
+@settings(max_examples=100, deadline=None)
+def test_count_ld_st_matches_per_event_loop(program, policy):
+    cfg = replace(MachineConfig(), policy=policy)
+    timeline = schedule(program, build_layout(cfg, program.num_qubits), cfg)
+    loads = stores = 0
+    for e in timeline.events:
+        loads += e.kind is EventKind.LOAD
+        stores += e.kind is EventKind.STORE
+    assert count_ld_st(timeline) == (loads, stores)
+
+
+def test_timeline_retains_under_48_bytes_per_event():
+    # A tuple and two floats per event retained 117 bytes; four column
+    # slots retain about 35.
+    cfg = MachineConfig()
+    source = parse_benchmark("ucc:20:200").materialize()
+    program = mantra_pipeline(source, PipelineOptions(mode="standard"))
+    layout = build_layout(cfg, program.num_qubits)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        timeline = schedule(program, layout, cfg)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(timeline.events) > 30000
+    assert retained / len(timeline.events) <= 48
+
+
 class TestPolicies:
     def test_type2_no_ld_after_initial(self):
         src = parse_benchmark("ucc:6:5", seed=3).materialize()
@@ -581,3 +616,54 @@ class TestEventRecord:
             with pytest.raises(AttributeError):
                 setattr(e, name, None)
 
+
+
+# Every finite and infinite double: -0.0, subnormals and infinities come up.
+_times = st.floats(allow_nan=False)
+_event_lists = st.lists(
+    st.builds(Event, st.sampled_from(list(EventKind)),
+              st.lists(st.integers(0, 7), max_size=3).map(tuple), _times, _times),
+    max_size=12,
+)
+_EDGE = [Event(EventKind.LOAD, (0,), -0.0, 5e-324),
+         Event(EventKind.STORE, (1, 2), 2.2250738585072014e-308 / 3, -0.0),
+         Event(EventKind.SHUTTLE, (), float("inf"), 0.0)]
+
+
+class TestEventLog:
+    @given(_event_lists, _event_lists, st.integers(-14, 14), st.integers(-14, 14))
+    @settings(max_examples=300, deadline=None)
+    @example(_EDGE, [e._replace(start_us=0.0) for e in _EDGE], -3, 2)
+    def test_reads_as_the_tuple_it_was_built_from(self, events, other, i, j):
+        events, other = tuple(events), tuple(other)
+        log = EventLog(events)
+        assert len(log) == len(events)
+        assert all(type(e) is Event for e in log)
+        assert list(log) == list(events)
+        for k in range(-len(events), len(events)):
+            assert log[k] == events[k]
+        for k in (len(events), -len(events) - 1):
+            with pytest.raises(IndexError):
+                log[k]
+        assert log[i:j] == events[i:j] and log[::-1] == events[::-1]
+        assert log == events and events == log and not log != events
+        assert (log == other) == (events == other) == (log == EventLog(other))
+        assert log != list(events)  # as a tuple differs from a list
+        for field_ in ("start_us", "duration_us"):
+            assert ([float.hex(getattr(e, field_)) for e in log]
+                    == [float.hex(getattr(e, field_)) for e in events])
+
+    @given(_event_lists)
+    @settings(max_examples=50, deadline=None)
+    def test_timeline_turns_events_into_a_log(self, events):
+        for given_events in (tuple(events), events):
+            timeline = Timeline(8, given_events, 0.0, {}, {}, {}, ())
+            assert type(timeline.events) is EventLog
+            assert timeline.events == tuple(events)
+
+    def test_unhashable_and_read_only(self):
+        log = EventLog(_EDGE)
+        with pytest.raises(TypeError):
+            hash(log)
+        with pytest.raises(TypeError):
+            log[0] = _EDGE[1]
