@@ -411,23 +411,36 @@ def power_law_graph(n: int, seed: int) -> Graph:
 
 
 def gen_qaoa(graph: Graph, p: int, gammas, betas) -> Circuit:
-    """QAOA circuit: H layer, then per layer RZZ(gamma_k) per edge and
-    RX(2*beta_k) per node, terminal MEASURE."""
+    """QAOA circuit: H layer, then per layer RZZ(gamma_k * w) per edge of
+    weight w and RX(2*beta_k) per node, terminal MEASURE.
+
+    Tuples are shared: each qubit has one ``(q,)`` for its H, RX and
+    MEASURE, each edge's RZZs take the edge itself as operands (a tuple
+    made once from it, if it is not one), and each distinct angle has one
+    parameter tuple. Angles share a tuple only when their bits agree, so
+    0.0 and -0.0 keep their own.
+    """
     if p < 1:
         raise ValueError("need at least one QAOA layer")
     gammas, betas = list(gammas), list(betas)
     if len(gammas) != p or len(betas) != p:
         raise ValueError("need one gamma and one beta per layer")
-    nodes = range(graph.num_nodes)
-    gates = [Gate(H, (q,)) for q in nodes]
-    weights = graph.weights or (1.0,) * len(graph.edges)
+    singles = [(q,) for q in range(graph.num_nodes)]
+    pairs = [e if type(e) is tuple else tuple(e) for e in graph.edges]
+    weights = graph.weights or (1.0,) * len(pairs)
+    # Angle -> its parameter tuple. A zero is keyed by its repr, so -0.0
+    # misses 0.0; any other float equals only a float of the same bits.
+    shared: dict = {}
+    gates = [Gate(H, q) for q in singles]
     for k in range(p):
-        gates += [
-            Gate(RZZ, (a, b), (float(gammas[k] * w),))
-            for (a, b), w in zip(graph.edges, weights, strict=True)
-        ]
-        gates += [Gate(RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
-    gates += [Gate(MEASURE, (q,)) for q in nodes]
+        gamma = gammas[k]
+        for e, w in zip(pairs, weights, strict=True):
+            t = float(gamma * w)
+            gates.append(Gate(RZZ, e, shared.setdefault(t or repr(t), (t,))))
+        t = float(2.0 * betas[k])
+        rx = shared.setdefault(t or repr(t), (t,))
+        gates += [Gate(RX, q, rx) for q in singles]
+    gates += [Gate(MEASURE, q) for q in singles]
     return Circuit(graph.num_nodes, tuple(gates))
 
 

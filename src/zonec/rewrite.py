@@ -152,12 +152,15 @@ def lower_cx_to_cz(circuit: Circuit) -> Circuit:
     folded = _fold_zz_idioms(circuit)
     if len(folded) == len(circuit.gates) and CX not in kinds:
         return circuit  # every fold drops gates, so none was made
+    # One operand tuple per int qubit; any other qubit type keeps its own.
+    singles = [(q,) for q in range(circuit.num_qubits)]
     gates: list[Gate] = []
     for g in folded:
         if g.kind is CX:
-            c, t = g.qubits
-            h = Gate(H, (t,))  # gates are immutable, so one serves twice
-            gates += (h, Gate(CZ, (c, t)), h)
+            t = g.qubits[1]
+            # gates are immutable, so one serves twice
+            h = Gate(H, singles[t] if type(t) is int else (t,))
+            gates += (h, Gate(CZ, g.qubits), h)
         else:
             gates.append(g)
     return Circuit(circuit.num_qubits, tuple(gates))
@@ -167,11 +170,14 @@ def lower_rzz_to_cx(circuit: Circuit) -> Circuit:
     """Replace every RZZ(g) by CX; RZ(g); CX (standard-execution template)."""
     if RZZ not in {g.kind for g in circuit.gates}:
         return circuit
+    # One operand tuple per int qubit; any other qubit type keeps its own.
+    singles = [(q,) for q in range(circuit.num_qubits)]
     gates: list[Gate] = []
     for g in circuit.gates:
         if g.kind is RZZ:
+            t = g.qubits[1]
             cx = Gate(CX, g.qubits)
-            gates += (cx, Gate(RZ, (g.qubits[1],), g.params), cx)
+            gates += (cx, Gate(RZ, singles[t] if type(t) is int else (t,), g.params), cx)
         else:
             gates.append(g)
     return Circuit(circuit.num_qubits, tuple(gates))
@@ -300,7 +306,9 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
     fail the walk's first step (the RZZ would land at the H(b), ahead of
     it), so one index compare rejects that case before the walk is set up.
     A match replaces its opening gate with RZZ(theta) on (a, b), equal to
-    the idiom up to a global phase exp(-i*theta/2), and drops the rest.
+    the idiom up to a global phase exp(-i*theta/2), and drops the rest. The
+    RZZ holds the RZ's parameter tuple and, as operands, the CX's qubit
+    tuple or a CZ(a,b)'s; only a CZ(b,a) needs a new one.
 
     One pass finds what restarting from the first gate after each fold
     would: every other gate inside a matched idiom avoids a and b, so a fold
@@ -324,7 +332,8 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
         if (kind is not CX and kind is not H) or dead[i]:
             continue
         if kind is CX:
-            a, b = first.qubits
+            pair = first.qubits
+            a, b = pair
             ra, rb = seen[a], seen[b]
         else:
             (b,) = first.qubits
@@ -334,8 +343,12 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
             if rb == len(on_b) or gates[on_b[rb]].kind is not CZ:
                 continue
             j = on_b[rb]
-            x, y = gates[j].qubits
-            a = y if x == b else x
+            pair = gates[j].qubits
+            x, y = pair
+            if x == b:
+                a, pair = y, (y, b)
+            else:
+                a = x
             # The walk's first step fails unless the CZ is also the next
             # live gate on a; test that here, before the walk is set up.
             on_a, ra = on[a], seen[a]
@@ -368,14 +381,14 @@ def _fold_zz_idioms(circuit: Circuit) -> list[Gate]:
             elif g.qubits[0] != b:
                 break
             if want is RZ:
-                theta = g.params[0]
+                angle = g.params
             matched.append(j)
             if j == ja:
                 ra += 1
             if j == jb:
                 rb += 1
         else:
-            gates[i] = Gate(RZZ, (a, b), (theta,))
+            gates[i] = Gate(RZZ, pair, angle)
             for j in matched[1:]:
                 dead[j] = True
     return [g for g, d in zip(gates, dead) if not d]
@@ -421,18 +434,29 @@ def _substitute(circuit: Circuit, protocol: str, make: Callable[..., Gate]) -> C
         gates = _fold_zz_idioms(circuit)
     if RZZ not in kinds and len(gates) == len(circuit.gates):
         return circuit  # every fold makes an RZZ and drops gates, so none was made
+    adiabatic = protocol == "adiabatic"
+    # gamma -> the AD or CPHASE parameters. A float is its own key:
+    # adiabatic_phases and cphase_phi give bit-equal results for equal
+    # floats, 0.0 and -0.0 included. Any other type is keyed with its type,
+    # so its results, whose type may differ, never serve a float.
+    phases: dict = {}
     out: list[Gate] = []
     for g in gates:
         if g.kind is not RZZ:
             out.append(g)
             continue
         gamma = g.params[0]
-        if protocol == "adiabatic":
-            out.append(make(AD, g.qubits, adiabatic_phases(gamma)))
+        key = gamma if type(gamma) is float else (type(gamma), gamma)
+        params = phases.get(key)
+        if params is None:
+            params = phases[key] = (adiabatic_phases(gamma) if adiabatic
+                                    else (cphase_phi(gamma),))
+        if adiabatic:
+            out.append(make(AD, g.qubits, params))
             out.append(make(LP, g.qubits, g.params))
         else:
             out.append(make(LP, g.qubits, g.params))
-            out.append(make(CPHASE, g.qubits, (cphase_phi(gamma),)))
+            out.append(make(CPHASE, g.qubits, params))
     return Circuit(circuit.num_qubits, tuple(out))
 
 
@@ -559,6 +583,7 @@ def _layered_raw(circuit: Circuit, make: Callable[..., Gate]) -> Iterator[tuple[
     """``layer_zone_steps``'s segments before seams are merged, yielded
     layer by layer, each CX's H and CZ built by ``make``."""
     measures: list[Gate] = []
+    singles: dict[int, tuple[int]] = {}  # one H operand tuple per int qubit
     gates = circuit.gates
     for layer in layer_indices(gates):
         pre: list[Gate] = []
@@ -571,7 +596,8 @@ def _layered_raw(circuit: Circuit, make: Callable[..., Gate]) -> Iterator[tuple[
                 measures.append(g)
                 continue
             if kind is CX:
-                h = make(H, (g.qubits[1],))
+                t = g.qubits[1]
+                h = make(H, singles.setdefault(t, (t,)) if type(t) is int else (t,))
                 pre.append(h)
                 two.append(make(CZ, g.qubits))
                 post.append(h)
@@ -644,14 +670,15 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     it adds no step. A synthesised term is already lowered, so mantra runs
     only native ZZ substitution on a fountain before alignment, and standard
     steps a path as synthesised. The terms build their gates through one
-    memo of ``Gate``, so equal gates across the file are one object.
+    memo (``_gate_memo``), so gates equal in kind, qubits and every
+    parameter's type and bits are one object across the file.
     """
     if isinstance(source, PauliTermFile):
         # The terms' segments stream, term by term, into one merge, so every
         # ZoneStep is built once, as soon as its zone ends, and the program
         # checks its gates once. A memo hit returns the gate built and
-        # checked from equal arguments.
-        make = functools.cache(Gate)
+        # checked from the same arguments.
+        make = _gate_memo()
         if options.mode == "mantra":
             per_term = (_aligned_raw(_substitute(_fountain(t, make), options.protocol, make))
                         for t in source.terms)
@@ -665,6 +692,39 @@ def mantra_pipeline(source, options: PipelineOptions = PipelineOptions()) -> Zon
     c, slots = _lower(source, options)
     raw = _aligned_raw(c) if options.mode == "mantra" else _layered_raw(c, Gate)
     return ZoneStepProgram(c.num_qubits, _merge_steps(raw), options.x_basis, slots)
+
+
+def _plain(x) -> bool:
+    """Whether ``x`` is a float other than -0.0: ``==`` between two such
+    values holds only when their bits agree."""
+    return type(x) is float and (x != 0.0 or math.copysign(1.0, x) > 0.0)
+
+
+def _gate_memo() -> Callable[..., Gate]:
+    """A ``Gate`` constructor with one memo: a gate equal in kind, qubits
+    and every parameter's type and bits to one built before is that gate.
+
+    Gates with no parameters, or only plain ones (``_plain``), go to one
+    ``functools.cache(Gate)``, keyed by ``==``, which is exact on plain
+    values. The rest are keyed by each parameter's type and repr, so -0.0
+    never gets the gate of 0.0, nor 1 the gate of 1.0.
+    """
+    shared = functools.cache(Gate)
+    odd: dict = {}
+
+    def exact(*args):
+        # The cache keys on the arguments as passed, so they pass through
+        # unchanged: a term's H(q) then finds the one another term built.
+        if len(args) == 2 or all(map(_plain, args[2])):
+            return shared(*args)
+        kind, qubits, params = args
+        key = (kind, qubits, tuple(map(type, params)), tuple(map(repr, params)))
+        gate = odd.get(key)
+        if gate is None:
+            gate = odd[key] = Gate(kind, qubits, params)
+        return gate
+
+    return exact
 
 
 def _lower(circuit: Circuit, options: PipelineOptions) -> tuple[Circuit, tuple[int, ...]]:

@@ -530,3 +530,68 @@ class TestRunInvariants:
                     in_aod.symmetric_difference_update(e.qubits)
                 elif e.kind is EventKind.SHUTTLE:
                     assert in_aod.issuperset(e.qubits), e
+
+
+# A faster machine: the AOD twice as fast, or one duration or distance
+# halved.
+_FASTER = [("aod_speed_um_per_us", 2.0)] + [
+    (name, 0.5) for name in ("pulse_1q_us", "pulse_2q_us", "trap_transfer_time_us",
+                             "zone_gap_um", "pitch_entangling_um", "readout_time_us")
+]
+_TIMING = ("pulse_1q_us", "pulse_2q_us", "trap_transfer_time_us", "readout_time_us",
+           "aod_speed_um_per_us")
+_FIDELITIES = ("f_1q", "f_2q", "f_transfer", "f_readout")
+
+
+def _scaled(cfg, name, factor):
+    return replace(cfg, **{name: getattr(cfg, name) * factor})
+
+
+def _relabelled(circuit, perm):
+    """``circuit`` with qubit q renamed perm[q]."""
+    return Circuit(circuit.num_qubits, tuple(
+        Gate(g.kind, tuple(perm[q] for q in g.qubits), g.params) for g in circuit.gates))
+
+
+class TestMetamorphic:
+    """Relations between runs on changed machines or inputs. Each holds at
+    the time of writing over every policy, mode and x-basis choice; a
+    scheduler change that breaks one on purpose says which and why."""
+
+    @given(_sources(), st.sampled_from(_COMBOS), st.sampled_from(_FASTER))
+    @settings(max_examples=60, deadline=None)
+    def test_a_faster_machine_never_takes_longer(self, source, combo, knob):
+        cfg, options = combo
+        slow = run(source, options, cfg).timeline.makespan_us
+        fast = run(source, options, _scaled(cfg, *knob)).timeline.makespan_us
+        assert fast <= slow
+
+    @given(_sources(), st.sampled_from(_COMBOS), st.sampled_from(_TIMING),
+           st.sampled_from((0.1, 0.5, 2.0, 5.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_ld_st_ignores_timing(self, source, combo, name, factor):
+        cfg, options = combo
+        r = run(source, options, cfg)
+        scaled = run(source, options, _scaled(cfg, name, factor))
+        assert (scaled.loads, scaled.stores) == (r.loads, r.stores)
+
+    # A Pauli term's synthesis picks its target by qubit index, so only a
+    # circuit's compile follows a relabelling.
+    @given(_sources().filter(lambda s: isinstance(s, Circuit)), st.sampled_from(_COMBOS),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ld_st_ignores_qubit_labels(self, source, combo, data):
+        cfg, options = combo
+        perm = data.draw(st.permutations(range(source.num_qubits)))
+        r = run(source, options, cfg)
+        relabelled = run(_relabelled(source, perm), options, cfg)
+        assert (relabelled.loads, relabelled.stores) == (r.loads, r.stores)
+
+    @given(_sources(), st.sampled_from(_COMBOS), st.sampled_from(_FIDELITIES))
+    @settings(max_examples=60, deadline=None)
+    def test_better_operations_never_lower_fidelity(self, source, combo, name):
+        cfg, options = combo
+        f = getattr(cfg, name)
+        worse = run(source, options, cfg).fidelity.total
+        better = run(source, options, replace(cfg, **{name: f + (1.0 - f) / 2})).fidelity.total
+        assert better >= worse

@@ -740,3 +740,82 @@ class TestBuildOnce:
         monkeypatch.setattr(Circuit, "__post_init__", counting)
         c = build()
         assert sizes == [len(c.gates)]
+
+
+def gate_bits(g: Gate):
+    """A gate with each qubit and parameter by type and value, each float
+    by its bits, so 0.0 != -0.0 and 1 != 1.0."""
+    return (g.kind, tuple((type(q), q) for q in g.qubits),
+            tuple((type(p), float.hex(p) if isinstance(p, float) else repr(p))
+                  for p in g.params))
+
+
+def _gen_qaoa_reference(graph, p, gammas, betas):
+    """``gen_qaoa`` as written before it shared tuples: new operand and
+    parameter tuples for every gate."""
+    nodes = range(graph.num_nodes)
+    gates = [Gate(GateKind.H, (q,)) for q in nodes]
+    weights = graph.weights or (1.0,) * len(graph.edges)
+    for k in range(p):
+        gates += [
+            Gate(GateKind.RZZ, (a, b), (float(gammas[k] * w),))
+            for (a, b), w in zip(graph.edges, weights, strict=True)
+        ]
+        gates += [Gate(GateKind.RX, (q,), (float(2.0 * betas[k]),)) for q in nodes]
+    gates += [Gate(GateKind.MEASURE, (q,)) for q in nodes]
+    return Circuit(graph.num_nodes, tuple(gates))
+
+
+# Values that are equal but differ in sign or type, repeats and negatives.
+_QAOA_VALUES = st.sampled_from((0.0, -0.0, 0, 1, 1.0, -1, -1.0, 0.5, -0.5, 2, 0.25))
+
+
+@st.composite
+def qaoa_inputs(draw):
+    """A graph on 2-6 nodes with up to 12 distinct edges, each a tuple or a
+    list, with no weights or one per edge, and 1-3 layers of angles, zero
+    gammas included."""
+    n = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)):
+        edges.append([a, b] if draw(st.booleans()) else (a, b))
+    weights = tuple(draw(_QAOA_VALUES) for _ in edges) if draw(st.booleans()) else ()
+    p = draw(st.integers(1, 3))
+    gammas = draw(st.lists(_QAOA_VALUES, min_size=p, max_size=p))
+    betas = draw(st.lists(_QAOA_VALUES, min_size=p, max_size=p))
+    return Graph(n, tuple(edges), weights), p, gammas, betas
+
+
+class TestQaoaSharedTuples:
+    @given(qaoa_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_gen_qaoa_equals_reference_bit_for_bit(self, case):
+        c = gen_qaoa(*case)
+        expected = _gen_qaoa_reference(*case)
+        assert c.num_qubits == expected.num_qubits
+        assert [gate_bits(g) for g in c.gates] == [gate_bits(g) for g in expected.gates]
+
+    @given(qaoa_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_tuples_are_one_object(self, case):
+        gates = gen_qaoa(*case).gates
+        operands, params = {}, {}
+        for g in gates:
+            assert operands.setdefault(g.qubits, g.qubits) is g.qubits, g
+            if g.params:
+                key = tuple(float.hex(x) for x in g.params)
+                assert params.setdefault(key, g.params) is g.params, g
+
+    def test_tuple_edges_serve_as_operands(self):
+        edges = ((0, 1), [1, 2], (2, 0))
+        c = gen_qaoa(Graph(3, edges), 2, [0.1, 0.2], [0.3, 0.4])
+        rzz = [g for g in c.gates if g.kind is GateKind.RZZ]
+        assert [g.qubits for g in rzz] == [(0, 1), (1, 2), (2, 0)] * 2
+        assert all(rzz[k].qubits is edges[k % 3] for k in (0, 2, 3, 5))
+        assert rzz[1].qubits is rzz[4].qubits
+
+    def test_zero_angles_keep_their_sign(self):
+        c = gen_qaoa(Graph(3, ((0, 1), (1, 2)), (1.0, -1.0)), 1, [0.0], [-0.0])
+        angles = [g.params[0] for g in c.gates if g.params]
+        assert [math.copysign(1.0, t) for t in angles] == [1.0, -1.0, -1.0, -1.0, -1.0]

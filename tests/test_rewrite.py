@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zonec import rewrite
 from zonec.frontend import gen_ghz, parse_benchmark
@@ -49,6 +49,14 @@ from zonec.rewrite import (
     synth_pauli_path,
 )
 from zonec.rewrite import _check_readout, _fold_zz_idioms, _lower, _merge_steps
+
+
+def gate_bits(g: Gate):
+    """A gate with each qubit and parameter by type and value, each float
+    by its bits, so 0.0 != -0.0 and 1 != 1.0."""
+    return (g.kind, tuple((type(q), q) for q in g.qubits),
+            tuple((type(p), float.hex(p) if isinstance(p, float) else repr(p))
+                  for p in g.params))
 
 
 def random_term(rng, n):
@@ -458,11 +466,12 @@ def planted_idiom_circuits(draw):
     return Circuit(n, tuple(gates)), planted
 
 
-def _reference_fold(circuit):
+def _reference_fold(circuit, matches=None):
     """``_fold_zz_idioms`` before its loop was tightened and before the H
     form joined the CX form's tail walk: the same one-pass algorithm, with a
     closure to find each qubit's next live gate, a separate match of the H
-    form's first CZ and control check, and its own tails."""
+    form's first CZ and control check, and its own tails. Each fold's gate
+    positions, opener first, are appended to ``matches`` if given."""
     gates = list(circuit.gates)
     num_qubits = circuit.num_qubits
     on: list[list[int]] = [[] for _ in range(num_qubits)]
@@ -535,7 +544,73 @@ def _reference_fold(circuit):
             gates[i] = Gate(GateKind.RZZ, (a, b), (theta,))
             for j in matched[1:]:
                 dead[j] = True
+            if matches is not None:
+                matches.append(matched)
     return [g for g, d in zip(gates, dead) if not d]
+
+
+class TestSharedTuples:
+    @given(idiom_circuits())
+    @settings(max_examples=300, deadline=None)
+    def test_rzz_holds_its_idioms_tuples(self, c):
+        # Each folded RZZ holds its RZ's parameter tuple, and its CX's qubit
+        # tuple or, in the H form, its first CZ's when that is (a, b).
+        matches = []
+        _reference_fold(c, matches)
+        inputs = {id(g) for g in c.gates}
+        folded = [g for g in _fold_zz_idioms(c) if id(g) not in inputs]
+        assert len(folded) == len(matches)
+        for rzz, matched in zip(folded, matches):
+            opener, first, *_ = (c.gates[j] for j in matched)
+            rz = next(c.gates[j] for j in matched if c.gates[j].kind is GateKind.RZ)
+            assert rzz.params is rz.params
+            if opener.kind is GateKind.CX:
+                assert rzz.qubits is opener.qubits
+            elif first.qubits == rzz.qubits:
+                assert rzz.qubits is first.qubits
+
+    @given(idiom_circuits(), st.sampled_from(PROTOCOLS))
+    @settings(max_examples=300, deadline=None)
+    def test_protocol_gates_share_one_tuple_per_angle(self, c, protocol):
+        rzz = [g for g in _fold_zz_idioms(c) if g.kind is GateKind.RZZ]
+        out = substitute_rzz(c, protocol).gates
+        lp = [i for i, g in enumerate(out) if g.kind is GateKind.LP]
+        assert len(lp) == len(rzz)
+        by_angle = {}
+        for i, r in zip(lp, rzz):
+            gamma = r.params[0]
+            pulse = out[i - 1] if protocol == "adiabatic" else out[i + 1]
+            expected = (adiabatic_phases(gamma) if protocol == "adiabatic"
+                        else (cphase_phi(gamma),))
+            # A fold makes a new (a, b) for each CZ(b, a) form, so the
+            # qubits are compared by value.
+            assert out[i].params is r.params and out[i].qubits == r.qubits
+            assert pulse.qubits is out[i].qubits
+            assert gate_bits(pulse) == gate_bits(Gate(pulse.kind, r.qubits, expected))
+            assert by_angle.setdefault(float.hex(gamma), pulse.params) is pulse.params
+
+    @pytest.mark.parametrize("lower", [lower_cx_to_cz, lower_rzz_to_cx, layer_zone_steps])
+    def test_lowering_keeps_one_tuple_per_qubit(self, lower):
+        # One 1-tuple per int qubit; an np.int64 or bool target equals an
+        # int one, yet keeps its own tuple and type.
+        kind, single = ((GateKind.RZZ, GateKind.RZ) if lower is lower_rzz_to_cx
+                        else (GateKind.CX, GateKind.H))
+        params = (0.3,) if kind is GateKind.RZZ else ()
+        pairs = [(0, 1), (2, 1), (0, 1), (2, np.int64(1)), (0, True)]
+        c = Circuit(3, tuple(Gate(kind, pair, params) for pair in pairs))
+        out = lower(c)
+        gates = ([g for s in out.steps for g in s.gates] if lower is layer_zone_steps
+                 else out.gates)
+        assert {id(g.qubits) for g in gates if len(g.qubits) == 2} <= {
+            id(g.qubits) for g in c.gates}
+        ones = [g for g in gates if len(g.qubits) == 1]
+        singles = {}
+        assert all(singles.setdefault(g.qubits, g.qubits) is g.qubits
+                   for g in ones if type(g.qubits[0]) is int)
+        per_gate = 1 if kind is GateKind.RZZ else 2  # CX RZ CX, or H CZ H
+        expected = Counter(gate_bits(Gate(single, (t,), params)) for _, t in pairs)
+        assert Counter(gate_bits(g) for g in ones) == Counter(
+            {bits: per_gate * k for bits, k in expected.items()})
 
 
 @st.composite
@@ -1030,13 +1105,20 @@ def pauli_files(draw):
     return PauliTermFile(n, tuple(terms))
 
 
+# Angles that are equal but differ in sign or type, and two plain ones.
+_EXACT_ANGLES = (0.5, -1.25, 0.0, -0.0, 0, 1, 1.0, np.float64(1.0))
+_EXACT_ANGLE_FILE = PauliTermFile(2, (PauliTerm("ZI", 0.0), PauliTerm("ZI", -0.0),
+                                      PauliTerm("IZ", 1), PauliTerm("IZ", 1.0)))
+
+
 @st.composite
 def repeating_pauli_files(draw):
-    """2-4 qubits and 0-10 terms over two angles, so equal terms, and equal
-    gates in different terms, recur."""
+    """2-4 qubits and 0-10 terms over eight angles, some equal but of other
+    bits or type, so equal terms, and equal gates in different terms,
+    recur."""
     n = draw(st.integers(2, 4))
     labels = st.text("IXYZ", min_size=n, max_size=n)
-    terms = draw(st.lists(st.builds(PauliTerm, labels, st.sampled_from((0.5, -1.25))),
+    terms = draw(st.lists(st.builds(PauliTerm, labels, st.sampled_from(_EXACT_ANGLES)),
                           max_size=10))
     return PauliTermFile(n, tuple(terms))
 
@@ -1065,11 +1147,29 @@ class TestPipeline:
         assert mantra_pipeline(source, options) == _pauli_pipeline_reference(source, mode, protocol)
 
     @given(repeating_pauli_files(), st.sampled_from(MODES), st.sampled_from(PROTOCOLS))
+    @example(_EXACT_ANGLE_FILE, "mantra", "adiabatic")
+    @example(_EXACT_ANGLE_FILE, "standard", "adiabatic")
     @settings(max_examples=200, deadline=None)
     def test_pauli_file_holds_one_object_per_distinct_gate(self, source, mode, protocol):
+        # Distinct by kind, qubits and each parameter's type and bits.
         program = mantra_pipeline(source, PipelineOptions(mode, protocol))
         gates = [g for step in program.steps for g in step.gates]
-        assert len({id(g) for g in gates}) == len(set(gates))
+        assert len({id(g) for g in gates}) == len({gate_bits(g) for g in gates})
+
+    @given(repeating_pauli_files(), st.sampled_from(MODES), st.sampled_from(PROTOCOLS))
+    @settings(max_examples=200, deadline=None)
+    def test_pauli_file_keeps_every_parameter_bit_for_bit(self, source, mode, protocol):
+        program = mantra_pipeline(source, PipelineOptions(mode, protocol))
+        reference = _pauli_pipeline_reference(source, mode, protocol)
+        assert [[gate_bits(g) for g in s.gates] for s in program.steps] == [
+            [gate_bits(g) for g in s.gates] for s in reference.steps]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equal_angles_of_other_bits_or_type_keep_them(self, mode):
+        program = mantra_pipeline(_EXACT_ANGLE_FILE, PipelineOptions(mode))
+        rz = [g.params[0] for s in program.steps for g in s.gates if g.kind is GateKind.RZ]
+        assert [(type(t), math.copysign(1.0, t)) for t in rz] == [
+            (float, 1.0), (float, -1.0), (int, 1.0), (float, 1.0)]
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
